@@ -49,7 +49,6 @@ from .velocity_solver import (
     check_feasibility,
     compute_dimensions,
     direction_cost,
-    projected_gradient_descent,
     solve_velocity,
 )
 from .verifier import (
@@ -95,7 +94,6 @@ __all__ = [
     "min_norm_solution",
     "null_space_basis",
     "numerical_rank",
-    "projected_gradient_descent",
     "solve_force",
     "solve_kkt",
     "solve_square",

@@ -6,8 +6,8 @@ Two scenario types exist: "block_tilting" rolls the built-in tilting plan,
 "raw_instance" solves a single instance given directly as matrices.
 
 Exit codes: 0 success, 2 velocity stage infeasible, inconsistent or without
-independent command rows, 3 force stage infeasible, 4 unreadable or invalid
-input.
+independent command rows, 3 force stage infeasible or singular, 4 unreadable
+or invalid input.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     InconsistentGoal,
     InfeasibleDimensions,
     InfeasibleLP,
+    SingularSystem,
     SingularTransform,
 )
 from .force_solver import ForceSolverConfig, solve_force
@@ -43,15 +44,17 @@ from .verifier import (
 SCHEMA_VERSION = 1
 
 SCENARIO_KEYS = {"schema", "scenario_type", "params", "solver"}
-SOLVER_KEYS = {
-    "num_starts",
-    "rng_seed",
-    "step_length",
-    "max_iters",
-    "convergence_tol",
-    "rank_tol",
-    "f_max",
+# Schema-1 settings of the former iterative direction search, with their
+# types.  The directions now have a closed form, so these are type-checked
+# and otherwise ignored.
+IGNORED_SOLVER_KEYS = {
+    "num_starts": int,
+    "rng_seed": int,
+    "step_length": float,
+    "max_iters": int,
+    "convergence_tol": float,
 }
+SOLVER_KEYS = set(IGNORED_SOLVER_KEYS) | {"rank_tol", "f_max"}
 TILTING_KEYS = {
     "edge_length",
     "mu_hand",
@@ -80,7 +83,9 @@ RAW_KEYS = {
     "b_Gamma",
 }
 
-CSV_COLUMNS = ["step", "n_av", "pgd_cost", "lp_margin", "newton_residual", "ms_velocity", "ms_force"]
+CSV_COLUMNS = [
+    "step", "n_av", "direction_cost", "lp_margin", "newton_residual", "ms_velocity", "ms_force"
+]
 
 
 class ScenarioParseError(Exception):
@@ -146,17 +151,15 @@ def _configs(doc: dict, run: RunConfig):
     if run.f_max is not None:
         solver["f_max"] = run.f_max
     try:
-        vel = VelocitySolverConfig(
-            num_starts=int(solver.get("num_starts", 3)),
-            step_length=float(solver.get("step_length", 10.0)),
-            max_iters=int(solver.get("max_iters", 200)),
-            convergence_tol=float(solver.get("convergence_tol", 1e-8)),
-            rng_seed=int(solver.get("rng_seed", 0)),
-            rank_tol=float(solver.get("rank_tol", 1e-8)),
-        )
+        for key, kind in IGNORED_SOLVER_KEYS.items():
+            if key in solver:
+                kind(solver[key])
+        vel = VelocitySolverConfig(rank_tol=float(solver.get("rank_tol", 1e-8)))
         force = ForceSolverConfig(f_max=float(solver.get("f_max", 50.0)))
     except (TypeError, ValueError) as exc:
         raise ScenarioParseError(f"bad solver settings: {exc}") from exc
+    if "num_starts" in solver and int(solver["num_starts"]) < 1:
+        raise ScenarioParseError(f"bad solver settings: num_starts {solver['num_starts']} < 1")
     return vel, force
 
 
@@ -209,8 +212,7 @@ def _solve_step(instance, guard, vel_cfg, force_cfg, verify: bool):
         "w_av": vel.b_C.tolist(),
         "R_a": vel.R_a.tolist(),
         "T": vel.T.tolist(),
-        "pgd_cost": float(vel.cost),
-        "per_start_costs": [float(c) for c in vel.per_start_costs],
+        "direction_cost": float(vel.cost),
         "eta_af": force.eta_af.tolist(),
         "lambda": force.lam.tolist(),
         "eta": force.eta.tolist(),
@@ -242,7 +244,7 @@ def _write_outputs(doc_out: dict, timings: list[dict], run: RunConfig):
                     [
                         record["step"],
                         record["n_av"],
-                        record["pgd_cost"],
+                        record["direction_cost"],
                         record["lp_margin"],
                         record["newton_residual"],
                         timing["ms_velocity"],
@@ -290,7 +292,7 @@ def run_scenario(run: RunConfig) -> int:
         except (InfeasibleDimensions, InconsistentGoal, EmptyBasis, SingularTransform) as exc:
             print(f"step {index}: {exc}", file=sys.stderr)
             return 2
-        except InfeasibleLP as exc:
+        except (InfeasibleLP, SingularSystem) as exc:
             print(f"step {index}: {exc}", file=sys.stderr)
             return 3
         record["step"] = index
@@ -301,8 +303,6 @@ def run_scenario(run: RunConfig) -> int:
         "schema": SCHEMA_VERSION,
         "scenario_type": doc["scenario_type"],
         "solver": {
-            "num_starts": vel_cfg.num_starts,
-            "rng_seed": vel_cfg.rng_seed,
             "rank_tol": vel_cfg.rank_tol,
             "f_max": force_cfg.f_max,
         },
@@ -322,8 +322,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument("--seed", type=int, default=None, help="override solver rng seed")
-    parser.add_argument("--starts", type=int, default=None, help="override number of optimizer starts")
+    parser.add_argument("--seed", type=int, default=None, help="accepted for schema 1; no effect")
+    parser.add_argument("--starts", type=int, default=None, help="accepted for schema 1 (>= 1); no effect")
     parser.add_argument("--rank-tol", type=float, default=None, help="override relative rank tolerance")
     parser.add_argument("--f-max", type=float, default=None, help="override force command bound [N]")
     parser.add_argument("--csv", action="store_true", help="also write a per-step timing CSV")
@@ -348,3 +348,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

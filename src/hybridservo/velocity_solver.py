@@ -1,7 +1,7 @@
 """Velocity stage: decide which actuated directions to velocity-control.
 
 Given N v = 0 and the goal G v = b_G, the solver picks the smallest number
-of velocity commands that still pins the goal down, then optimizes the
+of velocity commands that still pins the goal down, then chooses the
 command directions.  Each command row c lives in the actuated coordinates
 (zero unactuated prefix) and must annihilate null([N; G]) so that the
 commanded value C v is the same for every velocity compatible with the
@@ -11,9 +11,8 @@ them fights the constraints as little as possible:
 
     cost(C) = sum_{i != j} |c_i . c_j| - sum_i ||NullN^T c_i||
 
-minimized by multi-start projected gradient descent on the unit sphere of
-each row.  The lowest-cost start whose rows pin the goal down
-(rank [N; C] = rank [N; G]) is returned.
+The minimum has a closed form (see optimal_directions), so the rows come
+from one SVD and at most n_av - 1 plane rotations, with no search.
 """
 
 from __future__ import annotations
@@ -33,28 +32,9 @@ from .errors import (
 from .model import SystemInstance
 from .subspace_linalg import SubspaceBasis
 
-# Two candidate minima closer than this are treated as a tie and the earlier
-# start wins, which keeps the multi-start selection deterministic.
-TIE_EPS = 1e-12
-
-# Norms below this are treated as sitting on the kink of the cost; the
-# corresponding gradient contribution is zero there.
-KINK_EPS = 1e-12
-
-# The stacked line-search costs differ from the per-step evaluation by
-# round-off (at most 2.2e-15 relative on criterion-4 instances); a step whose
-# stacked cost passes the descent test within this relative slack is
-# re-evaluated exactly.
-SCREEN_SLACK = 1e-12
-
 
 @dataclass
 class VelocitySolverConfig:
-    num_starts: int = 3
-    step_length: float = 10.0
-    max_iters: int = 200
-    convergence_tol: float = 1e-8
-    rng_seed: int = 0
     rank_tol: float = sla.DEFAULT_RANK_TOL
 
 
@@ -73,36 +53,21 @@ class VelocitySolution:
     R_a: np.ndarray
     n_av: int
     cost: float
-    per_start_costs: list[float]
-    start_converged: list[bool]
 
     @property
     def w_av(self) -> np.ndarray:
         return self.b_C
 
 
-@dataclass
-class PgdResult:
-    k: np.ndarray
-    cost: float
-    iterations: int
-    converged: bool
-
-
 def compute_dimensions(N, G, rel_tol: float = sla.DEFAULT_RANK_TOL):
     """Rank bookkeeping for the velocity stage.
 
-    Returns (n_av_min, n_av_max, n_av, r_N, r_NG) where n_av is the chosen
-    number of velocity commands (the minimum that still pins the goal).
+    Returns (n_av, r_N, r_NG): n_av = r_NG - r_N is the number of velocity
+    commands, the minimum that still pins the goal down.
     """
-    N = np.asarray(N, dtype=float)
-    G = np.asarray(G, dtype=float)
-    n = G.shape[1] if G.size else N.shape[1]
     r_N = sla.numerical_rank(N, rel_tol)
     r_NG = sla.numerical_rank(np.vstack([N, G]), rel_tol)
-    n_av_min = r_NG - r_N
-    n_av_max = n - r_N
-    return n_av_min, n_av_max, n_av_min, r_N, r_NG
+    return r_NG - r_N, r_N, r_NG
 
 
 def check_feasibility(n: int, n_a: int, r_N: int) -> bool:
@@ -110,7 +75,9 @@ def check_feasibility(n: int, n_a: int, r_N: int) -> bool:
     return r_N + n_a >= n
 
 
-def candidate_basis(N, G, n_u: int, rel_tol: float = sla.DEFAULT_RANK_TOL) -> np.ndarray:
+def candidate_basis(
+    N, G, n_u: int, n_av: int, rel_tol: float = sla.DEFAULT_RANK_TOL
+) -> np.ndarray:
     """Orthonormal columns spanning the admissible command rows.
 
     A command row c must have zero unactuated prefix and annihilate every
@@ -121,7 +88,6 @@ def candidate_basis(N, G, n_u: int, rel_tol: float = sla.DEFAULT_RANK_TOL) -> np
     N = np.asarray(N, dtype=float)
     G = np.asarray(G, dtype=float)
     n = G.shape[1] if G.size else N.shape[1]
-    n_av_min, _, n_av, _, _ = compute_dimensions(N, G, rel_tol)
     sigma = sla.null_space_basis(np.vstack([N, G]), rel_tol).basis
     # Constraints on the actuated part only: sigma_a^T c_a = 0.
     sigma_a = sigma[n_u:, :].T
@@ -145,136 +111,75 @@ def direction_cost(k: np.ndarray, B_c: np.ndarray, NullN: SubspaceBasis) -> floa
     return cross - float(np.sum(np.linalg.norm(proj, axis=0)))
 
 
-def _column_norms(M):
-    """np.linalg.norm(M, axis=0), with the same arithmetic and less overhead."""
-    return np.sqrt((M * M).sum(axis=0))
+def optimal_directions(A: np.ndarray, n_av: int) -> np.ndarray:
+    """Minimizer k (n_c x n_av, orthonormal columns) of the direction cost.
 
+    With A = NullN^T B_c and both bases orthonormal, c_i = B_c k_i is unit
+    exactly when k_i is, and the cost reads
 
-def _cost_and_grad(k, B_c, null_basis):
-    C = B_c @ k
-    gram = C.T @ C
-    abs_gram = np.abs(gram)
-    cross = float(abs_gram.sum() - abs_gram.diagonal().sum())
-    proj = null_basis.T @ C
-    norms = _column_norms(proj)
-    cost = cross - float(norms.sum())
-    sign = np.sign(gram)
-    np.fill_diagonal(sign, 0.0)
-    grad_c = 2.0 * (C @ sign)
-    # Direct gradient of the 2-norm term, zeroed at the kink.
-    safe = np.where(norms > KINK_EPS, norms, 1.0)
-    scale = np.where(norms > KINK_EPS, 1.0 / safe, 0.0)
-    grad_c -= null_basis @ (proj * scale)
-    return cost, B_c.T @ grad_c
+        cost(K) = x - sum_i ||A k_i||,   x = sum_{i != j} |H_ij|,  H = K^T K.
 
+    The columns are the top n_av right singular vectors of A, rotated by
+    n_av - 1 Givens rotations (the Schur-Horn construction) so that every
+    ||A k_i||^2 equals their mean S / n_av, S = sum_{i <= n_av} sigma_i^2.
+    They stay orthonormal, so x = 0 and cost = -sqrt(n_av * S); for
+    n_av = 1 that is -sigma_1 at the top right singular vector.
 
-def _project(k, B_c):
-    """Rescale each column so the corresponding command row has unit norm."""
-    norms = _column_norms(B_c @ k)
-    if (norms < KINK_EPS).any():
-        return None
-    return k / norms
+    No set of unit rows does better when n_av <= 16.  Write n = n_av and
+    let lambda_1 >= ... >= lambda_n be the eigenvalues of H.  Cauchy-Schwarz
+    and von Neumann's trace inequality give
 
+        sum_i ||A k_i|| <= sqrt(n * tr(A^T A K K^T))
+                        <= sqrt(n * sum_i lambda_i sigma_i^2).
 
-def _batch_costs(trials, B_c, null_basis):
-    """Direction cost of a stack of unprojected iterates, shape (m, n_c, n_av).
+    With lambda_i = 1 + e_i and sum_i e_i = tr(H) - n = 0, the positive
+    parts of e sum to ||H - I||_* / 2 <= x / 2 (H - I has a zero diagonal,
+    and each pair (i, j) adds a rank-2 piece of nuclear norm 2 |H_ij|).  So
+    sum_i lambda_i sigma_i^2 <= S + sigma_1^2 x / 2.  If S = 0 the cost is
+    x >= 0; otherwise concavity of the square root, sigma_1^2 <= S and
+    sigma_1 <= 1 (A is a product of orthonormal bases) give
 
-    Returns the costs after unit-norm projection, with +inf where _project
-    would refuse the iterate.
+        sum_i ||A k_i|| <= sqrt(nS) + x sqrt(n) sigma_1^2 / (4 sqrt(S))
+                        <= sqrt(nS) + x sqrt(n) / 4,
+
+    hence cost >= -sqrt(nS) + x (1 - sqrt(n) / 4) >= -sqrt(nS) for n <= 16.
+    Ties between repeated singular values are broken by the SVD itself,
+    which is deterministic for a given A.
     """
-    C = B_c @ trials
-    norms = np.linalg.norm(C, axis=1)
-    valid = np.all(norms >= KINK_EPS, axis=1)
-    C = C / np.where(norms >= KINK_EPS, norms, 1.0)[:, None, :]
-    gram = np.abs(np.swapaxes(C, 1, 2) @ C)
-    cross = gram.sum(axis=(1, 2)) - np.trace(gram, axis1=1, axis2=2)
-    costs = cross - np.linalg.norm(null_basis.T @ C, axis=1).sum(axis=1)
-    return np.where(valid, costs, np.inf)
-
-
-def _line_search(k, cost, grad, B_c, null_basis, step_length):
-    """Backtracking search: the first of 40 halvings whose cost is no worse.
-
-    The full step is tried alone first.  When it is rejected, the other 39
-    halvings are costed in one stacked evaluation, which only screens them:
-    the screened steps are re-evaluated with _project and _cost_and_grad in
-    halving order, so the accepted step is the one a step-by-step search
-    accepts, whatever the round-off of the stacked arithmetic.  Returns
-    (k, cost, grad) of the accepted step, or None when every step fails.
-    """
-
-    def accept(step):
-        trial = _project(k - step * grad, B_c)
-        if trial is None:
-            return None
-        trial_cost, trial_grad = _cost_and_grad(trial, B_c, null_basis)
-        if trial_cost <= cost + TIE_EPS:
-            return trial, trial_cost, trial_grad
-        return None
-
-    accepted = accept(step_length)
-    if accepted is not None:
-        return accepted
-    steps = step_length * 0.5 ** np.arange(1, 40)
-    screen = _batch_costs(k - steps[:, None, None] * grad, B_c, null_basis)
-    slack = SCREEN_SLACK * (1.0 + abs(cost))
-    for step in steps[screen <= cost + TIE_EPS + slack]:
-        accepted = accept(step)
-        if accepted is not None:
-            return accepted
-    return None
-
-
-def projected_gradient_descent(
-    B_c: np.ndarray,
-    NullN: SubspaceBasis,
-    n_av: int,
-    config: VelocitySolverConfig,
-    start_index: int = 0,
-) -> PgdResult:
-    """Minimize the direction cost from one random start.
-
-    Gradient steps use the configured step length; a step that would
-    increase the cost is retried with a halved step so the recorded cost
-    sequence never increases.  Converges when the projected iterate moves
-    less than convergence_tol or no descent step can be found.
-    """
-    rng = np.random.default_rng(config.rng_seed + start_index)
-    n_c = B_c.shape[1]
-    k = _project(rng.standard_normal((n_c, n_av)), B_c)
-    while k is None:  # vanishing draw, essentially measure zero
-        k = _project(rng.standard_normal((n_c, n_av)), B_c)
-    cost, grad = _cost_and_grad(k, B_c, NullN.basis)
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        accepted = _line_search(k, cost, grad, B_c, NullN.basis, config.step_length)
-        if accepted is None:
-            converged = True
-            break
-        moved = float(np.linalg.norm(accepted[0] - k))
-        k, cost, grad = accepted
-        if moved < config.convergence_tol:
-            converged = True
-            break
-    return PgdResult(k=k, cost=cost, iterations=iterations, converged=converged)
-
-
-def _best_start(results: list[PgdResult], starts: list[int]) -> int:
-    """Lowest-cost start among `starts`; within TIE_EPS the earlier one wins."""
-    best = starts[0]
-    for s in starts[1:]:
-        if results[s].cost < results[best].cost - TIE_EPS:
-            best = s
-    return best
+    _, sigma, vh = np.linalg.svd(A, full_matrices=False)
+    K = vh[:n_av].T.copy()
+    d = sigma[:n_av] ** 2
+    mean = float(d.sum()) / n_av
+    # Column `carry` holds the surplus; the other untouched columns keep
+    # their descending d.  Rotating carry with one of them sets one column
+    # to the mean, and the pair's A-images stay orthogonal to every other
+    # untouched column, so each rotation is a plain 2 x 2 diagonal case.
+    carry = 0
+    untouched = list(range(1, n_av))
+    while untouched:
+        j = untouched.pop(-1 if d[carry] >= mean else 0)
+        gap = d[carry] - d[j]
+        cos2 = min(max((mean - d[j]) / gap, 0.0), 1.0) if gap != 0.0 else 1.0
+        c, s = np.sqrt(cos2), np.sqrt(1.0 - cos2)
+        K[:, carry], K[:, j] = c * K[:, carry] + s * K[:, j], c * K[:, j] - s * K[:, carry]
+        d[j] = d[carry] + d[j] - mean
+        d[carry] = mean
+        carry = j
+    return K
 
 
 def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None = None) -> VelocitySolution:
-    """Pick velocity-controlled directions and magnitudes for one instance."""
+    """Pick velocity-controlled directions and magnitudes for one instance.
+
+    Each row of C is signed so that its command value b_C_i is >= 0; a row
+    with b_C_i == 0 gets a positive first nonzero entry.  Raises
+    SingularTransform when the rows do not pin the goal down
+    (rank [N; C] != rank [N; G]) or do not span n_av actuated axes.
+    """
     cfg = config or VelocitySolverConfig()
     N, G = instance.N, instance.G
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
-    _, _, n_av, r_N, r_NG = compute_dimensions(N, G, cfg.rank_tol)
+    n_av, r_N, r_NG = compute_dimensions(N, G, cfg.rank_tol)
     if not check_feasibility(n, n_a, r_N):
         raise InfeasibleDimensions(
             f"rank(N) = {r_N} with n_a = {n_a} cannot determine all {n} velocities"
@@ -289,55 +194,41 @@ def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None
         ) from exc
 
     if n_av == 0:
-        R_a = np.eye(n_a)
         return VelocitySolution(
             C=np.zeros((0, n)),
             b_C=np.zeros(0),
             T=np.eye(n),
-            R_a=R_a,
+            R_a=np.eye(n_a),
             n_av=0,
             cost=0.0,
-            per_start_costs=[],
-            start_converged=[],
         )
 
-    B_c = candidate_basis(N, G, n_u, cfg.rank_tol)
+    B_c = candidate_basis(N, G, n_u, n_av, cfg.rank_tol)
     NullN = sla.null_space_basis(N, cfg.rank_tol)
-    results = [
-        projected_gradient_descent(B_c, NullN, n_av, cfg, s) for s in range(cfg.num_starts)
-    ]
-    # A start can end in a local minimum whose rows are independent in the
-    # actuated coordinates but dependent modulo N; such rows do not pin the
-    # goal down.  Take the best start whose rows do, in the tie-breaking
-    # order of _best_start.
-    remaining = list(range(cfg.num_starts))
-    while remaining:
-        best = _best_start(results, remaining)
-        C = (B_c @ results[best].k).T
-        R_C = C[:, n_u:]
-        null_rc = sla.null_space_basis(R_C, cfg.rank_tol)
-        if (
-            null_rc.basis.shape[1] == n_a - n_av
-            and sla.numerical_rank(np.vstack([N, C]), cfg.rank_tol) == r_NG
-        ):
-            break
-        remaining.remove(best)
-    else:
+    k = optimal_directions(NullN.basis.T @ B_c, n_av)
+    C = (B_c @ k).T
+    b_C = C @ v_star
+    for i in range(n_av):
+        lead = b_C[i] if b_C[i] != 0.0 else C[i, np.flatnonzero(C[i])[0]]
+        if lead < 0.0:
+            C[i], b_C[i] = -C[i], -b_C[i]
+    R_C = C[:, n_u:]
+    null_rc = sla.null_space_basis(R_C, cfg.rank_tol)
+    if (
+        null_rc.basis.shape[1] != n_a - n_av
+        or sla.numerical_rank(np.vstack([N, C]), cfg.rank_tol) != r_NG
+    ):
         raise SingularTransform(
-            f"none of {cfg.num_starts} starts gave command rows that are "
-            "independent modulo the constraints"
+            "command rows are not independent modulo the constraints"
         )
     R_a = np.vstack([null_rc.basis.T, R_C])
     T = np.eye(n)
     T[n_u:, n_u:] = R_a
-    b_C = C @ v_star
     return VelocitySolution(
         C=C,
         b_C=b_C,
         T=T,
         R_a=R_a,
         n_av=n_av,
-        cost=results[best].cost,
-        per_start_costs=[r.cost for r in results],
-        start_converged=[r.converged for r in results],
+        cost=direction_cost(k, B_c, NullN),
     )

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,15 +107,28 @@ def test_raw_instance_roundtrip(tmp_path):
 
 
 def test_solver_overrides_reach_output(tmp_path):
-    scenario = _write_scenario(
-        tmp_path / "scenario.json", _tilting_doc(solver={"f_max": 25.0, "rng_seed": 7})
-    )
+    # Schema-1 search settings (num_starts, rng_seed) still parse and are not echoed.
+    solver = {"f_max": 25.0, "rank_tol": 1e-9, "num_starts": 3, "rng_seed": 7}
+    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
     out = tmp_path / "out.json"
-    assert main(["--scenario", scenario, "--out", str(out), "--f-max", "10.0"]) == 0
+    args = ["--scenario", scenario, "--out", str(out), "--f-max", "10.0", "--seed", "3"]
+    assert main(args) == 0
     doc = json.loads(out.read_text())
     # Command line wins over the scenario file; untouched keys pass through.
-    assert doc["solver"]["f_max"] == 10.0
-    assert doc["solver"]["rng_seed"] == 7
+    assert doc["solver"] == {"f_max": 10.0, "rank_tol": 1e-9}
+
+
+@pytest.mark.parametrize(
+    "solver, flags",
+    [({}, ["--starts", "0"]), ({"num_starts": 0}, []), ({"max_iters": "many"}, [])],
+    ids=["starts-flag-0", "num-starts-0", "max-iters-string"],
+)
+def test_bad_search_settings_are_parse_errors(tmp_path, capsys, solver, flags):
+    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
+    out = tmp_path / "o.json"
+    assert main(["--scenario", scenario, "--out", str(out), *flags]) == 4
+    assert "bad solver settings" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verification_absent_without_flag(tmp_path):
@@ -128,6 +145,18 @@ def test_missing_scenario_file_is_parse_error(tmp_path, capsys):
     code = main(["--scenario", str(tmp_path / "nope.json"), "--out", str(out)])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_reports_missing_scenario(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridservo.cli",
+         "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert "error:" in proc.stderr
 
 
 def test_invalid_json_is_parse_error(tmp_path, capsys):
@@ -181,6 +210,16 @@ def test_singular_transform_returns_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o.json"
     assert main(["--scenario", scenario, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("step 2:")
+    assert not out.exists()
+
+
+def test_consistent_duplicate_gamma_rows_return_3(tmp_path, capsys):
+    params = _supported_object_params()
+    params.update(Gamma=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], b_Gamma=[1.0, 2.0])
+    scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(params))
+    out = tmp_path / "o.json"
+    assert main(["--scenario", scenario, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("step 1:")
     assert not out.exists()
 
 

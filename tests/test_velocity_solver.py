@@ -8,36 +8,32 @@ from hybridservo import subspace_linalg as sla
 from hybridservo.errors import EmptyBasis, InconsistentGoal, InfeasibleDimensions
 from hybridservo.model import make_instance
 from hybridservo.velocity_solver import (
-    TIE_EPS,
-    VelocitySolverConfig,
-    _cost_and_grad,
-    _project,
     candidate_basis,
     check_feasibility,
     compute_dimensions,
     direction_cost,
-    projected_gradient_descent,
     solve_velocity,
 )
 from hybridservo.verifier import check_velocity_solution
+from pgd_oracle import (
+    TIE_EPS,
+    PgdConfig,
+    _cost_and_grad,
+    _project,
+    projected_gradient_descent,
+)
 
 
 def test_compute_dimensions_counts_added_rank():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[0.0, 0.0, 1.0]])
-    n_av_min, n_av_max, n_av, r_N, r_NG = compute_dimensions(N, G)
-    assert (r_N, r_NG) == (1, 2)
-    assert n_av_min == 1
-    assert n_av_max == 2
-    assert n_av == 1
+    assert compute_dimensions(N, G) == (1, 1, 2)
 
 
 def test_compute_dimensions_redundant_goal():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[2.0, 0.0, 0.0]])
-    n_av_min, _, n_av, r_N, r_NG = compute_dimensions(N, G)
-    assert r_N == r_NG == 1
-    assert n_av_min == n_av == 0
+    assert compute_dimensions(N, G) == (0, 1, 1)
 
 
 def test_check_feasibility_threshold():
@@ -48,7 +44,8 @@ def test_check_feasibility_threshold():
 def test_candidate_basis_prefix_is_exactly_zero():
     rng = np.random.default_rng(2)
     inst = random_feasible_instance(rng, n=7)
-    B_c = candidate_basis(inst.N, inst.G, inst.n_u)
+    n_av = compute_dimensions(inst.N, inst.G)[0]
+    B_c = candidate_basis(inst.N, inst.G, inst.n_u, n_av)
     assert np.all(B_c[: inst.n_u, :] == 0.0)
     null_ng = sla.null_space_basis(np.vstack([inst.N, inst.G])).basis
     assert np.max(np.abs(B_c.T @ null_ng)) < 1e-10
@@ -59,7 +56,7 @@ def test_candidate_basis_empty_raises():
     N = np.array([[0.0, 0.0]])
     G = np.array([[1.0, 0.0]])
     with pytest.raises(EmptyBasis):
-        candidate_basis(N, G, n_u=1)
+        candidate_basis(N, G, n_u=1, n_av=1)
 
 
 def test_direction_cost_single_row_is_negative_alignment():
@@ -81,15 +78,18 @@ def test_direction_cost_penalizes_parallel_rows():
     assert direction_cost(k_para, B_c, null_n) > direction_cost(k_orth, B_c, null_n)
 
 
+def _direction_problem(inst):
+    n_av = compute_dimensions(inst.N, inst.G)[0]
+    B_c = candidate_basis(inst.N, inst.G, inst.n_u, n_av)
+    return B_c, sla.null_space_basis(inst.N), n_av
+
+
 def test_pgd_is_deterministic_and_unit_norm():
     rng = np.random.default_rng(4)
     inst = random_feasible_instance(rng, n=8)
-    cfg = VelocitySolverConfig()
-    B_c = candidate_basis(inst.N, inst.G, inst.n_u)
-    null_n = sla.null_space_basis(inst.N)
-    n_av = compute_dimensions(inst.N, inst.G)[2]
-    first = projected_gradient_descent(B_c, null_n, n_av, cfg, start_index=1)
-    second = projected_gradient_descent(B_c, null_n, n_av, cfg, start_index=1)
+    B_c, null_n, n_av = _direction_problem(inst)
+    first = projected_gradient_descent(B_c, null_n, n_av, seed=0, start=1)
+    second = projected_gradient_descent(B_c, null_n, n_av, seed=0, start=1)
     assert np.array_equal(first.k, second.k)
     assert first.cost == second.cost
     norms = np.linalg.norm(B_c @ first.k, axis=0)
@@ -99,20 +99,17 @@ def test_pgd_is_deterministic_and_unit_norm():
 def test_pgd_improves_on_random_start():
     rng = np.random.default_rng(9)
     inst = random_feasible_instance(rng, n=9)
-    cfg = VelocitySolverConfig(rng_seed=3)
-    B_c = candidate_basis(inst.N, inst.G, inst.n_u)
-    null_n = sla.null_space_basis(inst.N)
-    n_av = compute_dimensions(inst.N, inst.G)[2]
-    result = projected_gradient_descent(B_c, null_n, n_av, cfg, start_index=0)
-    start_rng = np.random.default_rng(cfg.rng_seed + 0)
+    B_c, null_n, n_av = _direction_problem(inst)
+    result = projected_gradient_descent(B_c, null_n, n_av, seed=3, start=0)
+    start_rng = np.random.default_rng(3)
     k0 = start_rng.standard_normal((B_c.shape[1], n_av))
     k0 = k0 / np.linalg.norm(B_c @ k0, axis=0)
     assert result.cost <= direction_cost(k0, B_c, null_n) + 1e-12
 
 
-def _sequential_pgd(B_c, null_n, n_av, cfg, start_index):
-    """The descent method step by step: each trial halves the last one."""
-    rng = np.random.default_rng(cfg.rng_seed + start_index)
+def _sequential_pgd(B_c, null_n, n_av, cfg, start):
+    """The descent method step by step (seed 0): each trial halves the last one."""
+    rng = np.random.default_rng(start)
     k = _project(rng.standard_normal((B_c.shape[1], n_av)), B_c)
     cost, grad = _cost_and_grad(k, B_c, null_n.basis)
     converged = False
@@ -142,13 +139,11 @@ def _sequential_pgd(B_c, null_n, n_av, cfg, start_index):
 @pytest.mark.parametrize("max_iters", [200, 10])
 def test_pgd_line_search_matches_sequential_halving(seed, expected_n_av, max_iters):
     inst = random_feasible_instance(np.random.default_rng(seed))
-    n_av = compute_dimensions(inst.N, inst.G)[2]
+    B_c, null_n, n_av = _direction_problem(inst)
     assert n_av == expected_n_av
-    cfg = VelocitySolverConfig(max_iters=max_iters)
-    B_c = candidate_basis(inst.N, inst.G, inst.n_u)
-    null_n = sla.null_space_basis(inst.N)
+    cfg = PgdConfig(max_iters=max_iters)
     for start in range(3):
-        result = projected_gradient_descent(B_c, null_n, n_av, cfg, start_index=start)
+        result = projected_gradient_descent(B_c, null_n, n_av, 0, start, cfg)
         k, cost, iterations, converged = _sequential_pgd(B_c, null_n, n_av, cfg, start)
         assert np.array_equal(result.k, k)
         assert result.cost == cost
@@ -156,15 +151,43 @@ def test_pgd_line_search_matches_sequential_halving(seed, expected_n_av, max_ite
         assert result.converged == converged
 
 
-def test_solve_velocity_skips_start_dependent_modulo_constraints():
-    # The lowest-cost of three starts ends with rows that are independent in
-    # the actuated coordinates but dependent modulo N (rank 2 of 3 commands).
+def test_solve_velocity_rows_independent_modulo_constraints():
+    # Three-start PGD's lowest-cost start ends here with rows that are
+    # independent in the actuated coordinates but dependent modulo N.
     rng = np.random.default_rng(7)
     for _ in range(145):
         inst = random_feasible_instance(rng)
-    sol = solve_velocity(inst, VelocitySolverConfig(num_starts=3))
+    sol = solve_velocity(inst)
     assert sol.n_av == 3
     assert check_velocity_solution(inst, sol).passed
+
+
+def test_closed_form_reaches_bound_with_orthonormal_signed_rows():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(60):
+        inst = random_feasible_instance(rng)
+        sol = solve_velocity(inst)
+        B_c, null_n, n_av = _direction_problem(inst)
+        sigma = np.linalg.svd(null_n.basis.T @ B_c, compute_uv=False)
+        bound = -np.sqrt(n_av * np.sum(sigma[:n_av] ** 2))
+        assert abs(sol.cost - bound) <= 1e-12
+        assert np.allclose(sol.C @ sol.C.T, np.eye(n_av), rtol=0.0, atol=1e-12)
+        assert np.all(sol.b_C >= 0.0)
+        seen.add(n_av)
+    assert seen == {1, 2, 3}
+
+
+def test_closed_form_repeated_singular_values_is_deterministic():
+    # N is empty and B_c = I, so both singular values of NullN^T B_c are 1.
+    inst = make_instance(0, np.zeros((0, 2)), np.eye(2), [0.3, -0.2], np.zeros(2))
+    first = solve_velocity(inst)
+    second = solve_velocity(inst)
+    assert first.n_av == 2
+    assert np.array_equal(first.C, second.C)
+    assert first.cost == second.cost == pytest.approx(-2.0, abs=1e-12)
+    assert np.all(first.b_C >= 0.0)
+    assert check_velocity_solution(inst, first).passed
 
 
 def test_solve_velocity_hand_built_instance():
@@ -186,7 +209,7 @@ def test_solve_velocity_commands_pin_goal_on_random_instances():
     rng = np.random.default_rng(12)
     for _ in range(20):
         inst = random_feasible_instance(rng)
-        sol = solve_velocity(inst, VelocitySolverConfig(rng_seed=1))
+        sol = solve_velocity(inst)
         stacked = np.vstack([inst.N, sol.C])
         assert sla.numerical_rank(stacked) == sla.numerical_rank(
             np.vstack([inst.N, inst.G])
@@ -224,13 +247,14 @@ def test_solve_velocity_inconsistent_goal():
         solve_velocity(inst)
 
 
-def test_solve_velocity_seed_changes_start_not_subspace():
+def test_solve_velocity_is_deterministic():
     rng = np.random.default_rng(21)
     inst = random_feasible_instance(rng, n=6)
-    a = solve_velocity(inst, VelocitySolverConfig(rng_seed=0))
-    b = solve_velocity(inst, VelocitySolverConfig(rng_seed=5))
-    # Different seeds may pick different rows, but both must pin the goal.
-    for sol in (a, b):
-        assert sla.numerical_rank(np.vstack([inst.N, sol.C])) == sla.numerical_rank(
-            np.vstack([inst.N, inst.G])
-        )
+    a = solve_velocity(inst)
+    b = solve_velocity(inst)
+    for field in ("C", "b_C", "T", "R_a"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.cost == b.cost
+    assert sla.numerical_rank(np.vstack([inst.N, a.C])) == sla.numerical_rank(
+        np.vstack([inst.N, inst.G])
+    )

@@ -11,7 +11,7 @@ from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_s
 from hybridservo.errors import InfeasibleLP
 from hybridservo.force_solver import solve_force
 from hybridservo.model import GuardConditions, make_instance
-from hybridservo.velocity_solver import VelocitySolverConfig, solve_velocity
+from hybridservo.velocity_solver import solve_velocity
 from hybridservo.verifier import (
     VerificationReport,
     brute_force_force_oracle,
@@ -34,7 +34,7 @@ def test_velocity_check_passes_on_solved_instances():
     rng = np.random.default_rng(0)
     for _ in range(5):
         inst = random_feasible_instance(rng)
-        sol = solve_velocity(inst, VelocitySolverConfig(num_starts=5))
+        sol = solve_velocity(inst)
         report = check_velocity_solution(inst, sol)
         assert report.passed, report.notes
         assert report.rank_nc == report.rank_ng
