@@ -7,7 +7,8 @@ Two scenario types exist: "block_tilting" rolls the built-in tilting plan,
 
 Exit codes: 0 success, 2 velocity stage infeasible, inconsistent or without
 independent command rows, 3 force stage infeasible or singular, 4 unreadable
-or invalid input.
+or invalid input, including command-line usage errors and out-of-range
+solver settings.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -92,6 +94,14 @@ class ScenarioParseError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 4 (invalid input), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 @dataclass
 class RunConfig:
     scenario_path: Path
@@ -160,6 +170,10 @@ def _configs(doc: dict, run: RunConfig):
         raise ScenarioParseError(f"bad solver settings: {exc}") from exc
     if "num_starts" in solver and int(solver["num_starts"]) < 1:
         raise ScenarioParseError(f"bad solver settings: num_starts {solver['num_starts']} < 1")
+    if not (math.isfinite(force.f_max) and force.f_max > 0.0):
+        raise ScenarioParseError(f"bad solver settings: f_max {force.f_max} must be finite and > 0")
+    if not 0.0 < vel.rank_tol < 1.0:  # also rejects nan
+        raise ScenarioParseError(f"bad solver settings: rank_tol {vel.rank_tol} must be in (0, 1)")
     return vel, force
 
 
@@ -218,6 +232,7 @@ def _solve_step(instance, guard, vel_cfg, force_cfg, verify: bool):
         "eta": force.eta.tolist(),
         "lp_margin": float(force.objective_margin),
         "guard_margins": force.guard_margins.tolist(),
+        "effort_pass": force.effort_pass,
         "newton_residual": float(force_check.newton_residual),
         "verification": None,
     }
@@ -316,7 +331,7 @@ def run_scenario(run: RunConfig) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridservo",
         description="Synthesize hybrid force-velocity actions for a scenario file.",
     )
@@ -332,7 +347,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (4)
+        return exc.code
     run = RunConfig(
         scenario_path=Path(args.scenario),
         output_path=Path(args.out),

@@ -9,18 +9,32 @@ coordinates) and any guard equalities Gamma [lambda; f] = b_Gamma appended.
 Everything except the force command eta_af is a "free" force the physics
 determines: f_free = [lambda; eta_u; eta_av].  Given eta_af, the free
 forces are resolved as the minimum-norm solution of the stacked equality
-system, written as a KKT system so the LP below can keep it as linear
-equalities while optimizing eta_af.
+system, written as a KKT system.  That solution is affine in the command,
+f_free = f0 + W eta_af, so one KKT solve with n_af + 1 right-hand sides
+resolves every command at once, and the guard margins are affine as well:
+b_Lambda - Lambda [lambda; f] = h - G eta_af.
 
-The command itself maximizes the worst guard margin s subject to the KKT
-equalities, Lambda [lambda; f] <= b_Lambda - s, and |eta_af| <= f_max.
-With at least one guard row the margin is bounded because eta_af is boxed;
-with no guard rows the box rows take over and the margin sits at the box
-bound.  The margin optimum can be degenerate (several commands achieve the
-same worst margin), so a second phase picks, among the margin-maximal
-commands, the one of least actuator effort: minimal l1 norm of the
-actuated force in the original coordinates.  That keeps the result
-deterministic and free of gratuitous force components.
+The command therefore comes from two small LPs over the real decision
+variables only.  Phase 1 maximizes the worst guard margin s over
+[eta_af; s] subject to G eta_af + s <= h and |eta_af| <= f_max.  With at
+least one guard row the margin is bounded because eta_af is boxed; with no
+guard rows the box rows take the place of the guard rows and the margin
+sits at the box bound.  With no force-controlled direction (n_af = 0)
+there is nothing to choose and no LP is solved: the margin is min(h), or
+f_max without guard rows.
+
+The margin optimum can be degenerate (several commands achieve the same
+worst margin), so phase 2 picks, among the margin-maximal commands, the one
+of least actuator effort: it minimizes sum t over [eta_af; t] with the
+margin pinned on the right-hand side, G eta_af <= h - s_target, and
+-t <= f_act(eta_af) <= t for the actuated force in the original
+coordinates.  That keeps the result deterministic and free of gratuitous
+force components.  ForceSolution.effort_pass records whether phase 2 was
+skipped (n_af = 0), refined the command, or fell back to the phase-1
+vertex because it did not succeed.
+
+Both LPs go to HiGHS through scipy.optimize.milp with no integer
+variables, which spends less per call on input handling than linprog.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import subspace_linalg as sla
 from .errors import InfeasibleLP, SingularSystem, SingularTransform
@@ -71,9 +85,9 @@ class ForceSolution:
     eta_af: np.ndarray
     lam: np.ndarray
     eta: np.ndarray
-    f_free_dual: np.ndarray
     guard_margins: np.ndarray
     objective_margin: float
+    effort_pass: str  # "skipped", "refined" or "fell_back"
 
 
 def _check_transform(T: np.ndarray, n: int) -> np.ndarray:
@@ -178,45 +192,62 @@ def _eta_maps(assembly: NewtonAssembly):
     return E_free, E_af
 
 
-def _least_effort_at_margin(A_eq, b_eq, A_ub, b_ub, bounds, assembly, s_star, cfg):
+def _affine_forces(assembly: NewtonAssembly):
+    """(f0, W) with f_free = f0 + W @ eta_af, from one KKT solve."""
+    K, rhs_const, rhs_map = build_kkt(assembly)
+    x = sla.solve_square(K, np.column_stack([rhs_const, -rhs_map]))
+    f_map = x[: assembly.M_free.shape[1]]
+    return f_map[:, 0], f_map[:, 1:]
+
+
+def _max_margin(G, h, f_max):
+    """Phase 1: max s over [eta_af; s] s.t. G eta_af + s <= h, |eta_af| <= f_max."""
+    n_af = G.shape[1]
+    c = np.zeros(n_af + 1)
+    c[-1] = -1.0
+    res = milp(
+        c,
+        constraints=LinearConstraint(np.hstack([G, np.ones((G.shape[0], 1))]), -np.inf, h),
+        bounds=Bounds(
+            np.append(np.full(n_af, -f_max), -np.inf), np.append(np.full(n_af, f_max), np.inf)
+        ),
+    )
+    if not res.success:
+        raise SingularSystem(f"force LP failed: {res.message}")
+    return res.x[:-1], float(res.x[-1])
+
+
+def _least_effort_at_margin(G, h, a0, A1, s_star, f_max):
     """Among commands achieving the optimal margin, minimize actuator effort.
 
     The margin maximum is often degenerate: a whole face of commands can
     achieve the same worst margin, and the vertex the solver happens to
     return may carry force components the guards never asked for.  This
-    second pass pins the margin variable just below the phase-one optimum
-    and minimizes the l1 norm of the actuated generalized force in the
-    original coordinates, zeroing anything the guard rows do not demand.
-    Returns the refined solution in the phase-one layout, or None when the
-    refinement fails numerically (the phase-one vertex is then kept).
+    second pass pins the margin just below the phase-one optimum and
+    minimizes the l1 norm of the actuated generalized force
+    f_act = a0 + A1 eta_af in the original coordinates, zeroing anything
+    the guard rows do not demand.  Returns the refined command, or None when
+    the refinement fails numerically (the phase-one vertex is then kept).
     """
-    r, m = assembly.M_free.shape
-    n_af = assembly.n_af
-    n_act = assembly.n - assembly.n_u
-    nz = m + r + n_af + 1
-    E_free, E_af = _eta_maps(assembly)
-    W_free = (assembly.T_inv @ E_free)[assembly.n_u :]
-    W_af = (assembly.T_inv @ E_af)[assembly.n_u :]
-    # Actuated force rows of f = T_inv eta as a function of the LP vector.
-    F_rows = np.zeros((n_act, nz))
-    F_rows[:, :m] = W_free
-    F_rows[:, m + r : m + r + n_af] = W_af
-    A_eq2 = np.hstack([A_eq, np.zeros((A_eq.shape[0], n_act))])
-    top = np.hstack([A_ub, np.zeros((A_ub.shape[0], n_act))])
-    up = np.hstack([F_rows, -np.eye(n_act)])
-    lo = np.hstack([-F_rows, -np.eye(n_act)])
-    A_ub2 = np.vstack([top, up, lo])
-    b_ub2 = np.concatenate([b_ub, np.zeros(2 * n_act)])
+    n_rows, n_af = G.shape
+    n_act = A1.shape[0]
     s_target = s_star - 1e-9 * (1.0 + abs(s_star))
-    bounds2 = list(bounds[:-1]) + [(s_target, None)] + [(0.0, None)] * n_act
-    c = np.zeros(nz + n_act)
-    c[nz:] = 1.0
-    res = linprog(
-        c, A_ub=A_ub2, b_ub=b_ub2, A_eq=A_eq2, b_eq=b_eq, bounds=bounds2, method="highs"
+    eye = np.eye(n_act)
+    A = np.block([[G, np.zeros((n_rows, n_act))], [A1, -eye], [A1, eye]])
+    lb = np.concatenate([np.full(n_rows + n_act, -np.inf), -a0])
+    ub = np.concatenate([h - s_target, -a0, np.full(n_act, np.inf)])
+    c = np.concatenate([np.zeros(n_af), np.ones(n_act)])
+    res = milp(
+        c,
+        constraints=LinearConstraint(A, lb, ub),
+        bounds=Bounds(
+            np.concatenate([np.full(n_af, -f_max), np.zeros(n_act)]),
+            np.concatenate([np.full(n_af, f_max), np.full(n_act, np.inf)]),
+        ),
     )
     if not res.success:
         return None
-    return res.x[:nz]
+    return res.x[:n_af]
 
 
 def solve_force(
@@ -229,79 +260,50 @@ def solve_force(
     """Maximize the worst guard margin over the force command eta_af."""
     cfg = config or ForceSolverConfig()
     assembly = assemble_newton(instance, guard, T, n_av)
-    r, m = assembly.M_free.shape
+    r = assembly.M_free.shape[0]
     if sla.numerical_rank(assembly.M_free) < r:
         raise SingularSystem(
             "equality rows are rank deficient; free forces are not uniquely determined"
         )
-    K, rhs_const, rhs_map = build_kkt(assembly)
-    n_af = assembly.n_af
-    n_phi = assembly.n_phi
-
-    # Decision vector z = [f_free (m); f_dual (r); eta_af (n_af); s (1)].
-    nz = m + r + n_af + 1
-    A_eq = np.zeros((m + r, nz))
-    A_eq[:, : m + r] = K
-    A_eq[:, m + r : m + r + n_af] = rhs_map
-    b_eq = rhs_const
-
+    n_af, n_phi = assembly.n_af, assembly.n_phi
+    f0, W = _affine_forces(assembly)
     E_free, E_af = _eta_maps(assembly)
-    n_ineq = guard.n_ineq
-    if n_ineq:
-        # Lambda acts on [lambda; f] with f = T_inv eta.
-        lam_rows = guard.Lambda[:, :n_phi]
-        f_rows = guard.Lambda[:, n_phi:] @ assembly.T_inv
-        A_ub = np.zeros((n_ineq, nz))
-        A_ub[:, :n_phi] = lam_rows
-        A_ub[:, :m] += f_rows @ E_free
-        A_ub[:, m + r : m + r + n_af] = f_rows @ E_af
-        A_ub[:, -1] = 1.0
-        b_ub = guard.b_Lambda.copy()
+    eta0 = E_free @ f0
+    eta_map = E_free @ W + E_af
+    # The stacked force [lambda; f], f = T_inv eta, is x0 + X @ eta_af.
+    x0 = np.concatenate([f0[:n_phi], assembly.T_inv @ eta0])
+    X = np.vstack([W[:n_phi], assembly.T_inv @ eta_map])
+    G = guard.Lambda @ X
+    h = guard.b_Lambda - guard.Lambda @ x0
+    if guard.n_ineq:
+        G_lp, h_lp = G, h
     else:
         # No guard rows: let the box bounds define the margin.
-        if n_af:
-            A_ub = np.zeros((2 * n_af, nz))
-            for j in range(n_af):
-                A_ub[2 * j, m + r + j] = 1.0
-                A_ub[2 * j + 1, m + r + j] = -1.0
-            A_ub[:, -1] = 1.0
-            b_ub = np.full(2 * n_af, cfg.f_max)
-        else:
-            A_ub = np.zeros((1, nz))
-            A_ub[0, -1] = 1.0
-            b_ub = np.array([cfg.f_max])
+        G_lp = np.vstack([np.eye(n_af), -np.eye(n_af)])
+        h_lp = np.full(2 * n_af, cfg.f_max)
 
-    bounds = [(None, None)] * (m + r) + [(-cfg.f_max, cfg.f_max)] * n_af + [(None, None)]
-    c = np.zeros(nz)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status == 2:
-        raise InfeasibleLP("no force command satisfies the guard conditions")
-    if not res.success:
-        raise SingularSystem(f"force LP failed: {res.message}")
-
-    z = res.x
-    s = float(z[-1])
+    if n_af:
+        eta_af, s = _max_margin(G_lp, h_lp, cfg.f_max)
+    else:
+        eta_af = np.zeros(0)
+        s = float(h_lp.min()) if h_lp.size else cfg.f_max
     if s < -cfg.feasibility_tol:
         raise InfeasibleLP(
             f"best achievable guard margin is {s:.6e}", margin=s
         )
+    effort_pass = "skipped"
     if n_af:
-        refined = _least_effort_at_margin(A_eq, b_eq, A_ub, b_ub, bounds, assembly, s, cfg)
-        if refined is not None:
-            z = refined
-    f_free = z[:m]
-    f_dual = z[m : m + r]
-    eta_af = z[m + r : m + r + n_af]
-    lam = f_free[:n_phi]
-    eta = E_free @ f_free + E_af @ eta_af
-    f_gen = assembly.T_inv @ eta
-    margins = guard.b_Lambda - guard.Lambda @ np.concatenate([lam, f_gen])
+        act = slice(n_phi + assembly.n_u, None)
+        refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], s, cfg.f_max)
+        if refined is None:
+            effort_pass = "fell_back"
+        else:
+            eta_af, effort_pass = refined, "refined"
     return ForceSolution(
         eta_af=eta_af,
-        lam=lam,
-        eta=eta,
-        f_free_dual=f_dual,
-        guard_margins=margins,
+        lam=x0[:n_phi] + X[:n_phi] @ eta_af,
+        eta=eta0 + eta_map @ eta_af,
+        guard_margins=h - G @ eta_af,
         objective_margin=s,
+        effort_pass=effort_pass,
     )

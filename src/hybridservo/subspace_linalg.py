@@ -111,15 +111,21 @@ def min_norm_solution(A, b) -> np.ndarray:
 def solve_square(A, b) -> np.ndarray:
     """Solve a square nonsingular system A v = b.
 
+    b is a vector (n,) or a matrix (n, k) of k right-hand sides; the result
+    has the shape of b.  One condition estimate and one LU factorization
+    serve every column, and each column gets its own residual check.
     Raises SingularSystem when A is not square-solvable within a condition
-    number of MAX_CONDITION or the residual check fails.
+    number of MAX_CONDITION or a column's residual exceeds
+    RESIDUAL_TOL * (1 + ||b_j||).
     """
     A = _as_matrix(A, "A")
-    b = _as_vector(b, "b")
+    b = _as_matrix(b, "b") if np.ndim(b) == 2 else _as_vector(b, "b")
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
     if A.shape[0] == 0:
-        return np.zeros(0)
+        return np.zeros(b.shape)
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond >= MAX_CONDITION:
         raise SingularSystem(f"matrix is singular or ill-conditioned (cond {cond:.3e})")
@@ -127,9 +133,10 @@ def solve_square(A, b) -> np.ndarray:
         v = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    residual = np.linalg.norm(A @ v - b)
-    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
+    residual = np.linalg.norm(A @ v - b, axis=0)
+    limit = RESIDUAL_TOL * (1.0 + np.linalg.norm(b, axis=0))
+    if np.any(residual > limit):
         raise SingularSystem(
-            f"solution residual {residual:.3e} exceeds tolerance; matrix nearly singular"
+            f"solution residual {np.max(residual):.3e} exceeds tolerance; matrix nearly singular"
         )
     return v

@@ -85,3 +85,32 @@ def random_force_assembly(rng: np.random.Generator, max_free: int = 12):
         if rank_ok and np.linalg.cond(assembly.M_free) < MAX_ASSEMBLY_CONDITION:
             return instance, guard, T, n_av
     raise RuntimeError("could not draw a well-conditioned force assembly")
+
+
+def random_guarded_assembly(
+    rng: np.random.Generator, n_rows: int, infeasible: bool = False
+):
+    """random_force_assembly plus n_rows guard rows around a known command.
+
+    A command inside the box is drawn and its free forces resolved with the
+    pseudoinverse, giving the stacked force x = [lambda; f].  Every guard
+    row has margin at least `slack` at x.  An infeasible draw adds the pair
+    a x <= b, -a x <= -0.5 - b, which caps every command's worst margin at
+    -0.25.
+    """
+    instance, guard, T, n_av = random_force_assembly(rng)
+    assembly = assemble_newton(instance, guard, T, n_av)
+    n_phi, n_u = instance.n_phi, instance.n_u
+    eta_af = rng.uniform(-10.0, 10.0, assembly.n_af)
+    f_free = np.linalg.pinv(assembly.M_free) @ (assembly.rhs - assembly.M_eta_f @ eta_af)
+    eta = np.concatenate([f_free[n_phi : n_phi + n_u], eta_af, f_free[n_phi + n_u :]])
+    x = np.concatenate([f_free[:n_phi], np.linalg.solve(T, eta)])
+    Lambda = rng.standard_normal((n_rows, x.size))
+    b_Lambda = Lambda @ x + rng.uniform(0.1, 1.0, n_rows)
+    if infeasible:
+        a = rng.standard_normal(x.size)
+        b = float(a @ x + rng.uniform(-0.2, 0.2))
+        Lambda = np.vstack([Lambda, a, -a])
+        b_Lambda = np.concatenate([b_Lambda, [b, -0.5 - b]])
+    guard = GuardConditions(Lambda, b_Lambda, guard.Gamma, guard.b_Gamma)
+    return instance, guard, T, n_av

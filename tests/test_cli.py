@@ -231,3 +231,62 @@ def test_force_infeasible_returns_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("step 1:")
     assert "margin" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--scenario", "s.json", "--out", "o.json", "--starts", "abc"],
+        ["--scenario", "s.json"],
+        ["--out", "o.json"],
+    ],
+    ids=["bad-type", "missing-out", "missing-scenario"],
+)
+def test_usage_errors_return_4(capsys, flags):
+    assert main(flags) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "error:" in err
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "solver, flags",
+    [
+        ({}, ["--f-max", "nan"]),
+        ({}, ["--f-max", "inf"]),
+        ({}, ["--f-max", "-1"]),
+        ({}, ["--rank-tol", "0"]),
+        ({}, ["--rank-tol", "1"]),
+        ({}, ["--rank-tol", "nan"]),
+        ({"f_max": 0.0}, []),
+        ({"f_max": "inf"}, []),
+        ({"rank_tol": 1.5}, []),
+    ],
+    ids=[
+        "f-max-nan", "f-max-inf", "f-max-negative", "rank-tol-0", "rank-tol-1",
+        "rank-tol-nan", "scenario-f-max-0", "scenario-f-max-inf", "scenario-rank-tol-1.5",
+    ],
+)
+def test_out_of_range_solver_settings_return_4(tmp_path, capsys, solver, flags):
+    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
+    out = tmp_path / "o.json"
+    assert main(["--scenario", scenario, "--out", str(out), *flags]) == 4
+    assert "bad solver settings" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_step_records_report_effort_pass(tmp_path):
+    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc())
+    out = tmp_path / "out.json"
+    assert main(["--scenario", scenario, "--out", str(out)]) == 0
+    # Tilting has two force-controlled directions: the least-effort LP runs.
+    assert {step["effort_pass"] for step in json.loads(out.read_text())["steps"]} == {"refined"}
+    # The supported object has none: no LP, so nothing to refine.
+    raw = _write_scenario(tmp_path / "raw.json", _raw_doc(_supported_object_params()))
+    assert main(["--scenario", raw, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["steps"][0]["effort_pass"] == "skipped"

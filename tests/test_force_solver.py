@@ -3,7 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_force_assembly
+from force_lp_oracle import full_kkt_margin
+from helpers import random_force_assembly, random_guarded_assembly
+from hybridservo import block_tilting as tilting
+from hybridservo import force_solver
 from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
 from hybridservo.force_solver import (
     ForceSolverConfig,
@@ -174,3 +177,93 @@ def test_config_f_max_changes_box():
     sol = solve_force(inst, guard, np.eye(1), n_av=0, config=ForceSolverConfig(f_max=10.0))
     assert sol.lam[0] == pytest.approx(10.0, abs=1e-6)
     assert sol.objective_margin == pytest.approx(9.0, abs=1e-6)
+
+
+def _outcome(solve):
+    """("solved", margin) or ("infeasible", reported margin) of one solve."""
+    try:
+        return "solved", solve()
+    except InfeasibleLP as exc:
+        return "infeasible", exc.margin
+
+
+def test_reduced_lp_matches_full_kkt_oracle_on_random_assemblies():
+    # Criterion-5 assemblies with guard rows around a known command; every
+    # n_af from 0 to 3, with and without a Gamma row, feasible and not.
+    rng = np.random.default_rng(2024)
+    covered = set()
+    for i in range(300):
+        n_rows = 0 if i % 7 == 0 else int(rng.integers(2, 9))
+        inst, guard, T, n_av = random_guarded_assembly(rng, n_rows, infeasible=i % 3 == 2)
+        got = _outcome(lambda: solve_force(inst, guard, T, n_av).objective_margin)
+        want = _outcome(lambda: full_kkt_margin(inst, guard, T, n_av))
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], abs=1e-8)
+        covered.add((inst.n_a - n_av, guard.n_eq, got[0]))
+    assert covered == {
+        (n_af, n_eq, kind)
+        for n_af in range(4)
+        for n_eq in (0, 1)
+        for kind in ("solved", "infeasible")
+    }
+
+
+def test_reduced_lp_matches_full_kkt_oracle_on_tilting_plan():
+    scenario = tilting.TiltingScenario()
+    for state in tilting.rollout_states(scenario):
+        instance, guard = tilting.build_instance(state, scenario)
+        vel = solve_velocity(instance)
+        sol = solve_force(instance, guard, vel.T, vel.n_av)
+        want = full_kkt_margin(instance, guard, vel.T, vel.n_av)
+        assert sol.objective_margin == pytest.approx(want, abs=1e-8)
+
+
+def test_no_force_direction_solves_without_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved with n_af = 0")
+
+    monkeypatch.setattr(force_solver, "milp", no_lp)
+    inst, guard = _supported_object()
+    sol = solve_force(inst, guard, np.eye(2), n_av=1)
+    assert sol.eta_af.size == 0
+    assert sol.objective_margin == pytest.approx(1.95, abs=1e-9)
+    assert sol.effort_pass == "skipped"
+    # Without guard rows the margin is the box bound.
+    free = solve_force(inst, GuardConditions.empty(1, 2), np.eye(2), n_av=1)
+    assert free.objective_margin == 50.0
+    # A guard the forced equilibrium violates: lambda = 2.45 < 3.
+    strict = GuardConditions(guard.Lambda, np.array([-3.0]), guard.Gamma, guard.b_Gamma)
+    with pytest.raises(InfeasibleLP) as exc_info:
+        solve_force(inst, strict, np.eye(2), n_av=1)
+    assert exc_info.value.margin == pytest.approx(-0.55, abs=1e-9)
+
+
+def _degenerate_margin_instance():
+    N = np.eye(2)
+    inst = make_instance(0, N, np.zeros((0, 2)), [], [0.0, 0.0])
+    Lam = np.array([[1.0, -10.0, 0.0, 0.0], [-1.0, -10.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+    guard = GuardConditions(Lam, np.array([0.0, 0.0, -1.0]), np.zeros((0, 4)), np.zeros(0))
+    return inst, guard
+
+
+def test_effort_pass_reports_refinement_and_fallback(monkeypatch):
+    inst, guard = _degenerate_margin_instance()
+    assert solve_force(inst, guard, np.eye(2), n_av=0).effort_pass == "refined"
+
+    # A least-effort LP that does not succeed keeps the phase-1 vertex.
+    milp = force_solver.milp
+    results = []
+
+    def failing_effort_pass(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        results.append(res)
+        if len(results) == 2:
+            res.success = False
+        return res
+
+    monkeypatch.setattr(force_solver, "milp", failing_effort_pass)
+    sol = solve_force(inst, guard, np.eye(2), n_av=0)
+    assert len(results) == 2
+    assert sol.effort_pass == "fell_back"
+    assert sol.objective_margin == pytest.approx(49.0, abs=1e-6)
+    assert np.array_equal(sol.eta_af, results[0].x[:-1])

@@ -91,3 +91,21 @@ def test_solve_square_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem):
         sla.solve_square(A, np.array([1.0, 1.0]))
+
+
+def test_solve_square_matrix_rhs_roundtrip():
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+    B = rng.standard_normal((5, 3))
+    X = sla.solve_square(A, B)
+    assert X.shape == (5, 3)
+    assert np.allclose(A @ X, B, atol=1e-10)
+    for j in range(3):
+        assert np.allclose(X[:, j], sla.solve_square(A, B[:, j]), atol=1e-12)
+    assert sla.solve_square(A, np.zeros((5, 0))).shape == (5, 0)
+
+
+def test_solve_square_matrix_rhs_singular_raises():
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularSystem):
+        sla.solve_square(A, np.eye(2))
