@@ -160,6 +160,10 @@ def _configs(doc: dict, run: RunConfig):
         solver["rank_tol"] = run.rank_tol
     if run.f_max is not None:
         solver["f_max"] = run.f_max
+    for key in ("rank_tol", "f_max"):
+        # float() would take true as 1.0 and "1e-8" as a number.
+        if isinstance(solver.get(key), (bool, str)):
+            raise ScenarioParseError(f"bad solver settings: {key} {solver[key]!r} is not a number")
     try:
         for key, kind in IGNORED_SOLVER_KEYS.items():
             if key in solver:

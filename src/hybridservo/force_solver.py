@@ -33,8 +33,16 @@ force components.  ForceSolution.effort_pass records whether phase 2 was
 skipped (n_af = 0), refined the command, or fell back to the phase-1
 vertex because it did not succeed.
 
-Both LPs go to HiGHS through scipy.optimize.milp with no integer
-variables, which spends less per call on input handling than linprog.
+Both LPs are tiny (3 and 7 variables besides the slacks on tilting), so
+they are solved here by a dense tableau simplex in numpy (Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, 1997, ch. 3).  Bland's
+rule keeps degenerate vertices from cycling and makes every run take the
+same pivots.  Neither phase needs artificial variables: phase 1 is shifted
+so that the slack basis is feasible, and phase 2 starts from the phase-1
+command and makes its effort rows feasible with one pivot per actuated
+coordinate.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
+pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
+phase 2.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import subspace_linalg as sla
 from .errors import InfeasibleLP, SingularSystem, SingularTransform
@@ -200,54 +207,139 @@ def _affine_forces(assembly: NewtonAssembly):
     return f_map[:, 0], f_map[:, 1:]
 
 
+# Simplex tolerances: a reduced cost below -OPT_TOL still improves the
+# objective, only column entries above PIVOT_TOL are pivoted on, and ratio
+# test rows that would leave each other at most TIE_TOL infeasible tie.
+OPT_TOL = 1e-11
+PIVOT_TOL = 1e-9
+TIE_TOL = 1e-12
+# Pivots allowed per LP.  Bland's rule cannot cycle, so an LP that reaches
+# the cap is numerically broken; on tilting an LP takes a handful.
+MAX_PIVOTS = 500
+
+
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make variable col basic in row: one Gauss-Jordan step, in place."""
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    basis[row] = col
+
+
+def _simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Minimize c.z s.t. A z <= b, z >= 0 from a feasible basis; return z.
+
+    tab holds [A I | b] in canonical form for the basis, one row per
+    constraint, with the reduced costs [c | -c.z] as its last row; basis[i]
+    is the variable basic in row i, and every b >= 0.  Bland's rule enters
+    the lowest-index improving variable and, among rows tied in the ratio
+    test, pivots out the lowest-index basic variable, so no degenerate vertex
+    can cycle and every run takes the same pivots.  Raises SingularSystem
+    when the objective is unbounded or MAX_PIVOTS pivots do not reach an
+    optimum.
+    """
+    pivots = 0
+    while True:
+        improving = np.flatnonzero(tab[-1, :-1] < -OPT_TOL)
+        if not improving.size:
+            z = np.zeros(tab.shape[1] - 1)
+            z[basis] = tab[:-1, -1]
+            return z
+        if pivots == MAX_PIVOTS:
+            raise SingularSystem(f"force LP failed: no optimum after {MAX_PIVOTS} pivots")
+        col = improving[0]
+        column = tab[:-1, col]
+        rows = np.flatnonzero(column > PIVOT_TOL)
+        if not rows.size:
+            raise SingularSystem("force LP failed: the objective is unbounded")
+        ratios = tab[rows, -1] / column[rows]
+        # Rows whose ratios differ by round-off are ties: taking any of them
+        # leaves the others at most TIE_TOL below zero, and the clip below
+        # puts them back on zero.
+        ties = rows[(ratios - ratios.min()) * column[rows].max() <= TIE_TOL]
+        _pivot(tab, basis, ties[np.argmin(basis[ties])], col)
+        np.maximum(tab[:-1, -1], 0.0, out=tab[:-1, -1])
+        pivots += 1
+
+
+def _tableau(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Tableau [A I | b; c 0 | 0] of A z <= b and its slack basis."""
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    tab[-1, :n] = c
+    return tab, np.arange(n, n + m)
+
+
 def _max_margin(G, h, f_max):
-    """Phase 1: max s over [eta_af; s] s.t. G eta_af + s <= h, |eta_af| <= f_max."""
-    n_af = G.shape[1]
+    """Phase 1: max s over [eta_af; s] s.t. G eta_af + s <= h, |eta_af| <= f_max.
+
+    Shifting to eta_af = y - f_max and s = s0 + t, where s0 is the worst
+    margin at the corner eta_af = -f_max, gives max t over y, t >= 0 subject
+    to G y + t <= h + f_max G 1 - s0 and y <= 2 f_max.  Every right-hand
+    side is non-negative, so the slack basis is feasible.
+    """
+    n_rows, n_af = G.shape
+    corner = h + f_max * G.sum(axis=1)
+    s0 = float(corner.min())
+    A = np.zeros((n_rows + n_af, n_af + 1))
+    A[:n_rows, :n_af] = G
+    A[:n_rows, n_af] = 1.0
+    A[n_rows:, :n_af] = np.eye(n_af)
+    b = np.concatenate([corner - s0, np.full(n_af, 2.0 * f_max)])
     c = np.zeros(n_af + 1)
     c[-1] = -1.0
-    res = milp(
-        c,
-        constraints=LinearConstraint(np.hstack([G, np.ones((G.shape[0], 1))]), -np.inf, h),
-        bounds=Bounds(
-            np.append(np.full(n_af, -f_max), -np.inf), np.append(np.full(n_af, f_max), np.inf)
-        ),
-    )
-    if not res.success:
-        raise SingularSystem(f"force LP failed: {res.message}")
-    return res.x[:-1], float(res.x[-1])
+    z = _simplex(*_tableau(A, b, c))
+    return z[:n_af] - f_max, s0 + float(z[n_af])
 
 
-def _least_effort_at_margin(G, h, a0, A1, s_star, f_max):
+def _least_effort_at_margin(G, h, a0, A1, x_star, s_star, f_max):
     """Among commands achieving the optimal margin, minimize actuator effort.
 
     The margin maximum is often degenerate: a whole face of commands can
-    achieve the same worst margin, and the vertex the solver happens to
+    achieve the same worst margin, and the vertex phase one happens to
     return may carry force components the guards never asked for.  This
     second pass pins the margin just below the phase-one optimum and
-    minimizes the l1 norm of the actuated generalized force
-    f_act = a0 + A1 eta_af in the original coordinates, zeroing anything
-    the guard rows do not demand.  Returns the refined command, or None when
-    the refinement fails numerically (the phase-one vertex is then kept).
+    minimizes sum t, with -t <= f_act <= t for the actuated generalized
+    force f_act = a0 + A1 eta_af in the original coordinates, zeroing
+    anything the guard rows do not demand.
+
+    It starts from the phase-one command x_star: eta_af = x_star + d+ - d-
+    with d+, d- >= 0 keeps the margin and box rows feasible at d = 0, and one
+    crash pivot per actuated coordinate, t_j into whichever effort row has a
+    negative right-hand side, makes the effort rows feasible too.  Returns
+    the refined command, or None when the refinement fails numerically (the
+    phase-one vertex is then kept).
     """
     n_rows, n_af = G.shape
     n_act = A1.shape[0]
     s_target = s_star - 1e-9 * (1.0 + abs(s_star))
-    eye = np.eye(n_act)
-    A = np.block([[G, np.zeros((n_rows, n_act))], [A1, -eye], [A1, eye]])
-    lb = np.concatenate([np.full(n_rows + n_act, -np.inf), -a0])
-    ub = np.concatenate([h - s_target, -a0, np.full(n_act, np.inf)])
-    c = np.concatenate([np.zeros(n_af), np.ones(n_act)])
-    res = milp(
-        c,
-        constraints=LinearConstraint(A, lb, ub),
-        bounds=Bounds(
-            np.concatenate([np.full(n_af, -f_max), np.zeros(n_act)]),
-            np.concatenate([np.full(n_af, f_max), np.full(n_act, np.inf)]),
-        ),
-    )
-    if not res.success:
+    # Rows R x <= r: the pinned margin, the box, then -t <= a0 + A1 x <= t
+    # without t.  Over [d+; d-; t] they read R d+ - R d- (- t) <= r - R x_star.
+    eye = np.eye(n_af)
+    R = np.vstack([G, eye, -eye, A1, -A1])
+    r = np.concatenate([h - s_target, np.full(2 * n_af, f_max), -a0, a0])
+    A = np.zeros((R.shape[0], 2 * n_af + n_act))
+    A[:, :n_af] = R
+    A[:, n_af : 2 * n_af] = -R
+    up, down = n_rows + 2 * n_af, n_rows + 2 * n_af + n_act
+    A[up:down, 2 * n_af :] = -np.eye(n_act)
+    A[down:, 2 * n_af :] = -np.eye(n_act)
+    b = r - R @ x_star
+    # Round-off can put x_star a hair outside the pinned margin or the box.
+    np.maximum(b[:up], 0.0, out=b[:up])
+    c = np.concatenate([np.zeros(2 * n_af), np.ones(n_act)])
+    tab, basis = _tableau(A, b, c)
+    for j in range(n_act):
+        _pivot(tab, basis, up + j if b[up + j] < 0.0 else down + j, 2 * n_af + j)
+    try:
+        z = _simplex(tab, basis)
+    except SingularSystem:
         return None
-    return res.x[:n_af]
+    return x_star + z[:n_af] - z[n_af : 2 * n_af]
 
 
 def solve_force(
@@ -294,7 +386,7 @@ def solve_force(
     effort_pass = "skipped"
     if n_af:
         act = slice(n_phi + assembly.n_u, None)
-        refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], s, cfg.f_max)
+        refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], eta_af, s, cfg.f_max)
         if refined is None:
             effort_pass = "fell_back"
         else:

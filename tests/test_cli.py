@@ -159,6 +159,19 @@ def test_module_entry_point_reports_missing_scenario(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_cli_import_loads_no_scipy():
+    # The runtime path is numpy only; SciPy is a test dependency.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hybridservo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_invalid_json_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "scenario.json"
     bad.write_text("{not json")
@@ -266,10 +279,14 @@ def test_help_returns_0(capsys):
         ({"f_max": 0.0}, []),
         ({"f_max": "inf"}, []),
         ({"rank_tol": 1.5}, []),
+        ({"f_max": True}, []),
+        ({"f_max": "10"}, []),
+        ({"rank_tol": "1e-8"}, []),
     ],
     ids=[
         "f-max-nan", "f-max-inf", "f-max-negative", "rank-tol-0", "rank-tol-1",
         "rank-tol-nan", "scenario-f-max-0", "scenario-f-max-inf", "scenario-rank-tol-1.5",
+        "scenario-f-max-true", "scenario-f-max-string", "scenario-rank-tol-string",
     ],
 )
 def test_out_of_range_solver_settings_return_4(tmp_path, capsys, solver, flags):

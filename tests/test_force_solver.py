@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
 
-from force_lp_oracle import full_kkt_margin
+from force_lp_oracle import full_kkt_least_effort, full_kkt_margin
 from helpers import random_force_assembly, random_guarded_assembly
 from hybridservo import block_tilting as tilting
-from hybridservo import force_solver
+from hybridservo import cli, force_solver
 from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
 from hybridservo.force_solver import (
     ForceSolverConfig,
@@ -179,8 +185,13 @@ def test_config_f_max_changes_box():
     assert sol.objective_margin == pytest.approx(9.0, abs=1e-6)
 
 
+def _effort(sol, T, n_u):
+    """l1 norm of the actuated force in the original coordinates."""
+    return float(np.abs(np.linalg.solve(T, sol.eta)[n_u:]).sum())
+
+
 def _outcome(solve):
-    """("solved", margin) or ("infeasible", reported margin) of one solve."""
+    """("solved", result) or ("infeasible", reported margin) of one solve."""
     try:
         return "solved", solve()
     except InfeasibleLP as exc:
@@ -195,10 +206,14 @@ def test_reduced_lp_matches_full_kkt_oracle_on_random_assemblies():
     for i in range(300):
         n_rows = 0 if i % 7 == 0 else int(rng.integers(2, 9))
         inst, guard, T, n_av = random_guarded_assembly(rng, n_rows, infeasible=i % 3 == 2)
-        got = _outcome(lambda: solve_force(inst, guard, T, n_av).objective_margin)
+        got = _outcome(lambda: solve_force(inst, guard, T, n_av))
         want = _outcome(lambda: full_kkt_margin(inst, guard, T, n_av))
         assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1], abs=1e-8)
+        margin = got[1].objective_margin if got[0] == "solved" else got[1]
+        assert margin == pytest.approx(want[1], abs=1e-8)
+        if got[0] == "solved":
+            least = full_kkt_least_effort(inst, guard, T, n_av)
+            assert _effort(got[1], T, inst.n_u) <= least + 1e-7
         covered.add((inst.n_a - n_av, guard.n_eq, got[0]))
     assert covered == {
         (n_af, n_eq, kind)
@@ -216,13 +231,15 @@ def test_reduced_lp_matches_full_kkt_oracle_on_tilting_plan():
         sol = solve_force(instance, guard, vel.T, vel.n_av)
         want = full_kkt_margin(instance, guard, vel.T, vel.n_av)
         assert sol.objective_margin == pytest.approx(want, abs=1e-8)
+        least = full_kkt_least_effort(instance, guard, vel.T, vel.n_av)
+        assert _effort(sol, vel.T, instance.n_u) <= least + 1e-7
 
 
 def test_no_force_direction_solves_without_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved with n_af = 0")
 
-    monkeypatch.setattr(force_solver, "milp", no_lp)
+    monkeypatch.setattr(force_solver, "_simplex", no_lp)
     inst, guard = _supported_object()
     sol = solve_force(inst, guard, np.eye(2), n_av=1)
     assert sol.eta_af.size == 0
@@ -251,19 +268,123 @@ def test_effort_pass_reports_refinement_and_fallback(monkeypatch):
     assert solve_force(inst, guard, np.eye(2), n_av=0).effort_pass == "refined"
 
     # A least-effort LP that does not succeed keeps the phase-1 vertex.
-    milp = force_solver.milp
-    results = []
+    simplex, max_margin = force_solver._simplex, force_solver._max_margin
+    calls, vertices = [], []
 
-    def failing_effort_pass(*args, **kwargs):
-        res = milp(*args, **kwargs)
-        results.append(res)
-        if len(results) == 2:
-            res.success = False
-        return res
+    def failing_effort_pass(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SingularSystem("force LP failed: injected")
+        return simplex(*args)
 
-    monkeypatch.setattr(force_solver, "milp", failing_effort_pass)
+    def recorded_max_margin(*args):
+        vertices.append(max_margin(*args))
+        return vertices[-1]
+
+    monkeypatch.setattr(force_solver, "_simplex", failing_effort_pass)
+    monkeypatch.setattr(force_solver, "_max_margin", recorded_max_margin)
     sol = solve_force(inst, guard, np.eye(2), n_av=0)
-    assert len(results) == 2
+    assert len(calls) == 2
     assert sol.effort_pass == "fell_back"
     assert sol.objective_margin == pytest.approx(49.0, abs=1e-6)
-    assert np.array_equal(sol.eta_af, results[0].x[:-1])
+    assert np.array_equal(sol.eta_af, vertices[0][0])
+
+
+def test_simplex_terminates_on_beales_cycling_example():
+    # Beale (1955), Bertsimas & Tsitsiklis Example 3.6: with the largest
+    # reduced cost entering, the pivots cycle through degenerate bases at
+    # the origin forever.  Bland's rule reaches the optimum -5/4 at
+    # z = (1, 0, 1, 0) within a handful of pivots.
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    c = np.array([-0.75, 20.0, -0.5, 6.0])
+    z = force_solver._simplex(*force_solver._tableau(A, b, c))
+    assert c @ z[:4] == pytest.approx(-1.25, abs=1e-12)
+    assert np.allclose(z[:4], [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert np.all(A @ z[:4] <= b + 1e-12)
+
+
+def test_simplex_iteration_cap_raises_singular_system(monkeypatch):
+    monkeypatch.setattr(force_solver, "MAX_PIVOTS", 0)
+    inst, guard = _degenerate_margin_instance()
+    with pytest.raises(SingularSystem, match="force LP failed"):
+        solve_force(inst, guard, np.eye(2), n_av=0)
+
+
+def test_simplex_iteration_cap_exits_3_through_cli(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(force_solver, "MAX_PIVOTS", 0)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"schema": 1, "scenario_type": "block_tilting"}))
+    out = tmp_path / "out.json"
+    assert cli.main(["--scenario", str(scenario), "--out", str(out)]) == 3
+    assert "step 1: force LP failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Entries are zero, multiples of 1/4 (so that ties and degenerate vertices
+# are common) or between 1e-3 and 1e3 in magnitude.  HiGHS treats
+# coefficients far below its feasibility tolerance as noise, so smaller ones
+# would test the reference, not the simplex.
+_ENTRIES = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.just(0.0),
+    st.floats(1e-3, 1e3),
+    st.floats(-1e3, -1e-3),
+)
+# The reference runs HiGHS with tight tolerances so that its optimum is good
+# to the 1e-9 the comparison asks for.
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+@st.composite
+def _boxed_lps(draw):
+    """(G, h, a0, A1, f_max): a margin LP and its least-effort data."""
+    n_af = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 8))
+    n_act = draw(st.integers(1, 3))
+    G = draw(hnp.arrays(float, (n_rows, n_af), elements=_ENTRIES))
+    h = draw(hnp.arrays(float, n_rows, elements=_ENTRIES))
+    a0 = draw(hnp.arrays(float, n_act, elements=_ENTRIES))
+    A1 = draw(hnp.arrays(float, (n_act, n_af), elements=_ENTRIES))
+    f_max = draw(st.sampled_from([0.5, 5.0, 50.0]))
+    return G, h, a0, A1, f_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boxed_lps())
+def test_simplex_matches_linprog_on_random_boxed_lps(lp):
+    G, h, a0, A1, f_max = lp
+    (n_rows, n_af), n_act = G.shape, A1.shape[0]
+    x, s = force_solver._max_margin(G, h, f_max)
+    assert np.all(G @ x + s <= h + 1e-9 * (1.0 + np.abs(h)))
+    assert np.all(np.abs(x) <= f_max * (1.0 + 1e-12))
+    refined = force_solver._least_effort_at_margin(G, h, a0, A1, x, s, f_max)
+    s_target = s - 1e-9 * (1.0 + abs(s))
+    assert refined is not None
+    assert np.all(G @ refined <= h - s_target + 1e-9 * (1.0 + np.abs(h)))
+    assert np.all(np.abs(refined) <= f_max * (1.0 + 1e-12))
+
+    box = [(-f_max, f_max)] * n_af
+    margin_ref = linprog(
+        np.append(np.zeros(n_af), -1.0),
+        A_ub=np.hstack([G, np.ones((n_rows, 1))]),
+        b_ub=h,
+        bounds=box + [(None, None)],
+        method="highs",
+        options=_HIGHS,
+    )
+    eye = np.eye(n_act)
+    effort_ref = linprog(
+        np.append(np.zeros(n_af), np.ones(n_act)),
+        A_ub=np.block([[G, np.zeros((n_rows, n_act))], [A1, -eye], [-A1, -eye]]),
+        b_ub=np.concatenate([h - s_target, -a0, a0]),
+        bounds=box + [(0.0, None)] * n_act,
+        method="highs",
+        options=_HIGHS,
+    )
+    # At these tolerances HiGHS now and then stops short of an optimum on
+    # rows that span six decades; such a draw has no reference to match.
+    assume(margin_ref.status == 0 and effort_ref.status == 0)
+    assert s == pytest.approx(-margin_ref.fun, rel=1e-9, abs=1e-9)
+    effort = np.abs(a0 + A1 @ refined).sum()
+    assert effort == pytest.approx(effort_ref.fun, rel=1e-9, abs=1e-9)
