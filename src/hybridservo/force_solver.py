@@ -9,10 +9,18 @@ coordinates) and any guard equalities Gamma [lambda; f] = b_Gamma appended.
 Everything except the force command eta_af is a "free" force the physics
 determines: f_free = [lambda; eta_u; eta_av].  Given eta_af, the free
 forces are resolved as the minimum-norm solution of the stacked equality
-system, written as a KKT system.  That solution is affine in the command,
-f_free = f0 + W eta_af, so one KKT solve with n_af + 1 right-hand sides
-resolves every command at once, and the guard margins are affine as well:
-b_Lambda - Lambda [lambda; f] = h - G eta_af.
+system M_free f_free = rhs - M_eta_f eta_af.  That solution is affine in
+the command, f_free = f0 + W eta_af, and one thin SVD M_free = U S V^T
+gives it for every command at once: [f0, W] = V S^-1 U^T [rhs, -M_eta_f]
+over the singular values kept by the package's rank rule (Golub & Van
+Loan, Matrix Computations, 5.5).  The same SVD gives the condition of the
+KKT system [[2I, M_free^T], [M_free, 0]] in closed form, so that system is
+never built on this path; build_kkt and solve_kkt keep it as an
+independent LU reference.  Consistent redundant equality rows (for example
+a duplicated Gamma row) are harmless; each column's residual check raises
+SingularSystem when the rows are inconsistent or pin the command itself.
+The guard margins are affine as well: b_Lambda - Lambda [lambda; f] =
+h - G eta_af.
 
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
@@ -52,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subspace_linalg as sla
-from .errors import InfeasibleLP, SingularSystem, SingularTransform
-from .model import GuardConditions, SystemInstance, unactuated_selector
+from .errors import InconsistentSystem, InfeasibleLP, SingularSystem, SingularTransform
+from .model import GuardConditions, SystemInstance
 
 # Condition ceiling for the action-frame transform.
 MAX_T_CONDITION = 1e10
@@ -98,15 +106,17 @@ class ForceSolution:
 
 
 def _check_transform(T: np.ndarray, n: int) -> np.ndarray:
+    """T^-1 = V S^-1 U^T from one SVD of T, which also gives cond(T)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (n, n):
         raise ValueError(f"T must be {n} x {n}, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("T contains non-finite entries")
-    cond = np.linalg.cond(T)
+    u, s, vh = np.linalg.svd(T)
+    cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
     if not np.isfinite(cond) or cond >= MAX_T_CONDITION:
         raise SingularTransform(f"transform T is not invertible (cond {cond:.3e})")
-    return np.linalg.solve(T, np.eye(n))
+    return (vh.T / s) @ u.T
 
 
 def assemble_newton(
@@ -115,7 +125,12 @@ def assemble_newton(
     T: np.ndarray,
     n_av: int,
 ) -> NewtonAssembly:
-    """Stack the force-balance, unactuated-zero and guard-equality rows."""
+    """Stack the unactuated-zero, force-balance and guard-equality rows.
+
+    Over [lambda; eta] the rows read [0, T_inv[:n_u]], [T N^T, I] and
+    [Gamma_lambda, Gamma_f T_inv]; the eta columns are ordered
+    [eta_u; eta_af; eta_av] and split into M_free and M_eta_f by slicing.
+    """
     n, n_u = instance.n, instance.n_u
     n_phi = instance.n_phi
     n_af = instance.n_a - n_av
@@ -124,27 +139,21 @@ def assemble_newton(
     T = np.asarray(T, dtype=float)
     T_inv = _check_transform(T, n)
 
-    H = unactuated_selector(n_u, n)
-    rows_h = np.hstack([np.zeros((n_u, n_phi)), H @ T_inv])
-    rows_newton = np.hstack([T @ instance.N.T, np.eye(n)])
-    rows_gamma = np.hstack([guard.Gamma[:, :n_phi], guard.Gamma[:, n_phi:] @ T_inv])
-    stacked = np.vstack([rows_h, rows_newton, rows_gamma])
+    eta_rows = np.concatenate([T_inv[:n_u], np.eye(n), guard.Gamma[:, n_phi:] @ T_inv])
+    M_free = np.zeros((eta_rows.shape[0], n_phi + n_u + n_av))
+    M_free[n_u : n_u + n, :n_phi] = T @ instance.N.T
+    M_free[n_u + n :, :n_phi] = guard.Gamma[:, :n_phi]
+    M_free[:, n_phi : n_phi + n_u] = eta_rows[:, :n_u]
+    M_free[:, n_phi + n_u :] = eta_rows[:, n_u + n_af :]
     rhs = np.concatenate([np.zeros(n_u), -T @ instance.F, guard.b_Gamma])
-
-    free_cols = (
-        list(range(n_phi))
-        + list(range(n_phi, n_phi + n_u))
-        + list(range(n_phi + n_u + n_af, n_phi + n))
-    )
-    af_cols = list(range(n_phi + n_u, n_phi + n_u + n_af))
     layout = (
         [f"lambda[{i}]" for i in range(n_phi)]
         + [f"eta_u[{i}]" for i in range(n_u)]
         + [f"eta_av[{i}]" for i in range(n_av)]
     )
     return NewtonAssembly(
-        M_free=stacked[:, free_cols],
-        M_eta_f=stacked[:, af_cols],
+        M_free=M_free,
+        M_eta_f=eta_rows[:, n_u : n_u + n_af],
         rhs=rhs,
         free_force_layout=layout,
         T=T,
@@ -181,30 +190,46 @@ def solve_kkt(assembly: NewtonAssembly, eta_af: np.ndarray) -> np.ndarray:
     return x[: assembly.M_free.shape[1]]
 
 
-def _eta_maps(assembly: NewtonAssembly):
-    """Selectors assembling eta = E_free @ f_free + E_af @ eta_af."""
-    n, n_u, n_av, n_af, n_phi = (
-        assembly.n,
-        assembly.n_u,
-        assembly.n_av,
-        assembly.n_af,
-        assembly.n_phi,
-    )
-    m = n_phi + n_u + n_av
-    E_free = np.zeros((n, m))
-    E_free[:n_u, n_phi : n_phi + n_u] = np.eye(n_u)
-    E_free[n_u + n_af :, n_phi + n_u :] = np.eye(n_av)
-    E_af = np.zeros((n, n_af))
-    E_af[n_u : n_u + n_af, :] = np.eye(n_af)
-    return E_free, E_af
+def _kkt_condition(f_free: sla.Factorization) -> float:
+    """cond(K) of the KKT system of min ||x||^2 s.t. M x = b, from M's SVD.
+
+    K = [[2I, M^T], [M, 0]] over the kept rank has the eigenvalues
+    1 +- sqrt(1 + sigma_i^2) for each kept singular value and 2 once for
+    each column of M beyond the rank, so no factorization of K is needed.
+    sqrt(1 + sigma^2) - 1 is evaluated as sigma^2 / (1 + sqrt(1 + sigma^2))
+    so that it does not cancel.
+    """
+    sigma2 = f_free.s[: f_free.rank] ** 2
+    root = np.sqrt(1.0 + sigma2)
+    extra = f_free.vh.shape[1] - f_free.rank
+    eig = np.concatenate([1.0 + root, sigma2 / (1.0 + root), np.full(extra, 2.0)])
+    if not eig.size:
+        return 1.0
+    return float(eig.max() / eig.min()) if eig.min() > 0.0 else np.inf
 
 
-def _affine_forces(assembly: NewtonAssembly):
-    """(f0, W) with f_free = f0 + W @ eta_af, from one KKT solve."""
-    K, rhs_const, rhs_map = build_kkt(assembly)
-    x = sla.solve_square(K, np.column_stack([rhs_const, -rhs_map]))
-    f_map = x[: assembly.M_free.shape[1]]
-    return f_map[:, 0], f_map[:, 1:]
+def _free_force_map(assembly: NewtonAssembly):
+    """(f0, W) with f_free = f0 + W @ eta_af, from one thin SVD of M_free.
+
+    f0 and W are the minimum-norm solutions V S^-1 U^T [rhs, -M_eta_f] over
+    the kept singular values, which is what the KKT system gives when it is
+    solvable.  Raises SingularSystem when that KKT system is too
+    ill-conditioned, or when a column leaves a residual: the equality rows
+    are then inconsistent or pin the force command.
+    """
+    f_free = sla.factor(assembly.M_free, full_matrices=False)
+    cond = _kkt_condition(f_free)
+    if not np.isfinite(cond) or cond >= sla.MAX_CONDITION:
+        raise SingularSystem(
+            f"force balance is singular or ill-conditioned (KKT cond {cond:.3e})"
+        )
+    try:
+        F = f_free.min_norm(np.column_stack([assembly.rhs, -assembly.M_eta_f]))
+    except InconsistentSystem as exc:
+        raise SingularSystem(
+            f"equality rows are inconsistent or pin the force command ({exc})"
+        ) from exc
+    return F[:, 0], F[:, 1:]
 
 
 # Simplex tolerances: a reduced cost below -OPT_TOL still improves the
@@ -352,19 +377,14 @@ def solve_force(
     """Maximize the worst guard margin over the force command eta_af."""
     cfg = config or ForceSolverConfig()
     assembly = assemble_newton(instance, guard, T, n_av)
-    r = assembly.M_free.shape[0]
-    if sla.numerical_rank(assembly.M_free) < r:
-        raise SingularSystem(
-            "equality rows are rank deficient; free forces are not uniquely determined"
-        )
-    n_af, n_phi = assembly.n_af, assembly.n_phi
-    f0, W = _affine_forces(assembly)
-    E_free, E_af = _eta_maps(assembly)
-    eta0 = E_free @ f0
-    eta_map = E_free @ W + E_af
+    n_af, n_phi, n_u = assembly.n_af, assembly.n_phi, assembly.n_u
+    f0, W = _free_force_map(assembly)
+    # eta = [eta_u; eta_af; eta_av]: the free parts come from f_free.
+    eta0 = np.concatenate([f0[n_phi : n_phi + n_u], np.zeros(n_af), f0[n_phi + n_u :]])
+    eta_map = np.concatenate([W[n_phi : n_phi + n_u], np.eye(n_af), W[n_phi + n_u :]])
     # The stacked force [lambda; f], f = T_inv eta, is x0 + X @ eta_af.
     x0 = np.concatenate([f0[:n_phi], assembly.T_inv @ eta0])
-    X = np.vstack([W[:n_phi], assembly.T_inv @ eta_map])
+    X = np.concatenate([W[:n_phi], assembly.T_inv @ eta_map])
     G = guard.Lambda @ X
     h = guard.b_Lambda - guard.Lambda @ x0
     if guard.n_ineq:
@@ -385,7 +405,7 @@ def solve_force(
         )
     effort_pass = "skipped"
     if n_af:
-        act = slice(n_phi + assembly.n_u, None)
+        act = slice(n_phi + n_u, None)
         refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], eta_af, s, cfg.f_max)
         if refined is None:
             effort_pass = "fell_back"

@@ -1,9 +1,12 @@
 """SVD-backed rank, null-space and least-squares primitives.
 
-Every rank decision in this package goes through :func:`numerical_rank` so a
-single relative-tolerance convention applies throughout.  Bases returned here
-are always orthonormal, and zero-row or zero-column matrices are legal inputs
-(rank 0, full null space).
+Every rank decision in this package applies one rule, singular values above
+rel_tol times the largest, through :func:`factor` or :func:`numerical_rank`,
+so a single relative-tolerance convention applies throughout.  A
+:class:`Factorization` serves the rank, the null space and the minimum-norm
+map of a matrix from one SVD.  Bases returned here are always orthonormal,
+and zero-row or zero-column matrices are legal inputs (rank 0, full null
+space).
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
 
 def _as_vector(b, name: str = "vector") -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(-1)
-    if b.size and not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError(f"{name} contains non-finite entries")
     return b
 
@@ -52,18 +55,82 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
+def _rank(s: np.ndarray, rel_tol: float) -> int:
+    """The package's rank rule: count singular values above rel_tol * s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rel_tol * s[0]))
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """SVD M = u @ diag(s) @ vh of a source matrix and its numerical rank.
+
+    One factorization serves the rank, the null space and the minimum-norm
+    map V S^-1 U^T over the kept singular values.
+    """
+
+    matrix: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+    tolerance_used: float
+
+    def null_space(self) -> SubspaceBasis:
+        """Orthonormal basis of {v : M v = 0}; needs full_matrices=True."""
+        basis = np.ascontiguousarray(self.vh[self.rank :].T)
+        return SubspaceBasis(basis, self.rank, self.tolerance_used)
+
+    def min_norm(self, B) -> np.ndarray:
+        """Minimum-norm solution X of M X = B over the kept singular values.
+
+        B is a vector (m,) or a matrix (m, k) of k right-hand sides; X has
+        the matching shape.  Raises InconsistentSystem when a column's
+        residual exceeds RESIDUAL_TOL * (1 + ||b_j||), or is not finite.
+        """
+        B = np.asarray(B, dtype=float)
+        if B.ndim not in (1, 2) or B.shape[0] != self.matrix.shape[0]:
+            raise ValueError(f"M has {self.matrix.shape[0]} rows but B has shape {B.shape}")
+        k = self.rank
+        X = (self.vh[:k].T / self.s[:k]) @ (self.u[:, :k].T @ B)
+        R = self.matrix @ X - B
+        residual = np.sqrt((R * R).sum(axis=0))
+        limit = RESIDUAL_TOL * (1.0 + np.sqrt((B * B).sum(axis=0)))
+        if not np.all(residual <= limit):
+            raise InconsistentSystem(
+                f"system has no solution: residual {np.max(residual):.3e} exceeds tolerance"
+            )
+        return X
+
+
+def factor(M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True) -> Factorization:
+    """One SVD of M with the package's rank rule applied.
+
+    full_matrices=True keeps every right singular vector, as the null space
+    needs; the thin form suffices for the minimum-norm map.  A matrix with a
+    zero dimension has rank 0 and a full null space.
+    """
+    M = _as_matrix(M)
+    r, c = M.shape
+    if M.size == 0:
+        u = np.eye(r) if full_matrices else np.zeros((r, 0))
+        vh = np.eye(c) if full_matrices else np.zeros((0, c))
+        return Factorization(M, u, np.zeros(0), vh, 0, rel_tol)
+    u, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
+    return Factorization(M, u, s, vh, _rank(s, rel_tol), rel_tol)
+
+
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above rel_tol times the largest singular value.
 
-    A matrix of zeros (or with a zero dimension) has rank 0.
+    The same rule as factor's, without the singular vectors.  A matrix of
+    zeros (or with a zero dimension) has rank 0.
     """
     M = _as_matrix(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return _rank(np.linalg.svd(M, compute_uv=False), rel_tol)
 
 
 def null_space_basis(M, rel_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
@@ -74,16 +141,7 @@ def null_space_basis(M, rel_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     ||M @ basis|| is at machine-precision level relative to the largest
     singular value of M.
     """
-    M = _as_matrix(M)
-    n = M.shape[1]
-    if M.size == 0:
-        return SubspaceBasis(np.eye(n), 0, rel_tol)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rel_tol * s[0]))
-    return SubspaceBasis(np.ascontiguousarray(vh[rank:].T), rank, rel_tol)
+    return factor(M, rel_tol).null_space()
 
 
 def min_norm_solution(A, b) -> np.ndarray:

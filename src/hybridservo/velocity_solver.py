@@ -13,6 +13,12 @@ them fights the constraints as little as possible:
 
 The minimum has a closed form (see optimal_directions), so the rows come
 from one SVD and at most n_av - 1 plane rotations, with no search.
+
+Each matrix is factored once per solve.  One SVD of N gives rank(N) and
+null(N); one SVD of [N; G] gives rank([N; G]), null([N; G]) for the
+candidate basis and the minimum-norm velocity v_star that fixes the command
+magnitudes b_C = C v_star.  The only other factorizations are the direction
+SVD and the final independence check on the chosen rows.
 """
 
 from __future__ import annotations
@@ -65,8 +71,8 @@ def compute_dimensions(N, G, rel_tol: float = sla.DEFAULT_RANK_TOL):
     Returns (n_av, r_N, r_NG): n_av = r_NG - r_N is the number of velocity
     commands, the minimum that still pins the goal down.
     """
-    r_N = sla.numerical_rank(N, rel_tol)
-    r_NG = sla.numerical_rank(np.vstack([N, G]), rel_tol)
+    r_N = sla.factor(N, rel_tol).rank
+    r_NG = sla.factor(np.concatenate([N, G]), rel_tol).rank
     return r_NG - r_N, r_N, r_NG
 
 
@@ -85,10 +91,13 @@ def candidate_basis(
     so the prefix is exactly zero.  Raises EmptyBasis when fewer candidate
     directions exist than velocity commands are needed.
     """
-    N = np.asarray(N, dtype=float)
-    G = np.asarray(G, dtype=float)
-    n = G.shape[1] if G.size else N.shape[1]
-    sigma = sla.null_space_basis(np.vstack([N, G]), rel_tol).basis
+    null_ng = sla.factor(np.concatenate([N, G]), rel_tol).null_space()
+    return _candidate_basis(null_ng, n_u, n_av, rel_tol)
+
+
+def _candidate_basis(null_ng: SubspaceBasis, n_u: int, n_av: int, rel_tol: float) -> np.ndarray:
+    """candidate_basis from an already computed null([N; G])."""
+    sigma = null_ng.basis
     # Constraints on the actuated part only: sigma_a^T c_a = 0.
     sigma_a = sigma[n_u:, :].T
     basis_a = sla.null_space_basis(sigma_a, rel_tol).basis
@@ -97,7 +106,7 @@ def candidate_basis(
         raise EmptyBasis(
             f"candidate space has {n_c} directions but {n_av} velocity commands are needed"
         )
-    B_c = np.zeros((n, n_c))
+    B_c = np.zeros((sigma.shape[0], n_c))
     B_c[n_u:, :] = basis_a
     return B_c
 
@@ -106,9 +115,9 @@ def direction_cost(k: np.ndarray, B_c: np.ndarray, NullN: SubspaceBasis) -> floa
     """Cost of command rows c_i = B_c k_i (columns of k assumed unit in c)."""
     C = B_c @ k
     gram = C.T @ C
-    cross = float(np.sum(np.abs(gram)) - np.sum(np.abs(np.diag(gram))))
+    cross = float(np.abs(gram).sum() - np.abs(np.diag(gram)).sum())
     proj = NullN.basis.T @ C
-    return cross - float(np.sum(np.linalg.norm(proj, axis=0)))
+    return cross - float(np.sqrt((proj * proj).sum(axis=0)).sum())
 
 
 def optimal_directions(A: np.ndarray, n_av: int) -> np.ndarray:
@@ -179,15 +188,18 @@ def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None
     cfg = config or VelocitySolverConfig()
     N, G = instance.N, instance.G
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
-    n_av, r_N, r_NG = compute_dimensions(N, G, cfg.rank_tol)
+    # One SVD each of N and [N; G] serves every rank, null space and v_star.
+    f_N = sla.factor(N, cfg.rank_tol)
+    f_NG = sla.factor(np.concatenate([N, G]), cfg.rank_tol)
+    r_N, r_NG = f_N.rank, f_NG.rank
+    n_av = r_NG - r_N
     if not check_feasibility(n, n_a, r_N):
         raise InfeasibleDimensions(
             f"rank(N) = {r_N} with n_a = {n_a} cannot determine all {n} velocities"
         )
-    stacked = np.vstack([N, G])
     rhs = np.concatenate([np.zeros(N.shape[0]), instance.b_G])
     try:
-        v_star = sla.min_norm_solution(stacked, rhs)
+        v_star = f_NG.min_norm(rhs)
     except InconsistentSystem as exc:
         raise InconsistentGoal(
             "goal velocity conflicts with the holonomic constraints"
@@ -203,8 +215,8 @@ def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None
             cost=0.0,
         )
 
-    B_c = candidate_basis(N, G, n_u, n_av, cfg.rank_tol)
-    NullN = sla.null_space_basis(N, cfg.rank_tol)
+    B_c = _candidate_basis(f_NG.null_space(), n_u, n_av, cfg.rank_tol)
+    NullN = f_N.null_space()
     k = optimal_directions(NullN.basis.T @ B_c, n_av)
     C = (B_c @ k).T
     b_C = C @ v_star
@@ -216,12 +228,12 @@ def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None
     null_rc = sla.null_space_basis(R_C, cfg.rank_tol)
     if (
         null_rc.basis.shape[1] != n_a - n_av
-        or sla.numerical_rank(np.vstack([N, C]), cfg.rank_tol) != r_NG
+        or sla.numerical_rank(np.concatenate([N, C]), cfg.rank_tol) != r_NG
     ):
         raise SingularTransform(
             "command rows are not independent modulo the constraints"
         )
-    R_a = np.vstack([null_rc.basis.T, R_C])
+    R_a = np.concatenate([null_rc.basis.T, R_C])
     T = np.eye(n)
     T[n_u:, n_u:] = R_a
     return VelocitySolution(

@@ -12,6 +12,13 @@ so tests can check that both give the same margin and that the solver's
 command takes no more actuator effort.  It solves with
 scipy.optimize.linprog (HiGHS), which shares no code with the solver's
 simplex.
+
+Instances given to this oracle must keep every nonzero matrix entry above
+1e-9 in magnitude.  HiGHS drops entries below its small_matrix_value of
+1e-9, so on smaller ones it answers a different LP: on G = [[1e-5, 1e-10]]
+it returns a least effort of 0.499905 where the true optimum, which the
+simplex finds, is 0.4998999995 (see
+test_force_solver.test_simplex_keeps_entries_below_pivot_tolerance).
 """
 
 from __future__ import annotations

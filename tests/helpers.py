@@ -50,19 +50,23 @@ def random_feasible_instance(
     return make_instance(n_u, N, G, b_G, F)
 
 
-def random_force_assembly(rng: np.random.Generator, max_free: int = 12):
+def random_force_assembly(
+    rng: np.random.Generator, max_free: int = 12, n_eq: int | None = None
+):
     """Random (instance, guard, T, n_av) with a full-row-rank force system.
 
     Free-force count n_phi + n_u + n_av stays at or below max_free.  Full
     row rank of the stacked equalities requires n_phi + n_av >= n + n_eq,
     which the dimension draw enforces; ill-conditioned draws are rejected.
+    The number n_eq of Gamma rows is drawn from {0, 1} unless given.
     """
+    fixed_eq = n_eq
     for _ in range(100):
         n_u = int(rng.integers(0, 3))
         n_a = int(rng.integers(1, 4))
         n = n_u + n_a
         n_av = int(rng.integers(0, n_a + 1))
-        n_eq = int(rng.integers(0, 2))
+        n_eq = int(rng.integers(0, 2)) if fixed_eq is None else fixed_eq
         n_phi_low = max(1, n + n_eq - n_av)
         n_phi = n_phi_low + int(rng.integers(0, 3))
         if n_phi + n_u + n_av > max_free:
@@ -88,7 +92,10 @@ def random_force_assembly(rng: np.random.Generator, max_free: int = 12):
 
 
 def random_guarded_assembly(
-    rng: np.random.Generator, n_rows: int, infeasible: bool = False
+    rng: np.random.Generator,
+    n_rows: int,
+    infeasible: bool = False,
+    n_eq: int | None = None,
 ):
     """random_force_assembly plus n_rows guard rows around a known command.
 
@@ -98,7 +105,7 @@ def random_guarded_assembly(
     a x <= b, -a x <= -0.5 - b, which caps every command's worst margin at
     -0.25.
     """
-    instance, guard, T, n_av = random_force_assembly(rng)
+    instance, guard, T, n_av = random_force_assembly(rng, n_eq=n_eq)
     assembly = assemble_newton(instance, guard, T, n_av)
     n_phi, n_u = instance.n_phi, instance.n_u
     eta_af = rng.uniform(-10.0, 10.0, assembly.n_af)

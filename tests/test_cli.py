@@ -236,6 +236,34 @@ def test_consistent_duplicate_gamma_rows_return_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "Gamma, b_Gamma, code",
+    [
+        ([[1.0, 0.0, 0.0]], [2.45], 0),
+        ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [2.45, 4.9], 0),
+        ([[1.0, 0.0, 0.0]], [1.0], 3),
+        ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [1.0, 2.0], 3),
+    ],
+    ids=["consistent", "consistent-duplicate", "inconsistent", "inconsistent-duplicate"],
+)
+def test_gamma_rows_beyond_the_rank(tmp_path, capsys, Gamma, b_Gamma, code):
+    # The unactuated balance already fixes lambda = 2.45, so a Gamma row on
+    # lambda is redundant: it solves when it agrees and exits 3 when not.
+    params = _supported_object_params()
+    params.update(Gamma=Gamma, b_Gamma=b_Gamma)
+    scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(params))
+    out = tmp_path / "o.json"
+    assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == code
+    if code == 0:
+        doc = json.loads(out.read_text())
+        assert doc["all_verified"] is True
+        assert doc["steps"][0]["lambda"][0] == pytest.approx(2.45, abs=1e-9)
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("step 1: equality rows are inconsistent or pin the force command")
+        assert not out.exists()
+
+
 def test_force_infeasible_returns_3(tmp_path, capsys):
     scenario = _write_scenario(
         tmp_path / "scenario.json", _tilting_doc(params={"mu_table": 0.0})

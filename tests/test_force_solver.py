@@ -13,6 +13,7 @@ from force_lp_oracle import full_kkt_least_effort, full_kkt_margin
 from helpers import random_force_assembly, random_guarded_assembly
 from hybridservo import block_tilting as tilting
 from hybridservo import cli, force_solver
+from hybridservo import subspace_linalg as sla
 from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
 from hybridservo.force_solver import (
     ForceSolverConfig,
@@ -388,3 +389,138 @@ def test_simplex_matches_linprog_on_random_boxed_lps(lp):
     assert s == pytest.approx(-margin_ref.fun, rel=1e-9, abs=1e-9)
     effort = np.abs(a0 + A1 @ refined).sum()
     assert effort == pytest.approx(effort_ref.fun, rel=1e-9, abs=1e-9)
+
+
+def _svd_route_cases():
+    """(assembly, eta_af) on the 300 oracle draws and every tilting step."""
+    rng = np.random.default_rng(2024)
+    for i in range(300):
+        n_rows = 0 if i % 7 == 0 else int(rng.integers(2, 9))
+        inst, guard, T, n_av = random_guarded_assembly(rng, n_rows, infeasible=i % 3 == 2)
+        assembly = assemble_newton(inst, guard, T, n_av)
+        yield assembly, rng.uniform(-10.0, 10.0, assembly.n_af)
+    scenario = tilting.TiltingScenario()
+    for state in tilting.rollout_states(scenario):
+        instance, guard = tilting.build_instance(state, scenario)
+        vel = solve_velocity(instance)
+        assembly = assemble_newton(instance, guard, vel.T, vel.n_av)
+        yield assembly, np.linspace(-20.0, 20.0, assembly.n_af)
+
+
+def test_svd_route_matches_kkt_reference():
+    for assembly, eta_af in _svd_route_cases():
+        f_free = sla.factor(assembly.M_free, full_matrices=False)
+        closed_form = force_solver._kkt_condition(f_free)
+        reference = np.linalg.cond(build_kkt(assembly)[0])
+        assert closed_form == pytest.approx(reference, rel=1e-9)
+        f0, W = force_solver._free_force_map(assembly)
+        reference = solve_kkt(assembly, eta_af)
+        scale = max(1.0, np.max(np.abs(reference)))
+        assert np.max(np.abs(f0 + W @ eta_af - reference)) < 1e-9 * scale
+        T_inv = np.linalg.inv(assembly.T)
+        assert np.max(np.abs(assembly.T_inv - T_inv)) < 1e-12 * np.max(np.abs(T_inv))
+
+
+def test_kkt_condition_counts_columns_beyond_the_rank():
+    # M = [1 0 0]: K has eigenvalues 1 +- sqrt(2) and 2 twice.
+    f_free = sla.factor(np.array([[1.0, 0.0, 0.0]]), full_matrices=False)
+    expected = (1.0 + np.sqrt(2.0)) / (np.sqrt(2.0) - 1.0)
+    assert force_solver._kkt_condition(f_free) == pytest.approx(expected, rel=1e-14)
+    assert force_solver._kkt_condition(f_free) == pytest.approx(
+        np.linalg.cond(np.array([[2, 0, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [1, 0, 0, 0.0]])),
+        rel=1e-12,
+    )
+    # A tiny kept singular value: no cancellation in sqrt(1 + s^2) - 1.
+    f_tiny = sla.factor(np.array([[1e-9]]), rel_tol=1e-12)
+    assert force_solver._kkt_condition(f_tiny) == pytest.approx(
+        (1.0 + np.sqrt(1.0 + 1e-18)) / (1e-18 / 2.0), rel=1e-12
+    )
+
+
+def test_solve_force_factors_t_and_m_free_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    inst, guard, T, n_av = random_guarded_assembly(rng, 4, n_eq=1)
+    svd, shapes = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_force called an LU solve, cond or lstsq")
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for name in ("solve", "cond", "lstsq", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assembly_shape = assemble_newton(inst, guard, T, n_av).M_free.shape
+    shapes.clear()
+    solve_force(inst, guard, T, n_av)
+    assert shapes == [T.shape, assembly_shape]
+
+
+def test_simplex_keeps_entries_below_pivot_tolerance():
+    # One guard row in small units, G = [1e-5, 1e-10], h = 0: the phase-1
+    # optimum is s* = 5.00005e-6 at (-0.5, -0.5).  With the margin pinned at
+    # s_target = s* - 1e-9 (1 + s*), the least |x_1| keeps x_2 = -0.5, so
+    # x_1 = -(s_target - 5e-11) / 1e-5 = -0.4998999995 with zero slack on the
+    # pinned row.  HiGHS drops matrix entries below 1e-9 and returns
+    # 0.499905 instead, which is why the oracle tests keep entries above it.
+    G, h, f_max = np.array([[1e-5, 1e-10]]), np.zeros(1), 0.5
+    a0, A1 = np.zeros(1), np.array([[1.0, 0.0]])
+    x, s = force_solver._max_margin(G, h, f_max)
+    assert s == pytest.approx(5.00005e-6, rel=1e-12)
+    refined = force_solver._least_effort_at_margin(G, h, a0, A1, x, s, f_max)
+    s_target = s - 1e-9 * (1.0 + abs(s))
+    assert np.abs(A1 @ refined).sum() == pytest.approx(0.4998999995, abs=1e-12)
+    assert refined[1] == pytest.approx(-0.5, abs=1e-15)
+    assert G[0] @ refined + s_target == pytest.approx(0.0, abs=1e-18)
+
+
+def _gamma_outcome(inst, guard, T, n_av):
+    """("solved", margin, eta_af) or ("infeasible", margin, None)."""
+    try:
+        sol = solve_force(inst, guard, T, n_av)
+    except InfeasibleLP as exc:
+        return "infeasible", exc.margin, None
+    return "solved", sol.objective_margin, sol.eta_af
+
+
+def _assert_same_outcome(base, other):
+    assert other[0] == base[0]
+    assert other[1] == pytest.approx(base[1], abs=1e-8 * max(1.0, abs(base[1])))
+    if base[0] == "solved":
+        assert np.max(np.abs(other[2] - base[2]), initial=0.0) < 1e-6
+
+
+@st.composite
+def _gamma_reformulations(draw):
+    """A guarded assembly with 1-3 Gamma rows and one harmless rewrite of them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_eq = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    inst, guard, T, n_av = random_guarded_assembly(
+        rng, int(rng.integers(2, 9)), infeasible=bool(rng.random() < 0.2), n_eq=n_eq
+    )
+    kind = draw(st.sampled_from(["scale", "permute", "duplicate"]))
+    Gamma, b_Gamma = guard.Gamma, guard.b_Gamma
+    if kind == "scale":
+        c = np.array(draw(st.lists(st.floats(1e-2, 1e2), min_size=n_eq, max_size=n_eq)))
+        Gamma, b_Gamma = c[:, None] * Gamma, c * b_Gamma
+    elif kind == "permute":
+        order = draw(st.permutations(range(n_eq)))
+        Gamma, b_Gamma = Gamma[order], b_Gamma[order]
+    else:
+        i = draw(st.integers(0, n_eq - 1))
+        c = draw(st.floats(-1e2, 1e2).filter(lambda v: abs(v) >= 1e-2))
+        Gamma = np.vstack([Gamma, c * Gamma[i]])
+        b_Gamma = np.append(b_Gamma, c * b_Gamma[i])
+    rewritten = GuardConditions(guard.Lambda, guard.b_Lambda, Gamma, b_Gamma)
+    return inst, guard, rewritten, T, n_av
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gamma_reformulations())
+def test_gamma_row_scaling_permutation_and_duplication_leave_solution(case):
+    inst, guard, rewritten, T, n_av = case
+    base = _gamma_outcome(inst, guard, T, n_av)
+    _assert_same_outcome(base, _gamma_outcome(inst, rewritten, T, n_av))

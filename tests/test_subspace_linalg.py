@@ -109,3 +109,48 @@ def test_solve_square_matrix_rhs_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem):
         sla.solve_square(A, np.eye(2))
+
+
+def _factor_cases():
+    rng = np.random.default_rng(17)
+    return [
+        np.zeros((0, 4)),
+        np.zeros((3, 0)),
+        np.zeros((3, 5)),
+        np.outer([1.0, 2.0, 3.0], [4.0, 5.0]),
+        rng.standard_normal((4, 3)) @ rng.standard_normal((3, 6)),
+        np.diag([1.0, 1e-12]),
+        rng.standard_normal((3, 6)),
+        rng.standard_normal((6, 3)),
+    ]
+
+
+@pytest.mark.parametrize("M", _factor_cases(), ids=lambda M: "x".join(map(str, M.shape)))
+def test_factor_agrees_with_rank_and_null_space(M):
+    full = sla.factor(M)
+    thin = sla.factor(M, full_matrices=False)
+    assert full.rank == thin.rank == sla.numerical_rank(M)
+    nb = sla.null_space_basis(M)
+    assert full.null_space().basis.shape == nb.basis.shape == (M.shape[1], M.shape[1] - full.rank)
+    assert np.array_equal(full.null_space().basis, nb.basis)
+    assert full.null_space().source_rank == nb.source_rank == full.rank
+
+
+def test_factor_min_norm_matches_pinv_per_column():
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))  # rank 2
+    B = A @ rng.standard_normal((5, 4))
+    X = sla.factor(A, full_matrices=False).min_norm(B)
+    assert X.shape == (5, 4)
+    assert np.allclose(X, np.linalg.pinv(A) @ B, atol=1e-10)
+    assert np.allclose(sla.factor(A).min_norm(B[:, 1]), X[:, 1], atol=1e-12)
+    assert sla.factor(np.zeros((0, 3))).min_norm(np.zeros(0)).shape == (3,)
+
+
+def test_factor_min_norm_checks_each_column():
+    A = np.array([[1.0, 0.0], [2.0, 0.0]])
+    # The first column is consistent, the second is not.
+    B = np.array([[1.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(InconsistentSystem):
+        sla.factor(A).min_norm(B)
+    assert np.allclose(sla.factor(A).min_norm(B[:, :1]), [[1.0], [0.0]])

@@ -258,3 +258,27 @@ def test_solve_velocity_is_deterministic():
     assert sla.numerical_rank(np.vstack([inst.N, a.C])) == sla.numerical_rank(
         np.vstack([inst.N, inst.G])
     )
+
+
+def test_solve_velocity_factors_n_and_stack_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    inst = random_feasible_instance(rng)
+    stack = np.vstack([inst.N, inst.G])
+    svd, seen = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_velocity called lstsq")
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    sol = solve_velocity(inst)
+    assert sol.n_av >= 1
+    assert sum(a.shape == inst.N.shape and np.array_equal(a, inst.N) for a in seen) == 1
+    assert sum(a.shape == stack.shape and np.array_equal(a, stack) for a in seen) == 1
+    # Besides N and [N; G]: null(sigma_a), the direction SVD, null(R_C) and
+    # rank([N; C]).
+    assert len(seen) == 6
