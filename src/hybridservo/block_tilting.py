@@ -30,6 +30,7 @@ table cones live directly in W.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,12 @@ class TiltingScenario:
     step_duration: float = 1.0
 
     def __post_init__(self):
+        for name in ("edge_length", "mu_hand", "mu_table", "n_min", "tilt_rate", "step_duration"):
+            setattr(self, name, _finite_reals(name, getattr(self, name)))
+        steps = self.num_steps
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
+            raise ValueError(f"num_steps must be an integer >= 1, got {steps!r}")
+        self.num_steps = int(steps)
         half = 0.5 * self.edge_length
         if self.gravity_object is None:
             self.gravity_object = np.array([0.0, 0.0, -2.45])
@@ -147,12 +154,31 @@ class TiltingScenario:
             self.table_contacts = np.array([[0.0, -half, 0.0], [0.0, half, 0.0]])
         if self.rotation_axis is None:
             self.rotation_axis = np.array([0.0, -1.0, 0.0])
-        self.gravity_object = np.asarray(self.gravity_object, dtype=float).reshape(3)
-        self.gravity_hand = np.asarray(self.gravity_hand, dtype=float).reshape(3)
-        self.hand_contact_obj = np.asarray(self.hand_contact_obj, dtype=float).reshape(3)
-        self.table_contacts = np.asarray(self.table_contacts, dtype=float).reshape(2, 3)
-        axis = np.asarray(self.rotation_axis, dtype=float).reshape(3)
-        self.rotation_axis = axis / np.linalg.norm(axis)
+        self.gravity_object = _finite_reals("gravity_object", self.gravity_object, 3)
+        self.gravity_hand = _finite_reals("gravity_hand", self.gravity_hand, 3)
+        self.hand_contact_obj = _finite_reals("hand_contact_obj", self.hand_contact_obj, 3)
+        self.table_contacts = _finite_reals("table_contacts", self.table_contacts, (2, 3))
+        axis = _finite_reals("rotation_axis", self.rotation_axis, 3)
+        norm = np.linalg.norm(axis)
+        # The axis runs along a table edge, so it must lie in the table plane.
+        if not norm > 0.0 or abs(axis[2]) > 1e-9 * norm:
+            raise ValueError(f"rotation_axis must be horizontal and nonzero, got {axis.tolist()}")
+        self.rotation_axis = axis / norm
+
+
+def _finite_reals(name: str, value, shape=None):
+    """value as a finite float (shape None) or a float array of that shape.
+
+    Booleans, strings and nulls are refused, although float() and numpy
+    would quietly turn them into numbers or nan.
+    """
+    items = [value] if shape is None else np.asarray(value, dtype=object).reshape(-1)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    out = float(value) if shape is None else np.asarray(value, dtype=float).reshape(shape)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,12 +195,8 @@ class TiltingState:
 
 def initial_state(scenario: TiltingScenario) -> TiltingState:
     """Block resting flat against the contact edge, object frame world aligned."""
-    axis = scenario.rotation_axis
-    block_dir = np.cross(Z_AXIS, axis)
-    norm = np.linalg.norm(block_dir)
-    if norm < 1e-9:
-        raise ValueError("rotation axis must be horizontal")
-    block_dir = block_dir / norm
+    block_dir = np.cross(Z_AXIS, scenario.rotation_axis)
+    block_dir = block_dir / np.linalg.norm(block_dir)
     half = 0.5 * scenario.edge_length
     edge_mid = scenario.table_contacts.mean(axis=0)
     p0 = edge_mid + half * block_dir + half * Z_AXIS

@@ -4,6 +4,8 @@ Reads a versioned scenario JSON, synthesizes one hybrid action per step,
 and writes the results as canonical JSON (optionally with a timing CSV).
 Two scenario types exist: "block_tilting" rolls the built-in tilting plan,
 "raw_instance" solves a single instance given directly as matrices.
+The two solver settings, rank_tol and f_max, come from the scenario's
+"solver" block, overridden by --rank-tol and --f-max.
 
 Exit codes: 0 success, 2 velocity stage infeasible, inconsistent or without
 independent command rows, 3 force stage infeasible or singular, 4 unreadable
@@ -20,7 +22,6 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,10 @@ from .errors import (
     SingularSystem,
     SingularTransform,
 )
-from .force_solver import ForceSolverConfig, solve_force
-from .model import GuardConditions, SystemInstance, assemble_N, make_instance, validate
-from .velocity_solver import VelocitySolverConfig, solve_velocity
+from .force_solver import DEFAULT_F_MAX, solve_force
+from .model import GuardConditions, assemble_N, make_instance, validate
+from .subspace_linalg import DEFAULT_RANK_TOL
+from .velocity_solver import solve_velocity
 from .verifier import (
     VerificationReport,
     check_force_solution,
@@ -46,17 +48,7 @@ from .verifier import (
 SCHEMA_VERSION = 1
 
 SCENARIO_KEYS = {"schema", "scenario_type", "params", "solver"}
-# Schema-1 settings of the former iterative direction search, with their
-# types.  The directions now have a closed form, so these are type-checked
-# and otherwise ignored.
-IGNORED_SOLVER_KEYS = {
-    "num_starts": int,
-    "rng_seed": int,
-    "step_length": float,
-    "max_iters": int,
-    "convergence_tol": float,
-}
-SOLVER_KEYS = set(IGNORED_SOLVER_KEYS) | {"rank_tol", "f_max"}
+SOLVER_KEYS = {"rank_tol", "f_max"}
 TILTING_KEYS = {
     "edge_length",
     "mu_hand",
@@ -102,18 +94,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(4, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    scenario_path: Path
-    output_path: Path
-    num_starts: int | None = None
-    rng_seed: int | None = None
-    rank_tol: float | None = None
-    f_max: float | None = None
-    emit_csv: bool = False
-    verify: bool = False
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -125,7 +105,7 @@ def _load_scenario(path: Path) -> dict:
         raise ScenarioParseError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario must be a JSON object")
@@ -150,60 +130,61 @@ def _load_scenario(path: Path) -> dict:
     return doc
 
 
-def _configs(doc: dict, run: RunConfig):
-    solver = dict(doc.get("solver", {}))
-    if run.num_starts is not None:
-        solver["num_starts"] = run.num_starts
-    if run.rng_seed is not None:
-        solver["rng_seed"] = run.rng_seed
-    if run.rank_tol is not None:
-        solver["rank_tol"] = run.rank_tol
-    if run.f_max is not None:
-        solver["f_max"] = run.f_max
-    for key in ("rank_tol", "f_max"):
+def _solver_settings(doc: dict, args: argparse.Namespace) -> tuple[float, float]:
+    """rank_tol and f_max; a command-line flag wins over the scenario file."""
+    solver = doc.get("solver", {})
+    values = []
+    for key, default in (("rank_tol", DEFAULT_RANK_TOL), ("f_max", DEFAULT_F_MAX)):
+        value = getattr(args, key)
+        if value is None:
+            value = solver.get(key, default)
         # float() would take true as 1.0 and "1e-8" as a number.
-        if isinstance(solver.get(key), (bool, str)):
-            raise ScenarioParseError(f"bad solver settings: {key} {solver[key]!r} is not a number")
-    try:
-        for key, kind in IGNORED_SOLVER_KEYS.items():
-            if key in solver:
-                kind(solver[key])
-        vel = VelocitySolverConfig(rank_tol=float(solver.get("rank_tol", 1e-8)))
-        force = ForceSolverConfig(f_max=float(solver.get("f_max", 50.0)))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad solver settings: {exc}") from exc
-    if "num_starts" in solver and int(solver["num_starts"]) < 1:
-        raise ScenarioParseError(f"bad solver settings: num_starts {solver['num_starts']} < 1")
-    if not (math.isfinite(force.f_max) and force.f_max > 0.0):
-        raise ScenarioParseError(f"bad solver settings: f_max {force.f_max} must be finite and > 0")
-    if not 0.0 < vel.rank_tol < 1.0:  # also rejects nan
-        raise ScenarioParseError(f"bad solver settings: rank_tol {vel.rank_tol} must be in (0, 1)")
-    return vel, force
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ScenarioParseError(f"bad solver settings: {key} {value!r} is not a number")
+        try:
+            values.append(float(value))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ScenarioParseError(f"bad solver settings: {key}: {exc}") from exc
+    rank_tol, f_max = values
+    if not (math.isfinite(f_max) and f_max > 0.0):
+        raise ScenarioParseError(f"bad solver settings: f_max {f_max} must be finite and > 0")
+    if not 0.0 < rank_tol < 1.0:  # also rejects nan
+        raise ScenarioParseError(f"bad solver settings: rank_tol {rank_tol} must be in (0, 1)")
+    return rank_tol, f_max
 
 
 def _raw_instance(params: dict):
+    n_u = params.get("n_u")
+    if not isinstance(n_u, int) or isinstance(n_u, bool):
+        raise ScenarioParseError(f"bad raw instance: n_u {n_u!r} is not an integer")
+
+    def matrix(key):
+        M = np.asarray(params[key], dtype=float)
+        if M.ndim != 2:
+            raise ValueError(f"{key} must be a matrix, got shape {M.shape}")
+        return M
+
     try:
-        n_u = int(params["n_u"])
-        G = np.asarray(params["G"], dtype=float)
+        G = matrix("G")
         b_G = np.asarray(params["b_G"], dtype=float)
         F = np.asarray(params["F"], dtype=float)
         if "N" in params:
-            N = np.asarray(params["N"], dtype=float)
-            J_phi = np.asarray(params["J_phi"], dtype=float) if "J_phi" in params else None
-            Omega = np.asarray(params["Omega"], dtype=float) if "Omega" in params else None
+            N = matrix("N")
+            J_phi = matrix("J_phi") if "J_phi" in params else None
+            Omega = matrix("Omega") if "Omega" in params else None
         elif "J_phi" in params and "Omega" in params:
-            J_phi = np.asarray(params["J_phi"], dtype=float)
-            Omega = np.asarray(params["Omega"], dtype=float)
+            J_phi, Omega = matrix("J_phi"), matrix("Omega")
             N = assemble_N(J_phi, Omega)
         else:
             raise ScenarioParseError("raw instance needs N or both J_phi and Omega")
         instance = make_instance(n_u, N, G, b_G, F, J_phi=J_phi, Omega=Omega)
         w = instance.n_phi + instance.n
+        # Only an absent or empty guard block means no rows; any other keeps its shape.
         guard = GuardConditions(
-            Lambda=np.asarray(params.get("Lambda", np.zeros((0, w))), dtype=float).reshape(-1, w),
-            b_Lambda=np.asarray(params.get("b_Lambda", []), dtype=float).reshape(-1),
-            Gamma=np.asarray(params.get("Gamma", np.zeros((0, w))), dtype=float).reshape(-1, w),
-            b_Gamma=np.asarray(params.get("b_Gamma", []), dtype=float).reshape(-1),
+            Lambda=matrix("Lambda") if params.get("Lambda", []) != [] else np.zeros((0, w)),
+            b_Lambda=np.asarray(params.get("b_Lambda", []), dtype=float),
+            Gamma=matrix("Gamma") if params.get("Gamma", []) != [] else np.zeros((0, w)),
+            b_Gamma=np.asarray(params.get("b_Gamma", []), dtype=float),
         )
     except ScenarioParseError:
         raise
@@ -215,11 +196,11 @@ def _raw_instance(params: dict):
     return instance, guard
 
 
-def _solve_step(instance, guard, vel_cfg, force_cfg, verify: bool):
+def _solve_step(instance, guard, rank_tol: float, f_max: float, verify: bool):
     t0 = time.perf_counter()
-    vel = solve_velocity(instance, vel_cfg)
+    vel = solve_velocity(instance, rank_tol)
     t1 = time.perf_counter()
-    force = solve_force(instance, guard, vel.T, vel.n_av, force_cfg)
+    force = solve_force(instance, guard, vel.T, vel.n_av, f_max)
     t2 = time.perf_counter()
 
     force_check = check_force_solution(instance, guard, vel.T, force)
@@ -250,11 +231,12 @@ def _solve_step(instance, guard, vel_cfg, force_cfg, verify: bool):
     return record, timing
 
 
-def _write_outputs(doc_out: dict, timings: list[dict], run: RunConfig):
-    run.output_path.parent.mkdir(parents=True, exist_ok=True)
-    run.output_path.write_text(canonical_json(doc_out))
-    if run.emit_csv:
-        csv_path = run.output_path.with_suffix(".csv")
+def _write_outputs(doc_out: dict, timings: list[dict], args: argparse.Namespace):
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(canonical_json(doc_out))
+    if args.csv:
+        csv_path = out.with_suffix(".csv")
         with csv_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
@@ -284,14 +266,15 @@ def _write_outputs(doc_out: dict, timings: list[dict], run: RunConfig):
                 )
 
 
-def run_scenario(run: RunConfig) -> int:
+def run_scenario(args: argparse.Namespace) -> int:
+    """Solve every step of the scenario and write the outputs; return the exit code."""
     try:
-        doc = _load_scenario(run.scenario_path)
-        vel_cfg, force_cfg = _configs(doc, run)
+        doc = _load_scenario(Path(args.scenario))
+        rank_tol, f_max = _solver_settings(doc, args)
         if doc["scenario_type"] == "block_tilting":
             try:
                 scenario = tilting.TiltingScenario(**doc.get("params", {}))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioParseError(f"bad tilting params: {exc}") from exc
             steps = [
                 tilting.build_instance(state, scenario)
@@ -307,7 +290,7 @@ def run_scenario(run: RunConfig) -> int:
     timings: list[dict] = []
     for index, (instance, guard) in enumerate(steps, start=1):
         try:
-            record, timing = _solve_step(instance, guard, vel_cfg, force_cfg, run.verify)
+            record, timing = _solve_step(instance, guard, rank_tol, f_max, args.verify)
         except (InfeasibleDimensions, InconsistentGoal, EmptyBasis, SingularTransform) as exc:
             print(f"step {index}: {exc}", file=sys.stderr)
             return 2
@@ -321,16 +304,13 @@ def run_scenario(run: RunConfig) -> int:
     doc_out = {
         "schema": SCHEMA_VERSION,
         "scenario_type": doc["scenario_type"],
-        "solver": {
-            "rank_tol": vel_cfg.rank_tol,
-            "f_max": force_cfg.f_max,
-        },
+        "solver": {"rank_tol": rank_tol, "f_max": f_max},
         "steps": records,
         "all_verified": (
-            all(r["verification"]["passed"] for r in records) if run.verify else None
+            all(r["verification"]["passed"] for r in records) if args.verify else None
         ),
     }
-    _write_outputs(doc_out, timings, run)
+    _write_outputs(doc_out, timings, args)
     return 0
 
 
@@ -341,10 +321,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument("--seed", type=int, default=None, help="accepted for schema 1; no effect")
-    parser.add_argument("--starts", type=int, default=None, help="accepted for schema 1 (>= 1); no effect")
-    parser.add_argument("--rank-tol", type=float, default=None, help="override relative rank tolerance")
-    parser.add_argument("--f-max", type=float, default=None, help="override force command bound [N]")
+    parser.add_argument(
+        "--rank-tol", type=float, help=f"relative rank tolerance (default {DEFAULT_RANK_TOL:g})"
+    )
+    parser.add_argument(
+        "--f-max", type=float, help=f"force command bound [N] (default {DEFAULT_F_MAX:g})"
+    )
     parser.add_argument("--csv", action="store_true", help="also write a per-step timing CSV")
     parser.add_argument("--verify", action="store_true", help="run independent checks on every step")
     return parser
@@ -355,17 +337,7 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:  # --help (0) or a usage error (4)
         return exc.code
-    run = RunConfig(
-        scenario_path=Path(args.scenario),
-        output_path=Path(args.out),
-        num_starts=args.starts,
-        rng_seed=args.seed,
-        rank_tol=args.rank_tol,
-        f_max=args.f_max,
-        emit_csv=args.csv,
-        verify=args.verify,
-    )
-    return run_scenario(run)
+    return run_scenario(args)
 
 
 def main_entry() -> None:

@@ -66,11 +66,11 @@ from .model import GuardConditions, SystemInstance
 # Condition ceiling for the action-frame transform.
 MAX_T_CONDITION = 1e10
 
+# Default bound |eta_af| <= f_max on the force command [N].
+DEFAULT_F_MAX = 50.0
 
-@dataclass
-class ForceSolverConfig:
-    f_max: float = 50.0
-    feasibility_tol: float = 1e-9
+# Margins down to -FEASIBILITY_TOL still count as feasible.
+FEASIBILITY_TOL = 1e-9
 
 
 @dataclass
@@ -372,10 +372,9 @@ def solve_force(
     guard: GuardConditions,
     T: np.ndarray,
     n_av: int,
-    config: ForceSolverConfig | None = None,
+    f_max: float = DEFAULT_F_MAX,
 ) -> ForceSolution:
-    """Maximize the worst guard margin over the force command eta_af."""
-    cfg = config or ForceSolverConfig()
+    """Maximize the worst guard margin over the force command |eta_af| <= f_max."""
     assembly = assemble_newton(instance, guard, T, n_av)
     n_af, n_phi, n_u = assembly.n_af, assembly.n_phi, assembly.n_u
     f0, W = _free_force_map(assembly)
@@ -392,21 +391,21 @@ def solve_force(
     else:
         # No guard rows: let the box bounds define the margin.
         G_lp = np.vstack([np.eye(n_af), -np.eye(n_af)])
-        h_lp = np.full(2 * n_af, cfg.f_max)
+        h_lp = np.full(2 * n_af, f_max)
 
     if n_af:
-        eta_af, s = _max_margin(G_lp, h_lp, cfg.f_max)
+        eta_af, s = _max_margin(G_lp, h_lp, f_max)
     else:
         eta_af = np.zeros(0)
-        s = float(h_lp.min()) if h_lp.size else cfg.f_max
-    if s < -cfg.feasibility_tol:
+        s = float(h_lp.min()) if h_lp.size else f_max
+    if s < -FEASIBILITY_TOL:
         raise InfeasibleLP(
             f"best achievable guard margin is {s:.6e}", margin=s
         )
     effort_pass = "skipped"
     if n_af:
         act = slice(n_phi + n_u, None)
-        refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], eta_af, s, cfg.f_max)
+        refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], eta_af, s, f_max)
         if refined is None:
             effort_pass = "fell_back"
         else:

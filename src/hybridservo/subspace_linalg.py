@@ -48,7 +48,6 @@ class SubspaceBasis:
 
     basis: np.ndarray
     source_rank: int
-    tolerance_used: float
 
     @property
     def dim(self) -> int:
@@ -75,12 +74,11 @@ class Factorization:
     s: np.ndarray
     vh: np.ndarray
     rank: int
-    tolerance_used: float
 
     def null_space(self) -> SubspaceBasis:
         """Orthonormal basis of {v : M v = 0}; needs full_matrices=True."""
         basis = np.ascontiguousarray(self.vh[self.rank :].T)
-        return SubspaceBasis(basis, self.rank, self.tolerance_used)
+        return SubspaceBasis(basis, self.rank)
 
     def min_norm(self, B) -> np.ndarray:
         """Minimum-norm solution X of M X = B over the kept singular values.
@@ -116,9 +114,9 @@ def factor(M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True) -> 
     if M.size == 0:
         u = np.eye(r) if full_matrices else np.zeros((r, 0))
         vh = np.eye(c) if full_matrices else np.zeros((0, c))
-        return Factorization(M, u, np.zeros(0), vh, 0, rel_tol)
+        return Factorization(M, u, np.zeros(0), vh, 0)
     u, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
-    return Factorization(M, u, s, vh, _rank(s, rel_tol), rel_tol)
+    return Factorization(M, u, s, vh, _rank(s, rel_tol))
 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -40,11 +40,6 @@ from .subspace_linalg import SubspaceBasis
 
 
 @dataclass
-class VelocitySolverConfig:
-    rank_tol: float = sla.DEFAULT_RANK_TOL
-
-
-@dataclass
 class VelocitySolution:
     """Velocity commands plus the action-frame transform they induce.
 
@@ -59,10 +54,6 @@ class VelocitySolution:
     R_a: np.ndarray
     n_av: int
     cost: float
-
-    @property
-    def w_av(self) -> np.ndarray:
-        return self.b_C
 
 
 def compute_dimensions(N, G, rel_tol: float = sla.DEFAULT_RANK_TOL):
@@ -177,20 +168,22 @@ def optimal_directions(A: np.ndarray, n_av: int) -> np.ndarray:
     return K
 
 
-def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None = None) -> VelocitySolution:
+def solve_velocity(
+    instance: SystemInstance, rank_tol: float = sla.DEFAULT_RANK_TOL
+) -> VelocitySolution:
     """Pick velocity-controlled directions and magnitudes for one instance.
 
-    Each row of C is signed so that its command value b_C_i is >= 0; a row
-    with b_C_i == 0 gets a positive first nonzero entry.  Raises
+    Every rank decision uses the relative tolerance rank_tol.  Each row of
+    C is signed so that its command value b_C_i is >= 0; a row with
+    b_C_i == 0 gets a positive first nonzero entry.  Raises
     SingularTransform when the rows do not pin the goal down
     (rank [N; C] != rank [N; G]) or do not span n_av actuated axes.
     """
-    cfg = config or VelocitySolverConfig()
     N, G = instance.N, instance.G
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
     # One SVD each of N and [N; G] serves every rank, null space and v_star.
-    f_N = sla.factor(N, cfg.rank_tol)
-    f_NG = sla.factor(np.concatenate([N, G]), cfg.rank_tol)
+    f_N = sla.factor(N, rank_tol)
+    f_NG = sla.factor(np.concatenate([N, G]), rank_tol)
     r_N, r_NG = f_N.rank, f_NG.rank
     n_av = r_NG - r_N
     if not check_feasibility(n, n_a, r_N):
@@ -215,7 +208,7 @@ def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None
             cost=0.0,
         )
 
-    B_c = _candidate_basis(f_NG.null_space(), n_u, n_av, cfg.rank_tol)
+    B_c = _candidate_basis(f_NG.null_space(), n_u, n_av, rank_tol)
     NullN = f_N.null_space()
     k = optimal_directions(NullN.basis.T @ B_c, n_av)
     C = (B_c @ k).T
@@ -225,10 +218,10 @@ def solve_velocity(instance: SystemInstance, config: VelocitySolverConfig | None
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]
-    null_rc = sla.null_space_basis(R_C, cfg.rank_tol)
+    null_rc = sla.null_space_basis(R_C, rank_tol)
     if (
         null_rc.basis.shape[1] != n_a - n_av
-        or sla.numerical_rank(np.concatenate([N, C]), cfg.rank_tol) != r_NG
+        or sla.numerical_rank(np.concatenate([N, C]), rank_tol) != r_NG
     ):
         raise SingularTransform(
             "command rows are not independent modulo the constraints"

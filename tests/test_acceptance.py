@@ -20,14 +20,12 @@ from hybridservo import block_tilting as tilting
 from hybridservo.cli import main
 from hybridservo.errors import InfeasibleLP
 from hybridservo.force_solver import (
-    ForceSolverConfig,
     assemble_newton,
     solve_force,
     solve_kkt,
 )
 from hybridservo.subspace_linalg import null_space_basis
 from hybridservo.velocity_solver import (
-    VelocitySolverConfig,
     candidate_basis,
     compute_dimensions,
     solve_velocity,
@@ -51,13 +49,11 @@ def _report(number: int, ok: bool, detail: str) -> None:
 def default_run():
     """All 15 steps of the default scenario solved once with default settings."""
     scenario = tilting.TiltingScenario()
-    vel_cfg = VelocitySolverConfig()
-    force_cfg = ForceSolverConfig()
     steps = []
     for state in tilting.rollout_states(scenario):
         instance, guard = tilting.build_instance(state, scenario)
-        vel = solve_velocity(instance, vel_cfg)
-        force = solve_force(instance, guard, vel.T, vel.n_av, force_cfg)
+        vel = solve_velocity(instance)
+        force = solve_force(instance, guard, vel.T, vel.n_av)
         steps.append((state, instance, guard, vel, force))
     return scenario, steps
 
@@ -65,14 +61,13 @@ def default_run():
 def test_criterion_1_single_velocity_dimension():
     scenario = tilting.TiltingScenario()
     states = tilting.rollout_states(scenario)
-    cfg = VelocitySolverConfig()
     start = time.perf_counter()
     dims = []
     commands = []
     for _ in range(10):
         for state in states:
             instance, _ = tilting.build_instance(state, scenario)
-            vel = solve_velocity(instance, cfg)
+            vel = solve_velocity(instance)
             dims.append(vel.n_av)
             commands.append(vel.C)
     elapsed = time.perf_counter() - start
@@ -195,7 +190,7 @@ def test_criterion_6_lp_margin_vs_grid_oracle():
         )
         state = tilting.rollout_states(scenario)[int(rng.integers(15))]
         instance, guard = tilting.build_instance(state, scenario)
-        vel = solve_velocity(instance, VelocitySolverConfig())
+        vel = solve_velocity(instance)
         try:
             lp_margin = solve_force(instance, guard, vel.T, vel.n_av).objective_margin
         except InfeasibleLP as exc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,11 +108,10 @@ def test_raw_instance_roundtrip(tmp_path):
 
 
 def test_solver_overrides_reach_output(tmp_path):
-    # Schema-1 search settings (num_starts, rng_seed) still parse and are not echoed.
-    solver = {"f_max": 25.0, "rank_tol": 1e-9, "num_starts": 3, "rng_seed": 7}
+    solver = {"f_max": 25.0, "rank_tol": 1e-9}
     scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
     out = tmp_path / "out.json"
-    args = ["--scenario", scenario, "--out", str(out), "--f-max", "10.0", "--seed", "3"]
+    args = ["--scenario", scenario, "--out", str(out), "--f-max", "10.0"]
     assert main(args) == 0
     doc = json.loads(out.read_text())
     # Command line wins over the scenario file; untouched keys pass through.
@@ -119,15 +119,20 @@ def test_solver_overrides_reach_output(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "solver, flags",
-    [({}, ["--starts", "0"]), ({"num_starts": 0}, []), ({"max_iters": "many"}, [])],
+    "solver, flags, message",
+    [
+        ({}, ["--starts", "0"], "unrecognized arguments: --starts 0"),
+        ({"num_starts": 0}, [], "unknown solver keys"),
+        ({"max_iters": "many"}, [], "unknown solver keys"),
+    ],
     ids=["starts-flag-0", "num-starts-0", "max-iters-string"],
 )
-def test_bad_search_settings_are_parse_errors(tmp_path, capsys, solver, flags):
+def test_bad_search_settings_are_parse_errors(tmp_path, capsys, solver, flags, message):
+    # The schema-1 direction-search settings are gone: usage or unknown-key errors.
     scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
     out = tmp_path / "o.json"
     assert main(["--scenario", scenario, "--out", str(out), *flags]) == 4
-    assert "bad solver settings" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -277,7 +282,7 @@ def test_force_infeasible_returns_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--scenario", "s.json", "--out", "o.json", "--starts", "abc"],
+        ["--scenario", "s.json", "--out", "o.json", "--f-max", "abc"],
         ["--scenario", "s.json"],
         ["--out", "o.json"],
     ],
@@ -335,3 +340,48 @@ def test_step_records_report_effort_pass(tmp_path):
     raw = _write_scenario(tmp_path / "raw.json", _raw_doc(_supported_object_params()))
     assert main(["--scenario", raw, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["steps"][0]["effort_pass"] == "skipped"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _tilting_doc(params={"num_steps": 2.5}),
+        _tilting_doc(params={"num_steps": 0}),
+        _tilting_doc(params={"num_steps": True}),
+        _tilting_doc(params={"rotation_axis": [0, 0, 1]}),
+        _tilting_doc(params={"rotation_axis": [0, 0, 0]}),
+        _tilting_doc(params={"mu_hand": "0.8"}),
+        _tilting_doc(params={"tilt_rate": float("nan")}),
+        _tilting_doc(params={"gravity_object": [0, 0, None]}),
+        _raw_doc({**_supported_object_params(), "n_u": 1.7}),
+        _raw_doc({**_supported_object_params(), "n_u": True}),
+        _raw_doc({**_supported_object_params(), "n_u": "1"}),
+        _raw_doc(
+            {**_supported_object_params(), "Lambda": [[-1, 0, 0, 0, 0, 0]], "b_Lambda": [0, 0]}
+        ),
+        _raw_doc({**_supported_object_params(), "N": 5}),
+        _raw_doc({**_supported_object_params(), "G": 5}),
+    ],
+    ids=[
+        "num-steps-float", "num-steps-0", "num-steps-true", "axis-vertical", "axis-zero",
+        "mu-string", "tilt-rate-nan", "gravity-null", "n-u-float", "n-u-true", "n-u-string",
+        "lambda-wrong-width", "n-scalar", "g-scalar",
+    ],
+)
+def test_bad_scenario_params_return_4(tmp_path, capsys, doc):
+    scenario = _write_scenario(tmp_path / "scenario.json", doc)
+    out = tmp_path / "o.json"
+    assert main(["--scenario", scenario, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_names_every_setting():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("\n```\nhybridservo ", 1)[1].split("```", 1)[0]
+    options = {s for a in cli.make_parser()._actions for s in a.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z-]+", synopsis)) == options
+    sentence = re.search(r"The `solver` block takes (.*?)\.\s", readme, re.S).group(1)
+    assert set(re.findall(r"`([a-z_]+)`", sentence)) == cli.SOLVER_KEYS

@@ -16,7 +16,6 @@ from hybridservo import cli, force_solver
 from hybridservo import subspace_linalg as sla
 from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
 from hybridservo.force_solver import (
-    ForceSolverConfig,
     assemble_newton,
     build_kkt,
     solve_force,
@@ -181,7 +180,7 @@ def test_rank_deficient_equalities_raise():
 
 def test_config_f_max_changes_box():
     inst, guard = _wall_press([(-1.0, -1.0)])
-    sol = solve_force(inst, guard, np.eye(1), n_av=0, config=ForceSolverConfig(f_max=10.0))
+    sol = solve_force(inst, guard, np.eye(1), n_av=0, f_max=10.0)
     assert sol.lam[0] == pytest.approx(10.0, abs=1e-6)
     assert sol.objective_margin == pytest.approx(9.0, abs=1e-6)
 

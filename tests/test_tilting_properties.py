@@ -1,0 +1,93 @@
+"""Whole-pipeline properties over tilting steps: row order and a long sweep."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hybridservo import block_tilting as tilting
+from hybridservo.errors import InfeasibleLP
+from hybridservo.force_solver import solve_force
+from hybridservo.velocity_solver import solve_velocity
+from hybridservo.verifier import check_force_solution, check_velocity_solution
+
+
+def _outcome(instance, guard):
+    """(n_av, margin, verifier verdicts), verdicts None when the force LP is infeasible."""
+    vel = solve_velocity(instance)
+    try:
+        force = solve_force(instance, guard, vel.T, vel.n_av)
+    except InfeasibleLP as exc:
+        return vel.n_av, exc.margin, None
+    verdicts = (
+        check_velocity_solution(instance, vel).passed,
+        check_force_solution(instance, guard, vel.T, force).passed,
+    )
+    return vel.n_av, force.objective_margin, verdicts
+
+
+def _permuted(instance, guard, rng):
+    """Reorder the rows of N (with J_phi and the lambda columns), G and Lambda."""
+    n_phi = instance.n_phi
+    p_n = rng.permutation(n_phi)
+    p_g = rng.permutation(instance.G.shape[0])
+    p_l = rng.permutation(guard.n_ineq)
+    cols = np.concatenate([p_n, n_phi + np.arange(instance.n)])
+    instance = dataclasses.replace(
+        instance,
+        N=instance.N[p_n],
+        J_phi=instance.J_phi[p_n],
+        G=instance.G[p_g],
+        b_G=instance.b_G[p_g],
+    )
+    guard = dataclasses.replace(
+        guard,
+        Lambda=guard.Lambda[p_l][:, cols],
+        b_Lambda=guard.b_Lambda[p_l],
+        Gamma=guard.Gamma[:, cols],
+    )
+    return instance, guard
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu_hand=st.floats(0.4, 1.2),
+    mu_table=st.floats(0.4, 1.2),
+    step=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_order_does_not_change_the_step(mu_hand, mu_table, step, seed):
+    scenario = tilting.TiltingScenario(mu_hand=mu_hand, mu_table=mu_table)
+    instance, guard = tilting.build_instance(tilting.rollout_states(scenario)[step], scenario)
+    n_av, margin, verdicts = _outcome(instance, guard)
+    permuted = _permuted(instance, guard, np.random.default_rng(seed))
+    n_av_p, margin_p, verdicts_p = _outcome(*permuted)
+    assert n_av_p == n_av
+    assert verdicts_p == verdicts  # also: both solved, or both infeasible
+    assert abs(margin_p - margin) <= 1e-9 * max(1.0, abs(margin))
+
+
+def test_ninety_step_sweep_solves_or_reports_a_negative_margin():
+    # One degree per step through a quarter turn.  Each step solves and
+    # verifies, or its force LP is infeasible with a finite negative margin.
+    splits = {}
+    for mu in (0.3, 0.5, 0.8, 1.2, 1.5):
+        scenario = tilting.TiltingScenario(
+            mu_hand=mu, mu_table=mu, num_steps=90, tilt_rate=math.pi / 180.0
+        )
+        solved = 0
+        for state in tilting.rollout_states(scenario):
+            _, margin, verdicts = _outcome(*tilting.build_instance(state, scenario))
+            if verdicts is None:
+                assert math.isfinite(margin) and margin < 0.0
+            else:
+                assert verdicts == (True, True)
+                solved += 1
+        splits[mu] = (solved, 90 - solved)
+    print(f"90-step sweep (solved, infeasible) per mu: {splits}")
+    # With enough friction the whole quarter turn is feasible.
+    assert splits[0.8] == splits[1.2] == splits[1.5] == (90, 0)
