@@ -25,6 +25,10 @@ for eight unit ridge directions d_i in the plane of the contact.  The hand
 cone is fixed in the object frame (the face normal tilts with the object),
 so the hand reaction is rotated into O before the cone rows apply; the
 table cones live directly in W.
+
+The table contact points are material points of the object, so their
+coordinates in O are fixed per scenario: TiltingScenario computes them once
+from the initial pose, and each step's instance reads them from there.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GuardConditions, SystemInstance, assemble_N
+from .model import GuardConditions, SystemInstance, assemble_N, real_array
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -54,10 +58,17 @@ def skew(p: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def cross(a, b) -> np.ndarray:
+    """a x b for two 3-vectors: np.cross's arithmetic without its axis handling."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aw, av = a[0], a[1:]
     bw, bv = b[0], b[1:]
-    return np.concatenate([[aw * bw - av @ bv], aw * bv + bw * av + np.cross(av, bv)])
+    return np.concatenate([[aw * bw - av @ bv], aw * bv + bw * av + cross(av, bv)])
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -85,12 +96,21 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
 
 
 def rotation_point_derivative(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """d(R(q) p)/dq as a 3 x 4 matrix, for the homogeneous R above."""
-    w, v = q[0], q[1:]
-    p = np.asarray(p, dtype=float)
-    col0 = 2.0 * (w * p + np.cross(v, p))
-    block = 2.0 * ((v @ p) * np.eye(3) + np.outer(v, p) - np.outer(p, v) - w * skew(p))
-    return np.hstack([col0[:, None], block])
+    """d(R(q) p)/dq as a 3 x 4 matrix, for the homogeneous R above.
+
+    With q = (w, v) the columns are 2 (w p + v x p) for w and
+    2 ((v . p) I + v p^T - p v^T - w [p]_x) for v, written out entry by entry.
+    """
+    w, x, y, z = map(float, q)
+    a, b, c = map(float, p)
+    d = x * a + y * b + z * c
+    return 2.0 * np.array(
+        [
+            [w * a + (y * c - z * b), d, (x * b - a * y) + w * c, (x * c - a * z) - w * b],
+            [w * b + (z * a - x * c), (y * a - b * x) - w * c, d, (y * c - b * z) + w * a],
+            [w * c + (x * b - y * a), (z * a - c * x) + w * b, (z * b - c * y) - w * a, d],
+        ]
+    )
 
 
 def quat_rate_map(q: np.ndarray) -> np.ndarray:
@@ -121,6 +141,8 @@ class TiltingScenario:
     construction: hand contact at the center of the top face, table contacts
     at the ends of an edge centered on the world origin, rotation axis along
     that edge pointing so positive tilt lifts the far side of the block.
+    Once the inputs are checked, table_contacts_obj holds the table contact
+    points in O, fixed by the initial pose.
     """
 
     edge_length: float = 0.075
@@ -135,10 +157,17 @@ class TiltingScenario:
     tilt_rate: float = math.pi / 30.0
     num_steps: int = 15
     step_duration: float = 1.0
+    table_contacts_obj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("edge_length", "mu_hand", "mu_table", "n_min", "tilt_rate", "step_duration"):
             setattr(self, name, _finite_reals(name, getattr(self, name)))
+        for name in ("edge_length", "step_duration"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("mu_hand", "mu_table", "n_min"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         steps = self.num_steps
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValueError(f"num_steps must be an integer >= 1, got {steps!r}")
@@ -164,18 +193,15 @@ class TiltingScenario:
         if not norm > 0.0 or abs(axis[2]) > 1e-9 * norm:
             raise ValueError(f"rotation_axis must be horizontal and nonzero, got {axis.tolist()}")
         self.rotation_axis = axis / norm
+        self.table_contacts_obj = self.table_contacts - initial_state(self).object_pose.p
 
 
 def _finite_reals(name: str, value, shape=None):
-    """value as a finite float (shape None) or a float array of that shape.
-
-    Booleans, strings and nulls are refused, although float() and numpy
-    would quietly turn them into numbers or nan.
-    """
-    items = [value] if shape is None else np.asarray(value, dtype=object).reshape(-1)
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
-        raise ValueError(f"{name} must hold real numbers, got {value!r}")
-    out = float(value) if shape is None else np.asarray(value, dtype=float).reshape(shape)
+    """value as a finite float (shape None) or a float array of that shape."""
+    out = real_array(name, value)
+    if shape is None and out.ndim:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    out = float(out) if shape is None else out.reshape(shape)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
     return out
@@ -195,7 +221,7 @@ class TiltingState:
 
 def initial_state(scenario: TiltingScenario) -> TiltingState:
     """Block resting flat against the contact edge, object frame world aligned."""
-    block_dir = np.cross(Z_AXIS, scenario.rotation_axis)
+    block_dir = cross(Z_AXIS, scenario.rotation_axis)
     block_dir = block_dir / np.linalg.norm(block_dir)
     half = 0.5 * scenario.edge_length
     edge_mid = scenario.table_contacts.mean(axis=0)
@@ -207,8 +233,7 @@ def initial_state(scenario: TiltingScenario) -> TiltingState:
 
 def table_contacts_object_frame(scenario: TiltingScenario) -> np.ndarray:
     """Table contact points in O, fixed once the initial pose is fixed."""
-    p0 = initial_state(scenario).object_pose.p
-    return scenario.table_contacts - p0
+    return scenario.table_contacts_obj
 
 
 def state_vector(state: TiltingState) -> np.ndarray:
@@ -217,11 +242,13 @@ def state_vector(state: TiltingState) -> np.ndarray:
 
 def omega_map(state: TiltingState) -> np.ndarray:
     """Map v = [xi_O; v_H] to q_dot: block diag of R_WO, E(q), identity."""
-    R = quat_to_rotation(state.object_pose.quat)
-    E = quat_rate_map(state.object_pose.quat)
+    return _omega_map(state, quat_to_rotation(state.object_pose.quat))
+
+
+def _omega_map(state: TiltingState, R: np.ndarray) -> np.ndarray:
     Omega = np.zeros((10, 9))
     Omega[:3, :3] = R
-    Omega[3:7, 3:6] = E
+    Omega[3:7, 3:6] = quat_rate_map(state.object_pose.quat)
     Omega[7:, 6:] = np.eye(3)
     return Omega
 
@@ -233,10 +260,13 @@ def goal_twist(state: TiltingState, scenario: TiltingScenario):
     rate.  The spatial twist of that motion is mapped to the body frame of
     the current pose, and G selects the (unactuated) object twist.
     """
-    R = quat_to_rotation(state.object_pose.quat)
+    return _goal_twist(state, scenario, quat_to_rotation(state.object_pose.quat))
+
+
+def _goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     p = state.object_pose.p
     omega_s = scenario.rotation_axis * scenario.tilt_rate
-    v_s = -np.cross(scenario.rotation_axis, scenario.table_contacts[0]) * scenario.tilt_rate
+    v_s = -cross(scenario.rotation_axis, scenario.table_contacts[0]) * scenario.tilt_rate
     v_b = R.T @ v_s - R.T @ skew(p) @ omega_s
     omega_b = R.T @ omega_s
     G = np.hstack([np.eye(6), np.zeros((6, 3))])
@@ -246,7 +276,7 @@ def goal_twist(state: TiltingState, scenario: TiltingScenario):
 def hand_arc_velocity(state: TiltingState, scenario: TiltingScenario) -> np.ndarray:
     """Planned world-frame hand velocity: circular arc about the contact edge."""
     r = state.hand_position - scenario.table_contacts[0]
-    return scenario.tilt_rate * np.cross(scenario.rotation_axis, r)
+    return scenario.tilt_rate * cross(scenario.rotation_axis, r)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +313,6 @@ def constraint_jacobian(q: np.ndarray, hand_contact_obj, table_contacts_obj) -> 
     return J
 
 
-def holonomic_jacobian(state: TiltingState, scenario: TiltingScenario):
-    """Constraint residual and Jacobian at a state; residual is zero on plan."""
-    q = state_vector(state)
-    contacts_obj = table_contacts_object_frame(scenario)
-    phi = constraint_value(q, scenario.hand_contact_obj, contacts_obj, scenario.table_contacts)
-    J = constraint_jacobian(q, scenario.hand_contact_obj, contacts_obj)
-    return phi, J
-
-
 # ---------------------------------------------------------------------------
 # Guard conditions.
 
@@ -303,7 +324,10 @@ def guard_conditions(state: TiltingState, scenario: TiltingScenario) -> GuardCon
     object, W)].  24 cone rows come first (8 ridges per contact), then the
     three normal lower bounds.  No guard equalities.
     """
-    R_wo = quat_to_rotation(state.object_pose.quat)
+    return _guard_conditions(scenario, quat_to_rotation(state.object_pose.quat))
+
+
+def _guard_conditions(scenario: TiltingScenario, R_wo: np.ndarray) -> GuardConditions:
     to_object = R_wo.T
     n_cols = 9 + 9
     Lambda = np.zeros((27, n_cols))
@@ -324,19 +348,25 @@ def guard_conditions(state: TiltingState, scenario: TiltingScenario) -> GuardCon
 
 
 def build_instance(state: TiltingState, scenario: TiltingScenario):
-    """System instance plus guard conditions for one step of the plan."""
-    _, J_phi = holonomic_jacobian(state, scenario)
-    Omega = omega_map(state)
-    N = assemble_N(J_phi, Omega)
-    G, b_G = goal_twist(state, scenario)
+    """System instance plus guard conditions for one step of the plan.
+
+    The constraint residual is zero on the plan, so only its Jacobian is
+    built.
+    """
     R_wo = quat_to_rotation(state.object_pose.quat)
+    J_phi = constraint_jacobian(
+        state_vector(state), scenario.hand_contact_obj, scenario.table_contacts_obj
+    )
+    Omega = _omega_map(state, R_wo)
+    N = assemble_N(J_phi, Omega)
+    G, b_G = _goal_twist(state, scenario, R_wo)
     # Object gravity as a body wrench; the object frame sits at the center
     # of mass, so the torque part vanishes.
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
     instance = SystemInstance(
         n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F, J_phi=J_phi, Omega=Omega
     )
-    return instance, guard_conditions(state, scenario)
+    return instance, _guard_conditions(scenario, R_wo)
 
 
 def advance_state(state: TiltingState, scenario: TiltingScenario, dt: float) -> TiltingState:

@@ -36,7 +36,7 @@ from .errors import (
     SingularTransform,
 )
 from .force_solver import DEFAULT_F_MAX, solve_force
-from .model import GuardConditions, assemble_N, make_instance, validate
+from .model import GuardConditions, assemble_N, make_instance, real_array, validate
 from .subspace_linalg import DEFAULT_RANK_TOL
 from .velocity_solver import solve_velocity
 from .verifier import (
@@ -158,16 +158,22 @@ def _raw_instance(params: dict):
     if not isinstance(n_u, int) or isinstance(n_u, bool):
         raise ScenarioParseError(f"bad raw instance: n_u {n_u!r} is not an integer")
 
+    # Entries must be numbers and every array keeps its given shape:
+    # make_instance would flatten a nested F or a scalar b_G.
+    def array(key, value, ndim):
+        A = real_array(key, value)
+        if A.ndim != ndim:
+            kind = "a matrix" if ndim == 2 else "a vector"
+            raise ValueError(f"{key} must be {kind}, got shape {A.shape}")
+        return A
+
     def matrix(key):
-        M = np.asarray(params[key], dtype=float)
-        if M.ndim != 2:
-            raise ValueError(f"{key} must be a matrix, got shape {M.shape}")
-        return M
+        return array(key, params[key], 2)
 
     try:
         G = matrix("G")
-        b_G = np.asarray(params["b_G"], dtype=float)
-        F = np.asarray(params["F"], dtype=float)
+        b_G = array("b_G", params["b_G"], 1)
+        F = array("F", params["F"], 1)
         if "N" in params:
             N = matrix("N")
             J_phi = matrix("J_phi") if "J_phi" in params else None
@@ -182,13 +188,13 @@ def _raw_instance(params: dict):
         # Only an absent or empty guard block means no rows; any other keeps its shape.
         guard = GuardConditions(
             Lambda=matrix("Lambda") if params.get("Lambda", []) != [] else np.zeros((0, w)),
-            b_Lambda=np.asarray(params.get("b_Lambda", []), dtype=float),
+            b_Lambda=array("b_Lambda", params.get("b_Lambda", []), 1),
             Gamma=matrix("Gamma") if params.get("Gamma", []) != [] else np.zeros((0, w)),
-            b_Gamma=np.asarray(params.get("b_Gamma", []), dtype=float),
+            b_Gamma=array("b_Gamma", params.get("b_Gamma", []), 1),
         )
     except ScenarioParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"bad raw instance: {exc}") from exc
     problems = validate(instance, guard)
     if problems:

@@ -13,6 +13,7 @@ owned by whichever scenario builder produced the guard rows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,18 @@ def make_instance(n_u, N, G, b_G, F, J_phi=None, Omega=None) -> SystemInstance:
         J_phi=None if J_phi is None else np.asarray(J_phi, dtype=float),
         Omega=None if Omega is None else np.asarray(Omega, dtype=float),
     )
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float array of its own shape, entry by entry a real number.
+
+    Booleans, strings and nulls are refused, although np.asarray(value,
+    dtype=float) would quietly turn them into numbers or nan.
+    """
+    items = np.asarray(value, dtype=object)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items.flat):
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    return items.astype(float)
 
 
 def assemble_N(J_phi, Omega) -> np.ndarray:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import tilting_reference
+from hybridservo import block_tilting as tilting
 from hybridservo.block_tilting import (
     RIDGE_DIRECTIONS,
     Z_AXIS,
@@ -287,3 +291,56 @@ def test_gravity_wrench_in_body_frame():
     assert np.allclose(inst.F[:3], R.T @ sc.gravity_object)
     assert np.allclose(inst.F[3:6], 0.0)
     assert np.allclose(inst.F[6:], sc.gravity_hand)
+
+
+INSTANCE_ARRAYS = ("N", "G", "b_G", "F", "J_phi", "Omega")
+GUARD_ARRAYS = ("Lambda", "b_Lambda", "Gamma", "b_Gamma")
+
+
+def test_build_instance_matches_the_cross_product_reference():
+    # Every step of the default scenario and of 20 scenarios drawn from the
+    # ranges of acceptance criterion 6.
+    rng = np.random.default_rng(12)
+    scenarios = [TiltingScenario()] + [
+        TiltingScenario(
+            edge_length=float(rng.uniform(0.05, 0.12)),
+            mu_hand=float(rng.uniform(0.6, 1.2)),
+            mu_table=float(rng.uniform(0.6, 1.2)),
+            gravity_object=np.array([0.0, 0.0, -float(rng.uniform(1.0, 5.0))]),
+        )
+        for _ in range(20)
+    ]
+    worst = 0.0
+    for sc in scenarios:
+        for st in rollout_states(sc):
+            inst, guard = build_instance(st, sc)
+            ref_inst, ref_guard = tilting_reference.build_instance(st, sc)
+            assert (inst.n_u, inst.n_a) == (ref_inst.n_u, ref_inst.n_a)
+            pairs = [(getattr(inst, k), getattr(ref_inst, k)) for k in INSTANCE_ARRAYS]
+            pairs += [(getattr(guard, k), getattr(ref_guard, k)) for k in GUARD_ARRAYS]
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                if got.size:
+                    diff = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+                    worst = max(worst, float(diff.max()))
+    print(f"worst difference from the reference: {worst:.1e} max(1, |x|)")
+    assert worst <= 1e-15
+
+
+def test_build_instance_does_no_cross_products_or_initial_state(monkeypatch):
+    sc = TiltingScenario()
+    st = rollout_states(sc)[3]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "cross", counted("np.cross", np.cross))
+    for name in ("initial_state", "quat_to_rotation"):
+        monkeypatch.setattr(tilting, name, counted(name, getattr(tilting, name)))
+    build_instance(st, sc)
+    assert calls == {"quat_to_rotation": 1}

@@ -361,11 +361,25 @@ def test_step_records_report_effort_pass(tmp_path):
         ),
         _raw_doc({**_supported_object_params(), "N": 5}),
         _raw_doc({**_supported_object_params(), "G": 5}),
+        _tilting_doc(params={"edge_length": -0.1}),
+        _tilting_doc(params={"step_duration": 0}),
+        _tilting_doc(params={"n_min": -1}),
+        _tilting_doc(params={"mu_hand": -0.5}),
+        _raw_doc({**_supported_object_params(), "N": [["1", "-1"]]}),
+        _raw_doc({**_supported_object_params(), "G": [[True, 0]]}),
+        _raw_doc({**_supported_object_params(), "b_G": [None]}),
+        _raw_doc({**_supported_object_params(), "F": [[-2.45, 0.0]]}),
+        _raw_doc({**_supported_object_params(), "b_G": 0.1}),
+        _raw_doc({**_supported_object_params(), "b_Lambda": -0.5}),
+        _raw_doc({**_supported_object_params(), "Gamma": [[0, 1, 0]], "b_Gamma": 0}),
+        _raw_doc({**_supported_object_params(), "N": [[10**400, -1]]}),
     ],
     ids=[
         "num-steps-float", "num-steps-0", "num-steps-true", "axis-vertical", "axis-zero",
         "mu-string", "tilt-rate-nan", "gravity-null", "n-u-float", "n-u-true", "n-u-string",
-        "lambda-wrong-width", "n-scalar", "g-scalar",
+        "lambda-wrong-width", "n-scalar", "g-scalar", "edge-negative", "step-duration-0",
+        "n-min-negative", "mu-negative", "n-strings", "g-bool", "b-g-null", "f-matrix",
+        "b-g-scalar", "b-lambda-scalar", "b-gamma-scalar", "n-int-overflow",
     ],
 )
 def test_bad_scenario_params_return_4(tmp_path, capsys, doc):
