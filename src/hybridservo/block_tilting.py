@@ -43,6 +43,18 @@ from .model import GuardConditions, SystemInstance, assemble_N, real_array
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Constant blocks of every step's matrices, built once and shared read-only.
+_EYE3 = _read_only(np.eye(3))
+_MINUS_EYE3 = _read_only(-np.eye(3))
+# The goal rows select the object twist from v = [xi_O; v_H].
+_GOAL_SELECTOR = _read_only(np.hstack([np.eye(6), np.zeros((6, 3))]))
+
 # Unit ridge directions of the eight-sided friction pyramids.
 RIDGE_DIRECTIONS = np.array(
     [[math.sin(math.pi * i / 4.0), math.cos(math.pi * i / 4.0), 0.0] for i in range(1, 9)]
@@ -249,7 +261,7 @@ def _omega_map(state: TiltingState, R: np.ndarray) -> np.ndarray:
     Omega = np.zeros((10, 9))
     Omega[:3, :3] = R
     Omega[3:7, 3:6] = quat_rate_map(state.object_pose.quat)
-    Omega[7:, 6:] = np.eye(3)
+    Omega[7:, 6:] = _EYE3
     return Omega
 
 
@@ -269,8 +281,7 @@ def _goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     v_s = -cross(scenario.rotation_axis, scenario.table_contacts[0]) * scenario.tilt_rate
     v_b = R.T @ v_s - R.T @ skew(p) @ omega_s
     omega_b = R.T @ omega_s
-    G = np.hstack([np.eye(6), np.zeros((6, 3))])
-    return G, np.concatenate([v_b, omega_b])
+    return _GOAL_SELECTOR, np.concatenate([v_b, omega_b])
 
 
 def hand_arc_velocity(state: TiltingState, scenario: TiltingScenario) -> np.ndarray:
@@ -303,12 +314,12 @@ def constraint_jacobian(q: np.ndarray, hand_contact_obj, table_contacts_obj) -> 
     """Partial derivative of constraint_value with respect to all ten coordinates."""
     quat = q[3:7]
     J = np.zeros((9, 10))
-    J[:3, :3] = -np.eye(3)
+    J[:3, :3] = _MINUS_EYE3
     J[:3, 3:7] = -rotation_point_derivative(quat, hand_contact_obj)
-    J[:3, 7:] = np.eye(3)
+    J[:3, 7:] = _EYE3
     for i, p_obj in enumerate(table_contacts_obj):
         r = slice(3 + 3 * i, 6 + 3 * i)
-        J[r, :3] = np.eye(3)
+        J[r, :3] = _EYE3
         J[r, 3:7] = rotation_point_derivative(quat, p_obj)
     return J
 

@@ -33,21 +33,20 @@ f_max without guard rows.
 
 The margin optimum can be degenerate (several commands achieve the same
 worst margin), so phase 2 picks, among the margin-maximal commands, the one
-of least actuator effort: it minimizes sum t over [eta_af; t] with the
-margin pinned on the right-hand side, G eta_af <= h - s_target, and
--t <= f_act(eta_af) <= t for the actuated force in the original
-coordinates.  That keeps the result deterministic and free of gratuitous
-force components.  ForceSolution.effort_pass records whether phase 2 was
-skipped (n_af = 0), refined the command, or fell back to the phase-1
-vertex because it did not succeed.
+of least actuator effort sum e, -e <= f_act(eta_af) <= e for the actuated
+force in the original coordinates: the exact lexicographic optimum
+(Isermann, Linear lexicographic optimization, OR Spektrum 4, 1982), which
+is deterministic and free of gratuitous force components.  effort_pass
+records whether phase 2 was skipped (n_af = 0), found the optimum unique
+(no LP), refined the command, or fell back to the phase-1 vertex.
 
-Both LPs are tiny (3 and 7 variables besides the slacks on tilting), so
-they are solved here by a dense tableau simplex in numpy (Bertsimas &
-Tsitsiklis, Introduction to Linear Optimization, 1997, ch. 3).  Bland's
-rule keeps degenerate vertices from cycling and makes every run take the
-same pivots.  Neither phase needs artificial variables: phase 1 is shifted
-so that the slack basis is feasible, and phase 2 starts from the phase-1
-command and makes its effort rows feasible with one pivot per actuated
+Both LPs are tiny (on tilting, 3 variables besides the slacks in phase 1),
+so they are solved on one dense tableau in numpy (Bertsimas & Tsitsiklis,
+Introduction to Linear Optimization, 1997, ch. 3).  Bland's rule keeps
+degenerate vertices from cycling and makes every run take the same pivots.
+Neither phase needs artificial variables: phase 1 is shifted so that the
+slack basis is feasible, and phase 2 appends its effort rows to phase 1's
+final tableau and makes them feasible with one pivot per actuated
 coordinate.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
 pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
 phase 2.
@@ -102,7 +101,7 @@ class ForceSolution:
     eta: np.ndarray
     guard_margins: np.ndarray
     objective_margin: float
-    effort_pass: str  # "skipped", "refined" or "fell_back"
+    effort_pass: str  # "skipped", "unique", "refined" or "fell_back"
 
 
 def _check_transform(T: np.ndarray, n: int) -> np.ndarray:
@@ -248,7 +247,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     basis[row] = col
 
 
@@ -260,20 +259,20 @@ def _simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
     is the variable basic in row i, and every b >= 0.  Bland's rule enters
     the lowest-index improving variable and, among rows tied in the ratio
     test, pivots out the lowest-index basic variable, so no degenerate vertex
-    can cycle and every run takes the same pivots.  Raises SingularSystem
-    when the objective is unbounded or MAX_PIVOTS pivots do not reach an
-    optimum.
+    can cycle and every run takes the same pivots.  tab and basis are left
+    at the final vertex.  Raises SingularSystem when the objective is
+    unbounded or MAX_PIVOTS pivots do not reach an optimum.
     """
     pivots = 0
     while True:
-        improving = np.flatnonzero(tab[-1, :-1] < -OPT_TOL)
-        if not improving.size:
+        improving = tab[-1, :-1] < -OPT_TOL
+        col = improving.argmax()
+        if not improving[col]:
             z = np.zeros(tab.shape[1] - 1)
             z[basis] = tab[:-1, -1]
             return z
         if pivots == MAX_PIVOTS:
             raise SingularSystem(f"force LP failed: no optimum after {MAX_PIVOTS} pivots")
-        col = improving[0]
         column = tab[:-1, col]
         rows = np.flatnonzero(column > PIVOT_TOL)
         if not rows.size:
@@ -305,7 +304,8 @@ def _max_margin(G, h, f_max):
     Shifting to eta_af = y - f_max and s = s0 + t, where s0 is the worst
     margin at the corner eta_af = -f_max, gives max t over y, t >= 0 subject
     to G y + t <= h + f_max G 1 - s0 and y <= 2 f_max.  Every right-hand
-    side is non-negative, so the slack basis is feasible.
+    side is non-negative, so the slack basis is feasible.  Returns
+    (eta_af, s, tab, basis) with the final tableau and basis.
     """
     n_rows, n_af = G.shape
     corner = h + f_max * G.sum(axis=1)
@@ -317,54 +317,58 @@ def _max_margin(G, h, f_max):
     b = np.concatenate([corner - s0, np.full(n_af, 2.0 * f_max)])
     c = np.zeros(n_af + 1)
     c[-1] = -1.0
-    z = _simplex(*_tableau(A, b, c))
-    return z[:n_af] - f_max, s0 + float(z[n_af])
-
-
-def _least_effort_at_margin(G, h, a0, A1, x_star, s_star, f_max):
-    """Among commands achieving the optimal margin, minimize actuator effort.
-
-    The margin maximum is often degenerate: a whole face of commands can
-    achieve the same worst margin, and the vertex phase one happens to
-    return may carry force components the guards never asked for.  This
-    second pass pins the margin just below the phase-one optimum and
-    minimizes sum t, with -t <= f_act <= t for the actuated generalized
-    force f_act = a0 + A1 eta_af in the original coordinates, zeroing
-    anything the guard rows do not demand.
-
-    It starts from the phase-one command x_star: eta_af = x_star + d+ - d-
-    with d+, d- >= 0 keeps the margin and box rows feasible at d = 0, and one
-    crash pivot per actuated coordinate, t_j into whichever effort row has a
-    negative right-hand side, makes the effort rows feasible too.  Returns
-    the refined command, or None when the refinement fails numerically (the
-    phase-one vertex is then kept).
-    """
-    n_rows, n_af = G.shape
-    n_act = A1.shape[0]
-    s_target = s_star - 1e-9 * (1.0 + abs(s_star))
-    # Rows R x <= r: the pinned margin, the box, then -t <= a0 + A1 x <= t
-    # without t.  Over [d+; d-; t] they read R d+ - R d- (- t) <= r - R x_star.
-    eye = np.eye(n_af)
-    R = np.vstack([G, eye, -eye, A1, -A1])
-    r = np.concatenate([h - s_target, np.full(2 * n_af, f_max), -a0, a0])
-    A = np.zeros((R.shape[0], 2 * n_af + n_act))
-    A[:, :n_af] = R
-    A[:, n_af : 2 * n_af] = -R
-    up, down = n_rows + 2 * n_af, n_rows + 2 * n_af + n_act
-    A[up:down, 2 * n_af :] = -np.eye(n_act)
-    A[down:, 2 * n_af :] = -np.eye(n_act)
-    b = r - R @ x_star
-    # Round-off can put x_star a hair outside the pinned margin or the box.
-    np.maximum(b[:up], 0.0, out=b[:up])
-    c = np.concatenate([np.zeros(2 * n_af), np.ones(n_act)])
     tab, basis = _tableau(A, b, c)
+    z = _simplex(tab, basis)
+    # One step of iterative refinement against the original rows: the slack
+    # columns of the final tableau hold B^-1.
+    r = b - A @ z[: n_af + 1] - z[n_af + 1 :]
+    tab[:-1, -1] = np.maximum(tab[:-1, -1] + tab[:-1, n_af + 1 : -1] @ r, 0.0)
+    z[basis] = tab[:-1, -1]
+    return z[:n_af] - f_max, s0 + float(z[n_af]), tab, basis
+
+
+def _least_effort(tab, basis, a0, A1, x_star, f_max):
+    """Phase 2: min sum e s.t. -e <= a0 + A1 eta_af <= e on the margin-optimal face.
+
+    Every margin-optimal point has the nonbasic columns of positive phase-1
+    reduced cost at zero, so dropping them holds the margin exactly.  If no
+    nonbasic column is left, x_star is the only margin-optimal command.
+    Otherwise the effort rows are appended in canonical form for the basis,
+    e_j is pivoted into whichever of its rows has a negative right-hand
+    side, and Bland's rule minimizes sum e.  Returns (command, effort_pass):
+    x_star with "unique" or "fell_back", or the new command with "refined".
+    """
+    face = np.flatnonzero(tab[-1, :-1] <= OPT_TOL)
+    m, k = basis.size, face.size
+    if k == m:
+        return x_star, "unique"
+    n_act, n_af = A1.shape
+    # +-(a0 + A1 eta_af) - e <= 0 over the phase-1 columns with eta_af =
+    # y - f_max, minus the multiples of the tableau rows that clear the basis.
+    a = a0 - f_max * A1.sum(axis=1)
+    E = np.zeros((2 * n_act, tab.shape[1]))
+    E[:n_act, :n_af], E[:n_act, -1] = A1, -a
+    E[n_act:, :n_af], E[n_act:, -1] = -A1, a
+    E -= E[:, basis] @ tab[:-1]
+    rows = m + 2 * n_act
+    face_tab = np.zeros((rows + 1, k + 3 * n_act + 1))
+    face_tab[:m, :k], face_tab[:m, -1] = tab[:-1, face], tab[:-1, -1]
+    face_tab[m:rows, :k], face_tab[m:rows, -1] = E[:, face], E[:, -1]
+    face_tab[m:rows, k : k + n_act] = np.tile(-np.eye(n_act), (2, 1))
+    face_tab[m:rows, k + n_act : -1] = np.eye(2 * n_act)
+    face_tab[-1, k : k + n_act] = 1.0
+    face_basis = np.concatenate([np.searchsorted(face, basis), np.arange(k + n_act, k + 3 * n_act)])
     for j in range(n_act):
-        _pivot(tab, basis, up + j if b[up + j] < 0.0 else down + j, 2 * n_af + j)
+        row = m + j if face_tab[m + j, -1] < 0.0 else m + n_act + j
+        _pivot(face_tab, face_basis, row, k + j)
     try:
-        z = _simplex(tab, basis)
+        z = _simplex(face_tab, face_basis)
     except SingularSystem:
-        return None
-    return x_star + z[:n_af] - z[n_af : 2 * n_af]
+        return x_star, "fell_back"
+    y = np.zeros(n_af)
+    on_face = np.searchsorted(face, n_af)
+    y[face[:on_face]] = z[:on_face]
+    return y - f_max, "refined"
 
 
 def solve_force(
@@ -394,7 +398,7 @@ def solve_force(
         h_lp = np.full(2 * n_af, f_max)
 
     if n_af:
-        eta_af, s = _max_margin(G_lp, h_lp, f_max)
+        eta_af, s, tab, basis = _max_margin(G_lp, h_lp, f_max)
     else:
         eta_af = np.zeros(0)
         s = float(h_lp.min()) if h_lp.size else f_max
@@ -405,11 +409,7 @@ def solve_force(
     effort_pass = "skipped"
     if n_af:
         act = slice(n_phi + n_u, None)
-        refined = _least_effort_at_margin(G_lp, h_lp, x0[act], X[act], eta_af, s, f_max)
-        if refined is None:
-            effort_pass = "fell_back"
-        else:
-            eta_af, effort_pass = refined, "refined"
+        eta_af, effort_pass = _least_effort(tab, basis, x0[act], X[act], eta_af, f_max)
     return ForceSolution(
         eta_af=eta_af,
         lam=x0[:n_phi] + X[:n_phi] @ eta_af,

@@ -16,12 +16,20 @@ simplex.
 Instances given to this oracle must keep every nonzero matrix entry above
 1e-9 in magnitude.  HiGHS drops entries below its small_matrix_value of
 1e-9, so on smaller ones it answers a different LP: on G = [[1e-5, 1e-10]]
-it returns a least effort of 0.499905 where the true optimum, which the
-simplex finds, is 0.4998999995 (see
-test_force_solver.test_simplex_keeps_entries_below_pivot_tolerance).
+it returns the margin 5e-6 where the true optimum, which the simplex finds,
+is 5.00005e-6, and it reports the least-effort LP pinned there infeasible
+(see test_force_solver.test_simplex_keeps_entries_below_pivot_tolerance).
+
+exact_lexicographic solves the two LPs over the command alone in exact
+arithmetic, for the small LPs where a reference must not carry HiGHS's
+feasibility tolerance into the least effort.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import numpy as np
 from scipy.optimize import linprog
@@ -119,19 +127,17 @@ def full_kkt_least_effort(
 ) -> float:
     """Least l1 norm of the actuated force among margin-maximal commands.
 
-    The margin is pinned as the solver pins it, s_target = s* -
-    1e-9 (1 + |s*|), with s* from full_kkt_margin; raises InfeasibleLP as
-    that does.
+    The margin is pinned at s* from full_kkt_margin, the exact lexicographic
+    problem the solver solves; raises InfeasibleLP as full_kkt_margin does.
     """
     s_star = full_kkt_margin(instance, guard, T, n_av, f_max)
-    s_target = s_star - 1e-9 * (1.0 + abs(s_star))
     A_eq, b_eq, A_g, b_g, A_act, bounds = _kkt_rows(instance, guard, T, n_av, f_max)
     n_act = A_act.shape[0]
     eye = np.eye(n_act)
     A_ub = np.block(
         [[A_g, np.zeros((A_g.shape[0], n_act))], [A_act, -eye], [-A_act, -eye]]
     )
-    b_ub = np.concatenate([b_g - s_target, np.zeros(2 * n_act)])
+    b_ub = np.concatenate([b_g - s_star, np.zeros(2 * n_act)])
     c = np.concatenate([np.zeros(A_eq.shape[1]), np.ones(n_act)])
     res = linprog(
         c,
@@ -145,3 +151,78 @@ def full_kkt_least_effort(
     if not res.success:
         raise RuntimeError(f"reference LP failed: {res.message}")
     return float(res.fun)
+
+
+def _solve_exact(A, b):
+    """(num, den) with A num = den b and den > 0 for integer A, b; None if singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    every division by the previous pivot is exact, and the last pivot is
+    +-det(A), the common denominator of the solution.
+    """
+    M = [list(row) + [v] for row, v in zip(A, b)]
+    n, prev = len(M), 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if M[r][k]), None)
+        if p is None:
+            return None
+        M[k], M[p] = M[p], M[k]
+        pivot = M[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(pivot[k] * a - f * c) // prev for a, c in zip(M[i], pivot)]
+        prev = pivot[k]
+    sign = 1 if prev > 0 else -1
+    num, den = [sign * row[n] for row in M], sign * prev
+    assert all(_dot(row, num) == den * v for row, v in zip(A, b))
+    return num, den
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _vertices(planes, rows, n):
+    """Points (num, den) where n of the planes a.x = b meet and every row a.x <= b holds."""
+    for combo in combinations(planes, n):
+        point = _solve_exact([a for a, _ in combo], [b for _, b in combo])
+        if point is not None and all(_dot(a, point[0]) <= b * point[1] for a, b in rows):
+            yield point
+
+
+def exact_lexicographic(G, h, a0, A1, f_max):
+    """(s*, least effort) of the two force LPs over the command, as Fractions.
+
+    s* = max s over [x; s] s.t. G x + s <= h and |x| <= f_max; the least
+    effort is min sum |a0 + A1 x| over the commands x that reach s*.  The
+    margin region is a pointed polyhedron, so s* is attained at one of its
+    vertices.  The effort is convex and piecewise linear, so its minimum
+    over the polytope G x <= h - s*, |x| <= f_max is attained where n_af of
+    the polytope's rows and the kinks a0 + A1 x = 0 meet.  Both are found by
+    enumerating those intersections.  Every float is a dyadic rational, so
+    after scaling by one power of two the rows have integer entries and
+    nothing is rounded.  The enumeration grows combinatorially with the
+    rows; it serves LPs with a few rows and at most three command axes.
+    """
+    G, h, a0, A1 = (np.asarray(v, dtype=float) for v in (G, h, a0, A1))
+    n_af = G.shape[1]
+    data = np.concatenate([G.ravel(), h, a0, A1.ravel(), [f_max]])
+    d = lcm(*(Fraction(v).denominator for v in data.tolist()))
+
+    def ints(values):
+        return [int(Fraction(v) * d) for v in np.ravel(values).tolist()]
+
+    g, hd, f = [ints(row) for row in G], ints(h), ints([f_max])[0]
+    unit = [[d * (i == j) for i in range(n_af)] for j in range(n_af)]
+    box = [(u, f) for u in unit] + [([-v for v in u], f) for u in unit]
+    margin_rows = [(gi + [d], hi) for gi, hi in zip(g, hd)] + [(u + [0], b) for u, b in box]
+    s = max(Fraction(num[-1], den) for num, den in _vertices(margin_rows, margin_rows, n_af + 1))
+    p, q = s.numerator, s.denominator
+    face = [([q * v for v in gi], q * hi - d * p) for gi, hi in zip(g, hd)] + box
+    kinks = [(ints(row), -c) for row, c in zip(A1, ints(a0))]
+    least = min(
+        Fraction(sum(abs(_dot(a, num) - c * den) for a, c in kinks), den * d)
+        for num, den in _vertices(face + kinks, face, n_af)
+    )
+    return s, least

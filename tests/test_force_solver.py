@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from force_lp_oracle import full_kkt_least_effort, full_kkt_margin
+from force_lp_oracle import exact_lexicographic, full_kkt_least_effort, full_kkt_margin
 from helpers import random_force_assembly, random_guarded_assembly
 from hybridservo import block_tilting as tilting
 from hybridservo import cli, force_solver
@@ -290,6 +291,48 @@ def test_effort_pass_reports_refinement_and_fallback(monkeypatch):
     assert np.array_equal(sol.eta_af, vertices[0][0])
 
 
+def _default_plan_cases():
+    """(instance, guard, T, n_av) of every step of the default tilting plan."""
+    scenario = tilting.TiltingScenario()
+    for state in tilting.rollout_states(scenario):
+        instance, guard = tilting.build_instance(state, scenario)
+        vel = solve_velocity(instance)
+        yield instance, guard, vel.T, vel.n_av
+
+
+def test_unique_margin_optimum_solves_one_lp(monkeypatch):
+    # Phase 2 runs only when a nonbasic column has a zero phase-1 reduced
+    # cost; otherwise the phase-1 vertex is the only margin-optimal command.
+    simplex, calls = force_solver._simplex, []
+
+    def counted(*args):
+        calls.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(force_solver, "_simplex", counted)
+    passes = []
+    for case in _default_plan_cases():
+        calls.clear()
+        sol = solve_force(*case)
+        assert len(calls) == {"unique": 1, "refined": 2}[sol.effort_pass]
+        passes.append(sol.effort_pass)
+    assert passes.count("unique") == 9
+
+
+def test_least_effort_pass_holds_the_margin_on_a_degenerate_face():
+    # Phase 2 moves only along the margin-optimal face, so the refined
+    # command keeps the phase-1 margin up to round-off.
+    inst, guard = _degenerate_margin_instance()
+    refined = 0
+    for case in [(inst, guard, np.eye(2), 0), *_default_plan_cases()]:
+        sol = solve_force(*case)
+        if sol.effort_pass == "refined":
+            refined += 1
+            s = sol.objective_margin
+            assert np.all(sol.guard_margins >= s - 1e-12 * max(1.0, abs(s)))
+    assert refined == 7
+
+
 def test_simplex_terminates_on_beales_cycling_example():
     # Beale (1955), Bertsimas & Tsitsiklis Example 3.6: with the largest
     # reduced cost entering, the pivots cycle through degenerate bases at
@@ -350,44 +393,54 @@ def _boxed_lps(draw):
     return G, h, a0, A1, f_max
 
 
+# On the first two (entries near 870) the phase-1 vertex misses the margin by
+# 2e-9 unless it is refined against the original rows.  On the third, HiGHS
+# at the exact margin answers an effort 1.1e-9 below the exact
+# 0.28720757802285374: its feasibility tolerance times the effort-vs-margin
+# slope.
+@example((
+    np.array([[-874, -0.25], [0, -0.25], [0, -117], [0, -0.25], [0.25, -117], [0.25, 0]]),
+    np.zeros(6), np.zeros(1), np.array([[1.0, -0.25]]), 50.0,
+))
+@example((
+    np.array([[-870, -0.25], [0, -0.25], [0, -23], [0, -0.25], [0.25, -113], [0.25, 0]]),
+    np.zeros(6), np.zeros(1), np.array([[1.0, -0.25]]), 50.0,
+))
+@example((
+    np.array([[0, 0, 1.5], [1.953125e-3, -243, -487], [-997, 0, 0]]),
+    np.array([0, 0, 61.0]), np.zeros(1), np.array([[-5.0, 0, 0]]), 5.0,
+))
 @settings(max_examples=300, deadline=None)
 @given(_boxed_lps())
 def test_simplex_matches_linprog_on_random_boxed_lps(lp):
     G, h, a0, A1, f_max = lp
-    (n_rows, n_af), n_act = G.shape, A1.shape[0]
-    x, s = force_solver._max_margin(G, h, f_max)
+    n_rows, n_af = G.shape
+    x, s, tab, basis = force_solver._max_margin(G, h, f_max)
     assert np.all(G @ x + s <= h + 1e-9 * (1.0 + np.abs(h)))
     assert np.all(np.abs(x) <= f_max * (1.0 + 1e-12))
-    refined = force_solver._least_effort_at_margin(G, h, a0, A1, x, s, f_max)
-    s_target = s - 1e-9 * (1.0 + abs(s))
-    assert refined is not None
-    assert np.all(G @ refined <= h - s_target + 1e-9 * (1.0 + np.abs(h)))
-    assert np.all(np.abs(refined) <= f_max * (1.0 + 1e-12))
+    command, effort_pass = force_solver._least_effort(tab, basis, a0, A1, x, f_max)
+    assert effort_pass != "fell_back"
+    assert np.all(G @ command + s <= h + 1e-9 * (1.0 + np.abs(h)))
+    assert np.all(np.abs(command) <= f_max * (1.0 + 1e-12))
 
-    box = [(-f_max, f_max)] * n_af
+    # The least effort at an exact margin moves with the margin, by a slope
+    # that can pass 1e6, so the effort reference is exact, not HiGHS.
+    s_exact, least = exact_lexicographic(G, h, a0, A1, f_max)
+    assert s == pytest.approx(float(s_exact), rel=1e-9, abs=1e-9)
+    effort = np.abs(a0 + A1 @ command).sum()
+    assert effort == pytest.approx(float(least), rel=1e-9, abs=1e-9)
     margin_ref = linprog(
         np.append(np.zeros(n_af), -1.0),
         A_ub=np.hstack([G, np.ones((n_rows, 1))]),
         b_ub=h,
-        bounds=box + [(None, None)],
-        method="highs",
-        options=_HIGHS,
-    )
-    eye = np.eye(n_act)
-    effort_ref = linprog(
-        np.append(np.zeros(n_af), np.ones(n_act)),
-        A_ub=np.block([[G, np.zeros((n_rows, n_act))], [A1, -eye], [-A1, -eye]]),
-        b_ub=np.concatenate([h - s_target, -a0, a0]),
-        bounds=box + [(0.0, None)] * n_act,
+        bounds=[(-f_max, f_max)] * n_af + [(None, None)],
         method="highs",
         options=_HIGHS,
     )
     # At these tolerances HiGHS now and then stops short of an optimum on
     # rows that span six decades; such a draw has no reference to match.
-    assume(margin_ref.status == 0 and effort_ref.status == 0)
+    assume(margin_ref.status == 0)
     assert s == pytest.approx(-margin_ref.fun, rel=1e-9, abs=1e-9)
-    effort = np.abs(a0 + A1 @ refined).sum()
-    assert effort == pytest.approx(effort_ref.fun, rel=1e-9, abs=1e-9)
 
 
 def _svd_route_cases():
@@ -459,20 +512,22 @@ def test_solve_force_factors_t_and_m_free_once(monkeypatch):
 
 def test_simplex_keeps_entries_below_pivot_tolerance():
     # One guard row in small units, G = [1e-5, 1e-10], h = 0: the phase-1
-    # optimum is s* = 5.00005e-6 at (-0.5, -0.5).  With the margin pinned at
-    # s_target = s* - 1e-9 (1 + s*), the least |x_1| keeps x_2 = -0.5, so
-    # x_1 = -(s_target - 5e-11) / 1e-5 = -0.4998999995 with zero slack on the
-    # pinned row.  HiGHS drops matrix entries below 1e-9 and returns
-    # 0.499905 instead, which is why the oracle tests keep entries above it.
+    # optimum s* = 5.00005e-6 sits at (-0.5, -0.5), and both reduced costs,
+    # 1e-5 and 1e-10, lie above OPT_TOL, so it is the only margin-optimal
+    # command and its effort |x_1| = 0.5 is the least.  HiGHS drops matrix
+    # entries below 1e-9 and answers the margin 5e-6 instead, which is why
+    # the oracle tests keep entries above it.
     G, h, f_max = np.array([[1e-5, 1e-10]]), np.zeros(1), 0.5
     a0, A1 = np.zeros(1), np.array([[1.0, 0.0]])
-    x, s = force_solver._max_margin(G, h, f_max)
+    x, s, tab, basis = force_solver._max_margin(G, h, f_max)
     assert s == pytest.approx(5.00005e-6, rel=1e-12)
-    refined = force_solver._least_effort_at_margin(G, h, a0, A1, x, s, f_max)
-    s_target = s - 1e-9 * (1.0 + abs(s))
-    assert np.abs(A1 @ refined).sum() == pytest.approx(0.4998999995, abs=1e-12)
-    assert refined[1] == pytest.approx(-0.5, abs=1e-15)
-    assert G[0] @ refined + s_target == pytest.approx(0.0, abs=1e-18)
+    command, effort_pass = force_solver._least_effort(tab, basis, a0, A1, x, f_max)
+    assert effort_pass == "unique"
+    assert np.array_equal(command, [-0.5, -0.5])
+    assert exact_lexicographic(G, h, a0, A1, f_max) == (
+        Fraction(G[0, 0]) / 2 + Fraction(G[0, 1]) / 2,
+        Fraction(1, 2),
+    )
 
 
 def _gamma_outcome(inst, guard, T, n_av):
