@@ -243,21 +243,12 @@ def initial_state(scenario: TiltingScenario) -> TiltingState:
     return TiltingState(Pose(p0, quat0), hand0)
 
 
-def table_contacts_object_frame(scenario: TiltingScenario) -> np.ndarray:
-    """Table contact points in O, fixed once the initial pose is fixed."""
-    return scenario.table_contacts_obj
-
-
 def state_vector(state: TiltingState) -> np.ndarray:
     return np.concatenate([state.object_pose.p, state.object_pose.quat, state.hand_position])
 
 
-def omega_map(state: TiltingState) -> np.ndarray:
-    """Map v = [xi_O; v_H] to q_dot: block diag of R_WO, E(q), identity."""
-    return _omega_map(state, quat_to_rotation(state.object_pose.quat))
-
-
-def _omega_map(state: TiltingState, R: np.ndarray) -> np.ndarray:
+def omega_map(state: TiltingState, R: np.ndarray) -> np.ndarray:
+    """Map v = [xi_O; v_H] to q_dot: block diag of R = R_WO, E(q), identity."""
     Omega = np.zeros((10, 9))
     Omega[:3, :3] = R
     Omega[3:7, 3:6] = quat_rate_map(state.object_pose.quat)
@@ -265,17 +256,14 @@ def _omega_map(state: TiltingState, R: np.ndarray) -> np.ndarray:
     return Omega
 
 
-def goal_twist(state: TiltingState, scenario: TiltingScenario):
+def goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     """Goal rows pinning the object body twist to the planned tilt.
 
     The plan rotates the object about the contact edge at the scenario tilt
     rate.  The spatial twist of that motion is mapped to the body frame of
-    the current pose, and G selects the (unactuated) object twist.
+    the current pose, whose rotation is R = R_WO, and G selects the
+    (unactuated) object twist.
     """
-    return _goal_twist(state, scenario, quat_to_rotation(state.object_pose.quat))
-
-
-def _goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     p = state.object_pose.p
     omega_s = scenario.rotation_axis * scenario.tilt_rate
     v_s = -cross(scenario.rotation_axis, scenario.table_contacts[0]) * scenario.tilt_rate
@@ -328,17 +316,14 @@ def constraint_jacobian(q: np.ndarray, hand_contact_obj, table_contacts_obj) -> 
 # Guard conditions.
 
 
-def guard_conditions(state: TiltingState, scenario: TiltingScenario) -> GuardConditions:
+def guard_conditions(scenario: TiltingScenario, R_wo: np.ndarray) -> GuardConditions:
     """Friction cones and minimum normal forces for the three contacts.
 
     Reactions stack as lambda = [hand (on hand, W); table 1; table 2 (on
     object, W)].  24 cone rows come first (8 ridges per contact), then the
-    three normal lower bounds.  No guard equalities.
+    three normal lower bounds; the hand cone turns with the object's
+    rotation R_wo.  No guard equalities.
     """
-    return _guard_conditions(scenario, quat_to_rotation(state.object_pose.quat))
-
-
-def _guard_conditions(scenario: TiltingScenario, R_wo: np.ndarray) -> GuardConditions:
     to_object = R_wo.T
     n_cols = 9 + 9
     Lambda = np.zeros((27, n_cols))
@@ -368,16 +353,16 @@ def build_instance(state: TiltingState, scenario: TiltingScenario):
     J_phi = constraint_jacobian(
         state_vector(state), scenario.hand_contact_obj, scenario.table_contacts_obj
     )
-    Omega = _omega_map(state, R_wo)
+    Omega = omega_map(state, R_wo)
     N = assemble_N(J_phi, Omega)
-    G, b_G = _goal_twist(state, scenario, R_wo)
+    G, b_G = goal_twist(state, scenario, R_wo)
     # Object gravity as a body wrench; the object frame sits at the center
     # of mass, so the torque part vanishes.
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
     instance = SystemInstance(
         n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F, J_phi=J_phi, Omega=Omega
     )
-    return instance, _guard_conditions(scenario, R_wo)
+    return instance, guard_conditions(scenario, R_wo)
 
 
 def advance_state(state: TiltingState, scenario: TiltingScenario, dt: float) -> TiltingState:

@@ -15,8 +15,7 @@ gives it for every command at once: [f0, W] = V S^-1 U^T [rhs, -M_eta_f]
 over the singular values kept by the package's rank rule (Golub & Van
 Loan, Matrix Computations, 5.5).  The same SVD gives the condition of the
 KKT system [[2I, M_free^T], [M_free, 0]] in closed form, so that system is
-never built on this path; build_kkt and solve_kkt keep it as an
-independent LU reference.  Consistent redundant equality rows (for example
+never built.  Consistent redundant equality rows (for example
 a duplicated Gamma row) are harmless; each column's residual check raises
 SingularSystem when the rows are inconsistent or pin the command itself.
 The guard margins are affine as well: b_Lambda - Lambda [lambda; f] =
@@ -84,7 +83,6 @@ class NewtonAssembly:
     M_free: np.ndarray
     M_eta_f: np.ndarray
     rhs: np.ndarray
-    free_force_layout: list[str]
     T: np.ndarray
     T_inv: np.ndarray
     n_phi: int
@@ -144,17 +142,10 @@ def assemble_newton(
     M_free[n_u + n :, :n_phi] = guard.Gamma[:, :n_phi]
     M_free[:, n_phi : n_phi + n_u] = eta_rows[:, :n_u]
     M_free[:, n_phi + n_u :] = eta_rows[:, n_u + n_af :]
-    rhs = np.concatenate([np.zeros(n_u), -T @ instance.F, guard.b_Gamma])
-    layout = (
-        [f"lambda[{i}]" for i in range(n_phi)]
-        + [f"eta_u[{i}]" for i in range(n_u)]
-        + [f"eta_av[{i}]" for i in range(n_av)]
-    )
     return NewtonAssembly(
         M_free=M_free,
         M_eta_f=eta_rows[:, n_u : n_u + n_af],
-        rhs=rhs,
-        free_force_layout=layout,
+        rhs=np.concatenate([np.zeros(n_u), -T @ instance.F, guard.b_Gamma]),
         T=T,
         T_inv=T_inv,
         n_phi=n_phi,
@@ -163,30 +154,6 @@ def assemble_newton(
         n_af=n_af,
         n=n,
     )
-
-
-def build_kkt(assembly: NewtonAssembly):
-    """KKT system for min ||f_free||^2 s.t. M_free f_free = rhs - M_eta_f eta_af.
-
-    Returns (K, kkt_rhs_const, kkt_rhs_eta_map) with
-    K @ [f_free; f_dual] = kkt_rhs_const - kkt_rhs_eta_map @ eta_af.
-    """
-    m = assembly.M_free.shape[1]
-    r = assembly.M_free.shape[0]
-    K = np.zeros((m + r, m + r))
-    K[:m, :m] = 2.0 * np.eye(m)
-    K[:m, m:] = assembly.M_free.T
-    K[m:, :m] = assembly.M_free
-    kkt_rhs_const = np.concatenate([np.zeros(m), assembly.rhs])
-    kkt_rhs_eta_map = np.vstack([np.zeros((m, assembly.n_af)), assembly.M_eta_f])
-    return K, kkt_rhs_const, kkt_rhs_eta_map
-
-
-def solve_kkt(assembly: NewtonAssembly, eta_af: np.ndarray) -> np.ndarray:
-    """Free forces for a fixed force command (minimum-norm resolution)."""
-    K, rhs_const, rhs_map = build_kkt(assembly)
-    x = sla.solve_square(K, rhs_const - rhs_map @ np.asarray(eta_af, dtype=float))
-    return x[: assembly.M_free.shape[1]]
 
 
 def _kkt_condition(f_free: sla.Factorization) -> float:

@@ -14,7 +14,7 @@ owned by whichever scenario builder produced the guard rows.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,27 +69,6 @@ class GuardConditions:
         return self.Gamma.shape[0]
 
 
-@dataclass(frozen=True)
-class HybridAction:
-    """A synthesized hybrid force-velocity command.
-
-    T = diag(I_{n_u}, R_a) maps generalized coordinates into the action
-    frame; the last n_av rows of R_a are the velocity-controlled axes with
-    magnitudes w_av, the first n_af rows are force-controlled with command
-    eta_af.  lam holds the contact reactions consistent with the command and
-    eta = T f the transformed generalized force.
-    """
-
-    n_av: int
-    n_af: int
-    T: np.ndarray
-    R_a: np.ndarray
-    w_av: np.ndarray
-    eta_af: np.ndarray
-    lam: np.ndarray
-    eta: np.ndarray
-
-
 def make_instance(n_u, N, G, b_G, F, J_phi=None, Omega=None) -> SystemInstance:
     """Build a SystemInstance from array-likes, deriving n_a from F."""
     N = np.asarray(N, dtype=float)
@@ -132,13 +111,6 @@ def assemble_N(J_phi, Omega) -> np.ndarray:
             f"J_phi has {J_phi.shape[1]} columns but Omega has {Omega.shape[0]} rows"
         )
     return J_phi @ Omega
-
-
-def unactuated_selector(n_u: int, n: int) -> np.ndarray:
-    """Selector H = [I 0] picking the unactuated block of a generalized force."""
-    H = np.zeros((n_u, n))
-    H[:, :n_u] = np.eye(n_u)
-    return H
 
 
 def _finite(name, arr, problems):
@@ -189,36 +161,4 @@ def validate(instance: SystemInstance, guard: GuardConditions) -> list[str]:
         problems.append("b_Gamma length must match Gamma rows")
     for name in ("Lambda", "b_Lambda", "Gamma", "b_Gamma"):
         _finite(name, getattr(guard, name), problems)
-    return problems
-
-
-def check_action(action: HybridAction, instance: SystemInstance) -> list[str]:
-    """Verify the structural invariants of a hybrid action against its instance."""
-    problems: list[str] = []
-    n, n_u, n_a = instance.n, instance.n_u, instance.n_a
-    if action.n_av + action.n_af != n_a:
-        problems.append("n_av + n_af must equal n_a")
-    if action.R_a.shape != (n_a, n_a):
-        problems.append(f"R_a must be {n_a} x {n_a}")
-    if action.T.shape != (n, n):
-        problems.append(f"T must be {n} x {n}")
-    else:
-        T_expected = np.eye(n)
-        T_expected[n_u:, n_u:] = action.R_a
-        if not np.allclose(action.T, T_expected, atol=1e-12):
-            problems.append("T must equal diag(I_{n_u}, R_a)")
-        if action.R_a.size:
-            smin = np.linalg.svd(action.R_a, compute_uv=False)[-1]
-            if smin <= 1e-10 or np.linalg.cond(action.T) >= 1e10:
-                problems.append("T is too close to singular")
-    if action.w_av.shape != (action.n_av,):
-        problems.append("w_av length must equal n_av")
-    if action.eta_af.shape != (action.n_af,):
-        problems.append("eta_af length must equal n_af")
-    if action.eta.shape != (n,):
-        problems.append(f"eta must have length {n}")
-    elif n_u and np.linalg.norm(action.eta[:n_u]) > 1e-8:
-        problems.append("unactuated block of eta must be zero")
-    if action.lam.shape != (instance.n_phi,):
-        problems.append("lam length must match the number of constraints")
     return problems

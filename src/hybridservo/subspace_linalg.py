@@ -1,12 +1,13 @@
-"""SVD-backed rank, null-space and least-squares primitives.
+"""SVD-backed rank, null-space and minimum-norm primitives of the solve path.
 
-Every rank decision in this package applies one rule, singular values above
-rel_tol times the largest, through :func:`factor` or :func:`numerical_rank`,
-so a single relative-tolerance convention applies throughout.  A
-:class:`Factorization` serves the rank, the null space and the minimum-norm
-map of a matrix from one SVD.  Bases returned here are always orthonormal,
-and zero-row or zero-column matrices are legal inputs (rank 0, full null
-space).
+Every rank decision of the two solver stages applies one rule, singular
+values above rel_tol times the largest, through :func:`factor` or
+:func:`numerical_rank`.  A :class:`Factorization` serves the rank, the null
+space and the minimum-norm map of a matrix from one SVD; numerical_rank
+skips the singular vectors where only the rank is needed.  Null-space bases
+are orthonormal, and zero-row or zero-column matrices are legal inputs
+(rank 0, full null space).  The verifier takes only constants from here
+and repeats the rank rule on np.linalg itself.
 """
 
 from __future__ import annotations
@@ -15,43 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentSystem, SingularSystem
+from .errors import InconsistentSystem
 
 DEFAULT_RANK_TOL = 1e-8
 
 # Residual acceptance for linear solves, relative to 1 + ||b||.
 RESIDUAL_TOL = 1e-8
 
-# Condition-number ceiling for square solves.
+# Condition-number ceiling for the force stage's KKT system.
 MAX_CONDITION = 1e12
 
 
-def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {M.shape}")
+        raise ValueError(f"matrix must be two-dimensional, got shape {M.shape}")
     if not np.isfinite(M).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return M
-
-
-def _as_vector(b, name: str = "vector") -> np.ndarray:
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if not np.isfinite(b).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return b
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis (as columns) for the null space of a source matrix."""
-
-    basis: np.ndarray
-    source_rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 def _rank(s: np.ndarray, rel_tol: float) -> int:
@@ -75,10 +57,9 @@ class Factorization:
     vh: np.ndarray
     rank: int
 
-    def null_space(self) -> SubspaceBasis:
-        """Orthonormal basis of {v : M v = 0}; needs full_matrices=True."""
-        basis = np.ascontiguousarray(self.vh[self.rank :].T)
-        return SubspaceBasis(basis, self.rank)
+    def null_space(self) -> np.ndarray:
+        """Orthonormal columns spanning {v : M v = 0}; needs full_matrices=True."""
+        return np.ascontiguousarray(self.vh[self.rank :].T)
 
     def min_norm(self, B) -> np.ndarray:
         """Minimum-norm solution X of M X = B over the kept singular values.
@@ -129,70 +110,3 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     if M.size == 0:
         return 0
     return _rank(np.linalg.svd(M, compute_uv=False), rel_tol)
-
-
-def null_space_basis(M, rel_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of {v : M v = 0}.
-
-    The basis has cols(M) - rank(M) columns; for a full-column-rank input it
-    is empty.  Right singular vectors below the rank cutoff are returned, so
-    ||M @ basis|| is at machine-precision level relative to the largest
-    singular value of M.
-    """
-    return factor(M, rel_tol).null_space()
-
-
-def min_norm_solution(A, b) -> np.ndarray:
-    """Minimum-norm solution of A v = b.
-
-    Raises InconsistentSystem when the residual exceeds
-    RESIDUAL_TOL * (1 + ||b||).  The returned vector is orthogonal to the
-    null space of A.
-    """
-    A = _as_matrix(A, "A")
-    b = _as_vector(b, "b")
-    if A.shape[0] != b.size:
-        raise ValueError(f"A has {A.shape[0]} rows but b has {b.size} entries")
-    if A.shape[0] == 0:
-        return np.zeros(A.shape[1])
-    v, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = np.linalg.norm(A @ v - b)
-    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
-        raise InconsistentSystem(
-            f"system has no solution: residual {residual:.3e} exceeds tolerance"
-        )
-    return v
-
-
-def solve_square(A, b) -> np.ndarray:
-    """Solve a square nonsingular system A v = b.
-
-    b is a vector (n,) or a matrix (n, k) of k right-hand sides; the result
-    has the shape of b.  One condition estimate and one LU factorization
-    serve every column, and each column gets its own residual check.
-    Raises SingularSystem when A is not square-solvable within a condition
-    number of MAX_CONDITION or a column's residual exceeds
-    RESIDUAL_TOL * (1 + ||b_j||).
-    """
-    A = _as_matrix(A, "A")
-    b = _as_matrix(b, "b") if np.ndim(b) == 2 else _as_vector(b, "b")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-    if A.shape[0] == 0:
-        return np.zeros(b.shape)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond >= MAX_CONDITION:
-        raise SingularSystem(f"matrix is singular or ill-conditioned (cond {cond:.3e})")
-    try:
-        v = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    residual = np.linalg.norm(A @ v - b, axis=0)
-    limit = RESIDUAL_TOL * (1.0 + np.linalg.norm(b, axis=0))
-    if np.any(residual > limit):
-        raise SingularSystem(
-            f"solution residual {np.max(residual):.3e} exceeds tolerance; matrix nearly singular"
-        )
-    return v

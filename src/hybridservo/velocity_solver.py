@@ -36,7 +36,6 @@ from .errors import (
     SingularTransform,
 )
 from .model import SystemInstance
-from .subspace_linalg import SubspaceBasis
 
 
 @dataclass
@@ -56,58 +55,34 @@ class VelocitySolution:
     cost: float
 
 
-def compute_dimensions(N, G, rel_tol: float = sla.DEFAULT_RANK_TOL):
-    """Rank bookkeeping for the velocity stage.
-
-    Returns (n_av, r_N, r_NG): n_av = r_NG - r_N is the number of velocity
-    commands, the minimum that still pins the goal down.
-    """
-    r_N = sla.factor(N, rel_tol).rank
-    r_NG = sla.factor(np.concatenate([N, G]), rel_tol).rank
-    return r_NG - r_N, r_N, r_NG
-
-
-def check_feasibility(n: int, n_a: int, r_N: int) -> bool:
-    """True when constraints plus actions can fully determine the velocity."""
-    return r_N + n_a >= n
-
-
-def candidate_basis(
-    N, G, n_u: int, n_av: int, rel_tol: float = sla.DEFAULT_RANK_TOL
-) -> np.ndarray:
+def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int, rel_tol: float) -> np.ndarray:
     """Orthonormal columns spanning the admissible command rows.
 
     A command row c must have zero unactuated prefix and annihilate every
-    vector of null([N; G]).  The basis is built in the actuated coordinates,
-    so the prefix is exactly zero.  Raises EmptyBasis when fewer candidate
-    directions exist than velocity commands are needed.
+    column of null_ng, an orthonormal basis of null([N; G]).  The basis is
+    built in the actuated coordinates, so the prefix is exactly zero.
+    Raises EmptyBasis when fewer candidate directions exist than velocity
+    commands are needed; that takes round-off, because in exact arithmetic
+    there are at least r_NG + n_a - n >= n_av of them once r_N + n_a >= n.
     """
-    null_ng = sla.factor(np.concatenate([N, G]), rel_tol).null_space()
-    return _candidate_basis(null_ng, n_u, n_av, rel_tol)
-
-
-def _candidate_basis(null_ng: SubspaceBasis, n_u: int, n_av: int, rel_tol: float) -> np.ndarray:
-    """candidate_basis from an already computed null([N; G])."""
-    sigma = null_ng.basis
     # Constraints on the actuated part only: sigma_a^T c_a = 0.
-    sigma_a = sigma[n_u:, :].T
-    basis_a = sla.null_space_basis(sigma_a, rel_tol).basis
+    basis_a = sla.factor(null_ng[n_u:, :].T, rel_tol).null_space()
     n_c = basis_a.shape[1]
     if n_c < n_av:
         raise EmptyBasis(
             f"candidate space has {n_c} directions but {n_av} velocity commands are needed"
         )
-    B_c = np.zeros((sigma.shape[0], n_c))
+    B_c = np.zeros((null_ng.shape[0], n_c))
     B_c[n_u:, :] = basis_a
     return B_c
 
 
-def direction_cost(k: np.ndarray, B_c: np.ndarray, NullN: SubspaceBasis) -> float:
+def direction_cost(k: np.ndarray, B_c: np.ndarray, NullN: np.ndarray) -> float:
     """Cost of command rows c_i = B_c k_i (columns of k assumed unit in c)."""
     C = B_c @ k
     gram = C.T @ C
     cross = float(np.abs(gram).sum() - np.abs(np.diag(gram)).sum())
-    proj = NullN.basis.T @ C
+    proj = NullN.T @ C
     return cross - float(np.sqrt((proj * proj).sum(axis=0)).sum())
 
 
@@ -186,7 +161,7 @@ def solve_velocity(
     f_NG = sla.factor(np.concatenate([N, G]), rank_tol)
     r_N, r_NG = f_N.rank, f_NG.rank
     n_av = r_NG - r_N
-    if not check_feasibility(n, n_a, r_N):
+    if r_N + n_a < n:
         raise InfeasibleDimensions(
             f"rank(N) = {r_N} with n_a = {n_a} cannot determine all {n} velocities"
         )
@@ -208,9 +183,9 @@ def solve_velocity(
             cost=0.0,
         )
 
-    B_c = _candidate_basis(f_NG.null_space(), n_u, n_av, rank_tol)
+    B_c = candidate_basis(f_NG.null_space(), n_u, n_av, rank_tol)
     NullN = f_N.null_space()
-    k = optimal_directions(NullN.basis.T @ B_c, n_av)
+    k = optimal_directions(NullN.T @ B_c, n_av)
     C = (B_c @ k).T
     b_C = C @ v_star
     for i in range(n_av):
@@ -218,15 +193,15 @@ def solve_velocity(
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]
-    null_rc = sla.null_space_basis(R_C, rank_tol)
+    null_rc = sla.factor(R_C, rank_tol).null_space()
     if (
-        null_rc.basis.shape[1] != n_a - n_av
+        null_rc.shape[1] != n_a - n_av
         or sla.numerical_rank(np.concatenate([N, C]), rank_tol) != r_NG
     ):
         raise SingularTransform(
             "command rows are not independent modulo the constraints"
         )
-    R_a = np.concatenate([null_rc.basis.T, R_C])
+    R_a = np.concatenate([null_rc.T, R_C])
     T = np.eye(n)
     T[n_u:, n_u:] = R_a
     return VelocitySolution(

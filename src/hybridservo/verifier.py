@@ -1,9 +1,11 @@
 """Independent checks of solver outputs.
 
 Everything here re-derives its reference quantities from the raw problem
-data.  Rank and null-space computations go through subspace_linalg, the
-minimum-norm reference uses the pseudoinverse projection formula rather
-than the solver's KKT path, and the brute-force force oracle rebuilds the
+data with its own few lines of linear algebra on np.linalg, so no check
+shares code with the solver path it checks: rank and null space come from
+SVDs under the same relative rank rule, the minimum-norm references from
+least squares and the pseudoinverse projection formula rather than the
+solver's single-SVD maps, and the brute-force force oracle rebuilds the
 force-balance equalities on its own.
 """
 
@@ -13,13 +15,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import subspace_linalg as sla
 from .errors import InconsistentSystem
 from .force_solver import ForceSolution
-from .model import GuardConditions, SystemInstance, unactuated_selector
+from .model import GuardConditions, SystemInstance
+from .subspace_linalg import DEFAULT_RANK_TOL, RESIDUAL_TOL
 from .velocity_solver import VelocitySolution
 
 VELOCITY_TOL = 1e-6
+
+
+def _kept(s: np.ndarray, rel_tol: float) -> int:
+    """Number of singular values above rel_tol times the largest."""
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def _rank(M: np.ndarray, rel_tol: float) -> int:
+    return _kept(np.linalg.svd(M, compute_uv=False), rel_tol)
+
+
+def _null_space(M: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Orthonormal columns spanning {v : M v = 0}, from a full SVD."""
+    _, s, vh = np.linalg.svd(M)
+    return np.ascontiguousarray(vh[_kept(s, rel_tol) :].T)
+
+
+def _lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of A v = b by least squares.
+
+    Raises InconsistentSystem when the residual exceeds
+    RESIDUAL_TOL * (1 + ||b||).
+    """
+    v = np.linalg.lstsq(A, b, rcond=None)[0]
+    residual = np.linalg.norm(A @ v - b)
+    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
+        raise InconsistentSystem(
+            f"system has no solution: residual {residual:.3e} exceeds tolerance"
+        )
+    return v
 
 
 @dataclass
@@ -68,32 +100,10 @@ class ForceCheck:
         }
 
 
-@dataclass
-class VerificationReport:
-    velocity: VelocityCheck | None = None
-    force: ForceCheck | None = None
-
-    @property
-    def passed(self) -> bool:
-        ok = True
-        if self.velocity is not None:
-            ok = ok and self.velocity.passed
-        if self.force is not None:
-            ok = ok and self.force.passed
-        return ok
-
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "velocity": None if self.velocity is None else self.velocity.to_dict(),
-            "force": None if self.force is None else self.force.to_dict(),
-        }
-
-
 def check_velocity_solution(
     instance: SystemInstance,
     solution: VelocitySolution,
-    rel_tol: float = sla.DEFAULT_RANK_TOL,
+    rel_tol: float = DEFAULT_RANK_TOL,
     samples: int = 32,
     seed: int = 0,
 ) -> VelocityCheck:
@@ -109,24 +119,24 @@ def check_velocity_solution(
         notes.append("no velocity-controlled directions; nothing to check")
         return VelocityCheck(True, 0, 0, 0.0, 0.0, 0.0, 0.0, notes)
 
-    rank_ng = sla.numerical_rank(np.vstack([N, G]), rel_tol)
-    rank_nc = sla.numerical_rank(np.vstack([N, C]), rel_tol)
+    rank_ng = _rank(np.vstack([N, G]), rel_tol)
+    rank_nc = _rank(np.vstack([N, C]), rel_tol)
     ok = rank_nc == rank_ng
 
     # Every velocity that satisfies constraints plus command must move the goal.
-    null_nc = sla.null_space_basis(np.vstack([N, C]), rel_tol).basis
+    null_nc = _null_space(np.vstack([N, C]), rel_tol)
     null_goal_residual = float(np.max(np.abs(G @ null_nc))) if null_nc.size else 0.0
     ok = ok and null_goal_residual <= VELOCITY_TOL
 
     zeros_n = np.zeros(N.shape[0])
     cross_goal = cross_cmd = np.inf
     try:
-        v_cmd = sla.min_norm_solution(np.vstack([N, C]), np.concatenate([zeros_n, solution.b_C]))
+        v_cmd = _lstsq_min_norm(np.vstack([N, C]), np.concatenate([zeros_n, solution.b_C]))
         cross_goal = float(np.linalg.norm(G @ v_cmd - instance.b_G))
     except InconsistentSystem:
         notes.append("command system inconsistent")
     try:
-        v_goal = sla.min_norm_solution(np.vstack([N, G]), np.concatenate([zeros_n, instance.b_G]))
+        v_goal = _lstsq_min_norm(np.vstack([N, G]), np.concatenate([zeros_n, instance.b_G]))
         cross_cmd = float(np.linalg.norm(C @ v_goal - solution.b_C))
     except InconsistentSystem:
         notes.append("goal system inconsistent")
@@ -135,7 +145,7 @@ def check_velocity_solution(
     # C v must be the same for every velocity compatible with the goal.
     variation = 0.0
     if np.isfinite(cross_cmd):
-        null_ng = sla.null_space_basis(np.vstack([N, G]), rel_tol).basis
+        null_ng = _null_space(np.vstack([N, G]), rel_tol)
         if null_ng.shape[1]:
             rng = np.random.default_rng(seed)
             weights = rng.standard_normal((null_ng.shape[1], samples))
@@ -166,10 +176,9 @@ def _force_equalities(instance: SystemInstance, guard: GuardConditions, T: np.nd
     n_af = instance.n_a - n_av
     T = np.asarray(T, dtype=float)
     T_inv = np.linalg.inv(T)
-    H = unactuated_selector(n_u, n)
     stacked = np.vstack(
         [
-            np.hstack([np.zeros((n_u, n_phi)), H @ T_inv]),
+            np.hstack([np.zeros((n_u, n_phi)), T_inv[:n_u]]),
             np.hstack([T @ instance.N.T, np.eye(n)]),
             np.hstack([guard.Gamma[:, :n_phi], guard.Gamma[:, n_phi:] @ T_inv]),
         ]

@@ -35,8 +35,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from hybridservo.errors import InfeasibleLP
-from hybridservo.force_solver import assemble_newton, build_kkt
+from hybridservo.force_solver import assemble_newton
 from hybridservo.model import GuardConditions, SystemInstance
+from kkt_reference import build_kkt
 
 
 def _kkt_rows(instance, guard, T, n_av, f_max):

@@ -13,7 +13,8 @@ import numpy as np
 
 from hybridservo.force_solver import assemble_newton
 from hybridservo.model import GuardConditions, SystemInstance, make_instance
-from hybridservo.subspace_linalg import null_space_basis, numerical_rank
+from hybridservo.subspace_linalg import DEFAULT_RANK_TOL, factor, numerical_rank
+from hybridservo.velocity_solver import candidate_basis
 
 MAX_ASSEMBLY_CONDITION = 1e3
 
@@ -43,11 +44,20 @@ def random_feasible_instance(
 
     k_goal = int(rng.integers(1, min(3, n - r_N) + 1))
     G = rng.standard_normal((k_goal, n))
-    null_n = null_space_basis(N).basis
+    null_n = factor(N).null_space()
     v_target = null_n @ rng.standard_normal(null_n.shape[1])
     b_G = G @ v_target
     F = rng.standard_normal(n)
     return make_instance(n_u, N, G, b_G, F)
+
+
+def direction_problem(instance: SystemInstance):
+    """(B_c, NullN, n_av): the velocity stage's direction problem, from ranks."""
+    f_N = factor(instance.N)
+    f_NG = factor(np.vstack([instance.N, instance.G]))
+    n_av = f_NG.rank - f_N.rank
+    B_c = candidate_basis(f_NG.null_space(), instance.n_u, n_av, DEFAULT_RANK_TOL)
+    return B_c, f_N.null_space(), n_av
 
 
 def random_force_assembly(

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridservo.subspace_linalg import SubspaceBasis
-
 # Two candidate minima closer than this are treated as a tie; a trial step
 # within it of the current cost is accepted.
 TIE_EPS = 1e-12
@@ -131,7 +129,7 @@ def _line_search(k, cost, grad, B_c, null_basis, step_length):
 
 def projected_gradient_descent(
     B_c: np.ndarray,
-    NullN: SubspaceBasis,
+    NullN: np.ndarray,
     n_av: int,
     seed: int,
     start: int,
@@ -150,11 +148,11 @@ def projected_gradient_descent(
     k = _project(rng.standard_normal((n_c, n_av)), B_c)
     while k is None:  # vanishing draw, essentially measure zero
         k = _project(rng.standard_normal((n_c, n_av)), B_c)
-    cost, grad = _cost_and_grad(k, B_c, NullN.basis)
+    cost, grad = _cost_and_grad(k, B_c, NullN)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        accepted = _line_search(k, cost, grad, B_c, NullN.basis, cfg.step_length)
+        accepted = _line_search(k, cost, grad, B_c, NullN, cfg.step_length)
         if accepted is None:
             converged = True
             break
@@ -166,7 +164,7 @@ def projected_gradient_descent(
     return PgdResult(k=k, cost=cost, iterations=iterations, converged=converged)
 
 
-def best_pgd_cost(B_c: np.ndarray, NullN: SubspaceBasis, n_av: int, starts: int, seed: int = 0) -> float:
+def best_pgd_cost(B_c: np.ndarray, NullN: np.ndarray, n_av: int, starts: int, seed: int = 0) -> float:
     """Lowest direction cost reached by PGD over starts 0 .. starts - 1."""
     return min(
         projected_gradient_descent(B_c, NullN, n_av, seed, start).cost

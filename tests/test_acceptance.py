@@ -19,17 +19,9 @@ import pytest
 from hybridservo import block_tilting as tilting
 from hybridservo.cli import main
 from hybridservo.errors import InfeasibleLP
-from hybridservo.force_solver import (
-    assemble_newton,
-    solve_force,
-    solve_kkt,
-)
-from hybridservo.subspace_linalg import null_space_basis
-from hybridservo.velocity_solver import (
-    candidate_basis,
-    compute_dimensions,
-    solve_velocity,
-)
+from hybridservo.force_solver import _free_force_map, assemble_newton, solve_force
+from hybridservo.subspace_linalg import factor
+from hybridservo.velocity_solver import solve_velocity
 from hybridservo.verifier import (
     brute_force_force_oracle,
     check_force_solution,
@@ -37,7 +29,7 @@ from hybridservo.verifier import (
     min_norm_projection,
 )
 
-from helpers import random_feasible_instance, random_force_assembly
+from helpers import direction_problem, random_feasible_instance, random_force_assembly
 from pgd_oracle import best_pgd_cost
 
 
@@ -138,9 +130,8 @@ def test_criterion_4_velocity_checks_on_random_instances():
     beaten = 0
     worst_excess = -np.inf
     for inst, sol in zip(instances, solutions):
-        n_av = compute_dimensions(inst.N, inst.G)[0]
-        B_c = candidate_basis(inst.N, inst.G, inst.n_u, n_av)
-        excess = sol.cost - best_pgd_cost(B_c, null_space_basis(inst.N), n_av, starts=20)
+        B_c, null_n, n_av = direction_problem(inst)
+        excess = sol.cost - best_pgd_cost(B_c, null_n, n_av, starts=20)
         worst_excess = max(worst_excess, excess)
         beaten += excess > 1e-12
     ok = passes >= 198 and passes == 200 and beaten == 0 and elapsed < 60.0
@@ -165,7 +156,9 @@ def test_criterion_5_kkt_matches_projection_oracle():
         instance, guard, T, n_av = random_force_assembly(rng)
         assembly = assemble_newton(instance, guard, T, n_av)
         eta_af = rng.uniform(-5.0, 5.0, assembly.n_af)
-        direct = solve_kkt(assembly, eta_af)
+        # The free forces solve_force uses: affine in the command, one SVD.
+        f0, W = _free_force_map(assembly)
+        direct = f0 + W @ eta_af
         oracle = min_norm_projection(
             assembly.M_free, assembly.rhs - assembly.M_eta_f @ eta_af
         )
@@ -292,7 +285,7 @@ def test_criterion_9_corrupted_solutions_fail_verification(default_run):
     # space of the equality rows until a guard margin goes negative.
     A = (vel.T @ instance.N.T)[: instance.n_u]
     drift = None
-    for column in null_space_basis(A).basis.T:
+    for column in factor(A).null_space().T:
         for sign in (200.0, -200.0):
             lam2 = force.lam + sign * column
             eta2 = force.eta - sign * (vel.T @ instance.N.T @ column)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
 import re
@@ -401,3 +402,14 @@ def test_readme_names_every_setting():
     assert set(re.findall(r"--[a-z-]+", synopsis)) == options
     sentence = re.search(r"The `solver` block takes (.*?)\.\s", readme, re.S).group(1)
     assert set(re.findall(r"`([a-z_]+)`", sentence)) == cli.SOLVER_KEYS
+
+
+def test_readme_layout_names_only_what_exists():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    for bullet in layout.removeprefix("- ").split("\n- "):
+        where, text = re.fullmatch(r"`([^`]+)` - (.*)", bullet, re.S).groups()
+        module = importlib.import_module(where.removeprefix("tests/").removesuffix(".py"))
+        names = re.findall(r"`([A-Za-z_]\w*)[(`]", text)
+        assert names, where
+        assert [n for n in names if not hasattr(module, n)] == [], where

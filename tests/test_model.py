@@ -2,15 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hybridservo.model import (
-    GuardConditions,
-    HybridAction,
-    assemble_N,
-    check_action,
-    make_instance,
-    unactuated_selector,
-    validate,
-)
+from hybridservo.model import GuardConditions, assemble_N, make_instance, validate
 
 
 def _small_instance():
@@ -32,13 +24,6 @@ def test_assemble_N_is_product():
     J = rng.standard_normal((4, 7))
     Om = rng.standard_normal((7, 5))
     assert np.allclose(assemble_N(J, Om), J @ Om)
-
-
-def test_unactuated_selector_picks_prefix():
-    H = unactuated_selector(2, 5)
-    v = np.arange(5.0)
-    assert H.shape == (2, 5)
-    assert np.allclose(H @ v, [0.0, 1.0])
 
 
 def test_validate_clean_instance():
@@ -71,50 +56,3 @@ def test_guard_conditions_empty_counts():
     assert guard.n_eq == 0
     assert guard.Lambda.shape == (0, 5)
     assert guard.Gamma.shape == (0, 5)
-
-
-def _action_for(inst, R_a, eta):
-    n = inst.n
-    T = np.eye(n)
-    T[inst.n_u :, inst.n_u :] = R_a
-    return HybridAction(
-        n_av=1,
-        n_af=inst.n_a - 1,
-        T=T,
-        R_a=R_a,
-        w_av=np.array([0.2]),
-        eta_af=np.zeros(inst.n_a - 1),
-        lam=np.zeros(inst.n_phi),
-        eta=eta,
-    )
-
-
-def test_check_action_accepts_consistent_action():
-    inst = _small_instance()
-    R_a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    action = _action_for(inst, R_a, np.array([0.0, 1.0, 2.0]))
-    assert check_action(action, inst) == []
-
-
-def test_check_action_flags_unactuated_force():
-    inst = _small_instance()
-    R_a = np.eye(2)
-    action = _action_for(inst, R_a, np.array([0.5, 1.0, 2.0]))
-    assert any("unactuated" in p for p in check_action(action, inst))
-
-
-def test_check_action_flags_wrong_transform():
-    inst = _small_instance()
-    R_a = np.eye(2)
-    action = _action_for(inst, R_a, np.array([0.0, 1.0, 2.0]))
-    action = HybridAction(
-        n_av=action.n_av,
-        n_af=action.n_af,
-        T=np.ones((3, 3)),
-        R_a=R_a,
-        w_av=action.w_av,
-        eta_af=action.eta_af,
-        lam=action.lam,
-        eta=action.eta,
-    )
-    assert any("T" in p for p in check_action(action, inst))

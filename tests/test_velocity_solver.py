@@ -3,17 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_feasible_instance
+from helpers import direction_problem, random_feasible_instance
 from hybridservo import subspace_linalg as sla
 from hybridservo.errors import EmptyBasis, InconsistentGoal, InfeasibleDimensions
 from hybridservo.model import make_instance
-from hybridservo.velocity_solver import (
-    candidate_basis,
-    check_feasibility,
-    compute_dimensions,
-    direction_cost,
-    solve_velocity,
-)
+from hybridservo.velocity_solver import candidate_basis, direction_cost, solve_velocity
 from hybridservo.verifier import check_velocity_solution
 from pgd_oracle import (
     TIE_EPS,
@@ -27,41 +21,58 @@ from pgd_oracle import (
 def test_compute_dimensions_counts_added_rank():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[0.0, 0.0, 1.0]])
-    assert compute_dimensions(N, G) == (1, 1, 2)
+    inst = make_instance(1, N, G, [0.3], np.zeros(3))
+    ranks = sla.numerical_rank(N), sla.numerical_rank(np.vstack([N, G]))
+    assert (solve_velocity(inst).n_av, *ranks) == (1, 1, 2)
 
 
 def test_compute_dimensions_redundant_goal():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[2.0, 0.0, 0.0]])
-    assert compute_dimensions(N, G) == (0, 1, 1)
+    inst = make_instance(1, N, G, [0.0], np.zeros(3))
+    ranks = sla.numerical_rank(N), sla.numerical_rank(np.vstack([N, G]))
+    assert (solve_velocity(inst).n_av, *ranks) == (0, 1, 1)
 
 
 def test_check_feasibility_threshold():
-    assert check_feasibility(n=3, n_a=2, r_N=1)
-    assert not check_feasibility(n=3, n_a=1, r_N=1)
+    # rank(N) = 1 with n = 3: two actuated axes suffice, one does not.
+    N = np.array([[1.0, 0.0, 0.0]])
+    G = np.array([[0.0, 0.0, 1.0]])
+    assert solve_velocity(make_instance(1, N, G, [0.3], np.zeros(3))).n_av == 1
+    with pytest.raises(InfeasibleDimensions):
+        solve_velocity(make_instance(2, N, G, [0.3], np.zeros(3)))
 
 
 def test_candidate_basis_prefix_is_exactly_zero():
     rng = np.random.default_rng(2)
     inst = random_feasible_instance(rng, n=7)
-    n_av = compute_dimensions(inst.N, inst.G)[0]
-    B_c = candidate_basis(inst.N, inst.G, inst.n_u, n_av)
+    B_c, _, _ = direction_problem(inst)
     assert np.all(B_c[: inst.n_u, :] == 0.0)
-    null_ng = sla.null_space_basis(np.vstack([inst.N, inst.G])).basis
+    null_ng = sla.factor(np.vstack([inst.N, inst.G])).null_space()
     assert np.max(np.abs(B_c.T @ null_ng)) < 1e-10
 
 
 def test_candidate_basis_empty_raises():
     # The only direction pinning the goal lives on the unactuated axis.
-    N = np.array([[0.0, 0.0]])
-    G = np.array([[1.0, 0.0]])
+    null_ng = sla.factor(np.array([[0.0, 0.0], [1.0, 0.0]])).null_space()
     with pytest.raises(EmptyBasis):
-        candidate_basis(N, G, n_u=1, n_av=1)
+        candidate_basis(null_ng, n_u=1, n_av=1, rel_tol=sla.DEFAULT_RANK_TOL)
+
+
+def test_candidate_count_meets_the_rank_bound():
+    # n_c >= r_NG + n_a - n >= n_av in exact arithmetic, so EmptyBasis takes
+    # round-off once r_N + n_a >= n; the criterion-4 set stays clear of it.
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        inst = random_feasible_instance(rng)
+        B_c, _, n_av = direction_problem(inst)
+        r_NG = sla.numerical_rank(np.vstack([inst.N, inst.G]))
+        assert B_c.shape[1] >= r_NG + inst.n_a - inst.n >= n_av
 
 
 def test_direction_cost_single_row_is_negative_alignment():
     N = np.array([[1.0, 0.0, 0.0]])
-    null_n = sla.null_space_basis(N)
+    null_n = sla.factor(N).null_space()
     B_c = np.zeros((3, 2))
     B_c[1:, :] = np.eye(2)
     k = np.array([[1.0], [0.0]])
@@ -71,23 +82,17 @@ def test_direction_cost_single_row_is_negative_alignment():
 
 def test_direction_cost_penalizes_parallel_rows():
     N = np.zeros((0, 3))
-    null_n = sla.null_space_basis(N)
+    null_n = sla.factor(N).null_space()
     B_c = np.eye(3)
     k_para = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     k_orth = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert direction_cost(k_para, B_c, null_n) > direction_cost(k_orth, B_c, null_n)
 
 
-def _direction_problem(inst):
-    n_av = compute_dimensions(inst.N, inst.G)[0]
-    B_c = candidate_basis(inst.N, inst.G, inst.n_u, n_av)
-    return B_c, sla.null_space_basis(inst.N), n_av
-
-
 def test_pgd_is_deterministic_and_unit_norm():
     rng = np.random.default_rng(4)
     inst = random_feasible_instance(rng, n=8)
-    B_c, null_n, n_av = _direction_problem(inst)
+    B_c, null_n, n_av = direction_problem(inst)
     first = projected_gradient_descent(B_c, null_n, n_av, seed=0, start=1)
     second = projected_gradient_descent(B_c, null_n, n_av, seed=0, start=1)
     assert np.array_equal(first.k, second.k)
@@ -99,7 +104,7 @@ def test_pgd_is_deterministic_and_unit_norm():
 def test_pgd_improves_on_random_start():
     rng = np.random.default_rng(9)
     inst = random_feasible_instance(rng, n=9)
-    B_c, null_n, n_av = _direction_problem(inst)
+    B_c, null_n, n_av = direction_problem(inst)
     result = projected_gradient_descent(B_c, null_n, n_av, seed=3, start=0)
     start_rng = np.random.default_rng(3)
     k0 = start_rng.standard_normal((B_c.shape[1], n_av))
@@ -111,7 +116,7 @@ def _sequential_pgd(B_c, null_n, n_av, cfg, start):
     """The descent method step by step (seed 0): each trial halves the last one."""
     rng = np.random.default_rng(start)
     k = _project(rng.standard_normal((B_c.shape[1], n_av)), B_c)
-    cost, grad = _cost_and_grad(k, B_c, null_n.basis)
+    cost, grad = _cost_and_grad(k, B_c, null_n)
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         step = cfg.step_length
@@ -119,7 +124,7 @@ def _sequential_pgd(B_c, null_n, n_av, cfg, start):
         for _ in range(40):
             trial = _project(k - step * grad, B_c)
             if trial is not None:
-                trial_cost, trial_grad = _cost_and_grad(trial, B_c, null_n.basis)
+                trial_cost, trial_grad = _cost_and_grad(trial, B_c, null_n)
                 if trial_cost <= cost + TIE_EPS:
                     accepted = (trial, trial_cost, trial_grad)
                     break
@@ -139,7 +144,7 @@ def _sequential_pgd(B_c, null_n, n_av, cfg, start):
 @pytest.mark.parametrize("max_iters", [200, 10])
 def test_pgd_line_search_matches_sequential_halving(seed, expected_n_av, max_iters):
     inst = random_feasible_instance(np.random.default_rng(seed))
-    B_c, null_n, n_av = _direction_problem(inst)
+    B_c, null_n, n_av = direction_problem(inst)
     assert n_av == expected_n_av
     cfg = PgdConfig(max_iters=max_iters)
     for start in range(3):
@@ -168,8 +173,8 @@ def test_closed_form_reaches_bound_with_orthonormal_signed_rows():
     for _ in range(60):
         inst = random_feasible_instance(rng)
         sol = solve_velocity(inst)
-        B_c, null_n, n_av = _direction_problem(inst)
-        sigma = np.linalg.svd(null_n.basis.T @ B_c, compute_uv=False)
+        B_c, null_n, n_av = direction_problem(inst)
+        sigma = np.linalg.svd(null_n.T @ B_c, compute_uv=False)
         bound = -np.sqrt(n_av * np.sum(sigma[:n_av] ** 2))
         assert abs(sol.cost - bound) <= 1e-12
         assert np.allclose(sol.C @ sol.C.T, np.eye(n_av), rtol=0.0, atol=1e-12)
@@ -214,9 +219,7 @@ def test_solve_velocity_commands_pin_goal_on_random_instances():
         assert sla.numerical_rank(stacked) == sla.numerical_rank(
             np.vstack([inst.N, inst.G])
         )
-        v = sla.min_norm_solution(
-            stacked, np.concatenate([np.zeros(inst.N.shape[0]), sol.b_C])
-        )
+        v = np.linalg.pinv(stacked) @ np.concatenate([np.zeros(inst.N.shape[0]), sol.b_C])
         assert np.allclose(inst.G @ v, inst.b_G, atol=1e-6)
 
 

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import random_feasible_instance
+from hybridservo import cli, verifier
 from hybridservo import subspace_linalg as sla
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
 from hybridservo.errors import InfeasibleLP
-from hybridservo.force_solver import solve_force
+from hybridservo.force_solver import DEFAULT_F_MAX, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
 from hybridservo.verifier import (
-    VerificationReport,
+    _lstsq_min_norm,
     brute_force_force_oracle,
     check_force_solution,
     check_velocity_solution,
@@ -51,7 +56,7 @@ def test_velocity_check_fails_on_drifted_row():
     inst, _, vel, _ = _solved_tilting_step()
     # Drift along a constraint-compatible motion: the commanded value no
     # longer matches what the goal requires.
-    drift = sla.null_space_basis(inst.N).basis[:, 0]
+    drift = sla.factor(inst.N).null_space()[:, 0]
     corrupt = vel.C + 0.5 * drift[None, :]
     assert not check_velocity_solution(inst, replace(vel, C=corrupt)).passed
 
@@ -89,21 +94,23 @@ def test_force_check_fails_on_unactuated_force():
     assert report.unactuated_residual > 1e-8
 
 
-def test_verification_report_aggregates():
-    inst, guard, vel, force = _solved_tilting_step()
-    good = VerificationReport(
-        velocity=check_velocity_solution(inst, vel),
-        force=check_force_solution(inst, guard, vel.T, force),
-    )
-    assert good.passed
-    assert good.to_dict()["passed"] is True
-    bad_eta = force.eta.copy()
-    bad_eta[0] += 1.0
-    bad = VerificationReport(
-        velocity=good.velocity,
-        force=check_force_solution(inst, guard, vel.T, replace(force, eta=bad_eta)),
-    )
-    assert not bad.passed
+def test_verification_report_aggregates(monkeypatch):
+    inst, guard, _, _ = _solved_tilting_step()
+    good, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
+    assert good["verification"]["passed"] is True
+    solve = cli.solve_force
+
+    def unactuated_push(*args):
+        force = solve(*args)
+        eta = force.eta.copy()
+        eta[0] += 1.0
+        return replace(force, eta=eta)
+
+    monkeypatch.setattr(cli, "solve_force", unactuated_push)
+    bad, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
+    assert bad["verification"]["velocity"]["passed"] is True
+    assert bad["verification"]["force"]["passed"] is False
+    assert bad["verification"]["passed"] is False
 
 
 def test_min_norm_projection_matches_lstsq_path():
@@ -111,8 +118,45 @@ def test_min_norm_projection_matches_lstsq_path():
     M = rng.standard_normal((3, 7))
     rhs = rng.standard_normal(3)
     assert np.allclose(
-        min_norm_projection(M, rhs), sla.min_norm_solution(M, rhs), atol=1e-10
+        min_norm_projection(M, rhs), _lstsq_min_norm(M, rhs), atol=1e-10
     )
+
+
+def test_verifier_imports_no_solver_code():
+    # Data types, errors and constants only: no function or module of the
+    # package, so no check can share code with the path it checks.
+    tree = ast.parse(Path(verifier.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "hybridservo" for a in node.names)
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            name = "hybridservo" + (f".{node.module}" if node.module else "")
+        elif node.module.split(".")[0] == "hybridservo":
+            name = node.module
+        else:
+            continue
+        module = importlib.import_module(name)
+        for alias in node.names:
+            value = getattr(module, alias.name)
+            allowed = isinstance(value, (int, float, str)) or (
+                isinstance(value, type)
+                and (dataclasses.is_dataclass(value) or issubclass(value, Exception))
+            )
+            assert allowed, f"verifier imports {alias.name} from {name}"
+
+
+def test_verifier_rank_follows_the_solver_rank_rule():
+    rng = np.random.default_rng(2024)
+    instances = [random_feasible_instance(rng) for _ in range(200)]  # criterion 4's set
+    scenario = TiltingScenario()
+    instances += [build_instance(st, scenario)[0] for st in rollout_states(scenario)]
+    for inst in instances:
+        sol = solve_velocity(inst)
+        report = check_velocity_solution(inst, sol)
+        assert report.rank_ng == sla.numerical_rank(np.vstack([inst.N, inst.G]))
+        assert report.rank_nc == sla.numerical_rank(np.vstack([inst.N, sol.C]))
 
 
 def test_grid_oracle_brackets_lp_margin():

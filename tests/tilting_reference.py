@@ -60,10 +60,10 @@ def build_instance(state, scenario):
     contacts_obj = table_contacts_object_frame(scenario)
     q = tilting.state_vector(state)
     J_phi = constraint_jacobian(q, scenario.hand_contact_obj, contacts_obj)
-    Omega = tilting.omega_map(state)
+    R_wo = tilting.quat_to_rotation(state.object_pose.quat)
+    Omega = tilting.omega_map(state, R_wo)
     N = assemble_N(J_phi, Omega)
     G, b_G = goal_twist(state, scenario)
-    R_wo = tilting.quat_to_rotation(state.object_pose.quat)
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
     instance = SystemInstance(n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F, J_phi=J_phi, Omega=Omega)
-    return instance, tilting.guard_conditions(state, scenario)
+    return instance, tilting.guard_conditions(scenario, R_wo)
