@@ -14,7 +14,7 @@ class SingularSystem(SolverError):
 
 
 class SingularTransform(SolverError):
-    """The requested action-frame transform is not invertible."""
+    """The action frame T is not diag(I, R_a) with R_a orthonormal."""
 
 
 class InfeasibleDimensions(SolverError):

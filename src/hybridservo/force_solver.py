@@ -4,16 +4,18 @@ In the action frame the quasi-static force balance reads
 
     T N^T lambda + eta + T F = 0,        eta = T f,
 
-with the unactuated block of eta forced to zero (nothing actuates those
-coordinates) and any guard equalities Gamma [lambda; f] = b_Gamma appended.
-Everything except the force command eta_af is a "free" force the physics
-determines: f_free = [lambda; eta_u; eta_av].  Given eta_af, the free
-forces are resolved as the minimum-norm solution of the stacked equality
-system M_free f_free = rhs - M_eta_f eta_af.  That solution is affine in
-the command, f_free = f0 + W eta_af, and one thin SVD M_free = U S V^T
-gives it for every command at once: [f0, W] = V S^-1 U^T [rhs, -M_eta_f]
-over the singular values kept by the package's rank rule (Golub & Van
-Loan, Matrix Computations, 5.5).  The same SVD gives the condition of the
+where T = diag(I, R_a) with R_a orthonormal, the frame the velocity stage
+builds, so T^-1 = T^T.  The unactuated block eta_u = f_u is zero (nothing
+actuates those coordinates), so it is no unknown, and any guard equalities
+Gamma [lambda; f] = b_Gamma are appended.  Everything except the force
+command eta_af is a "free" force the physics determines: f_free =
+[lambda; eta_av].  Given eta_af, the free forces are resolved as the
+minimum-norm solution of the stacked equality system M_free f_free =
+rhs - M_eta_f eta_af.  That solution is affine in the command, f_free =
+f0 + W eta_af, and one thin SVD M_free = U S V^T gives it for every
+command at once: [f0, W] = V S^-1 U^T [rhs, -M_eta_f] over the singular
+values kept by the package's rank rule (Golub & Van Loan, Matrix
+Computations, 5.5).  The same SVD gives the condition of the
 KKT system [[2I, M_free^T], [M_free, 0]] in closed form, so that system is
 never built.  Consistent redundant equality rows (for example
 a duplicated Gamma row) are harmless; each column's residual check raises
@@ -61,35 +63,14 @@ from . import subspace_linalg as sla
 from .errors import InconsistentSystem, InfeasibleLP, SingularSystem, SingularTransform
 from .model import GuardConditions, SystemInstance
 
-# Condition ceiling for the action-frame transform.
-MAX_T_CONDITION = 1e10
+# Largest entry of T T^T - I accepted for the action frame.
+FRAME_TOL = 1e-10
 
 # Default bound |eta_af| <= f_max on the force command [N].
 DEFAULT_F_MAX = 50.0
 
 # Margins down to -FEASIBILITY_TOL still count as feasible.
 FEASIBILITY_TOL = 1e-9
-
-
-@dataclass
-class NewtonAssembly:
-    """Stacked force-balance equalities split by decision role.
-
-    M_free multiplies f_free = [lambda; eta_u; eta_av], M_eta_f multiplies
-    the force command eta_af, and rhs collects the constant side
-    [0; -T F; b_Gamma].
-    """
-
-    M_free: np.ndarray
-    M_eta_f: np.ndarray
-    rhs: np.ndarray
-    T: np.ndarray
-    T_inv: np.ndarray
-    n_phi: int
-    n_u: int
-    n_av: int
-    n_af: int
-    n: int
 
 
 @dataclass
@@ -102,18 +83,28 @@ class ForceSolution:
     effort_pass: str  # "skipped", "unique", "refined" or "fell_back"
 
 
-def _check_transform(T: np.ndarray, n: int) -> np.ndarray:
-    """T^-1 = V S^-1 U^T from one SVD of T, which also gives cond(T)."""
+def _check_transform(T: np.ndarray, n: int, n_u: int) -> np.ndarray:
+    """T as an array, checked to be an action frame diag(I, R_a), R_a orthonormal.
+
+    The identity and zero blocks must be exact, as the velocity stage writes
+    them, and max|T T^T - I| at most FRAME_TOL, so that T^-1 = T^T.
+    """
     T = np.asarray(T, dtype=float)
     if T.shape != (n, n):
         raise ValueError(f"T must be {n} x {n}, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("T contains non-finite entries")
-    u, s, vh = np.linalg.svd(T)
-    cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
-    if not np.isfinite(cond) or cond >= MAX_T_CONDITION:
-        raise SingularTransform(f"transform T is not invertible (cond {cond:.3e})")
-    return (vh.T / s) @ u.T
+    error = float(np.abs(T @ T.T - np.eye(n)).max(initial=0.0))
+    if (
+        not np.array_equal(T[:n_u], np.eye(n_u, n))
+        or T[n_u:, :n_u].any()
+        or error > FRAME_TOL
+    ):
+        raise SingularTransform(
+            f"T is not an action frame diag(I, R_a) with R_a orthonormal "
+            f"(max |T T^T - I| {error:.3e})"
+        )
+    return T
 
 
 def assemble_newton(
@@ -121,39 +112,27 @@ def assemble_newton(
     guard: GuardConditions,
     T: np.ndarray,
     n_av: int,
-) -> NewtonAssembly:
-    """Stack the unactuated-zero, force-balance and guard-equality rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack the force-balance and guard-equality rows: (M_free, M_eta_f, rhs).
 
-    Over [lambda; eta] the rows read [0, T_inv[:n_u]], [T N^T, I] and
-    [Gamma_lambda, Gamma_f T_inv]; the eta columns are ordered
-    [eta_u; eta_af; eta_av] and split into M_free and M_eta_f by slicing.
+    Over [lambda; eta] the rows read [T N^T, I] and [Gamma_lambda,
+    Gamma_f T^T].  eta_u = 0 drops its columns; the actuated columns
+    [eta_af; eta_av] are split by slicing, so M_free multiplies f_free =
+    [lambda; eta_av] and M_eta_f the command eta_af.  rhs is [-T F; b_Gamma].
     """
     n, n_u = instance.n, instance.n_u
     n_phi = instance.n_phi
     n_af = instance.n_a - n_av
     if n_af < 0:
         raise ValueError("n_av exceeds the number of actuated dimensions")
-    T = np.asarray(T, dtype=float)
-    T_inv = _check_transform(T, n)
+    T = _check_transform(T, n, n_u)
 
-    eta_rows = np.concatenate([T_inv[:n_u], np.eye(n), guard.Gamma[:, n_phi:] @ T_inv])
-    M_free = np.zeros((eta_rows.shape[0], n_phi + n_u + n_av))
-    M_free[n_u : n_u + n, :n_phi] = T @ instance.N.T
-    M_free[n_u + n :, :n_phi] = guard.Gamma[:, :n_phi]
-    M_free[:, n_phi : n_phi + n_u] = eta_rows[:, :n_u]
-    M_free[:, n_phi + n_u :] = eta_rows[:, n_u + n_af :]
-    return NewtonAssembly(
-        M_free=M_free,
-        M_eta_f=eta_rows[:, n_u : n_u + n_af],
-        rhs=np.concatenate([np.zeros(n_u), -T @ instance.F, guard.b_Gamma]),
-        T=T,
-        T_inv=T_inv,
-        n_phi=n_phi,
-        n_u=n_u,
-        n_av=n_av,
-        n_af=n_af,
-        n=n,
-    )
+    eta_rows = np.concatenate([np.eye(n)[:, n_u:], guard.Gamma[:, n_phi:] @ T[n_u:].T])
+    M_free = np.zeros((eta_rows.shape[0], n_phi + n_av))
+    M_free[:n, :n_phi] = T @ instance.N.T
+    M_free[n:, :n_phi] = guard.Gamma[:, :n_phi]
+    M_free[:, n_phi:] = eta_rows[:, n_af:]
+    return M_free, eta_rows[:, :n_af], np.concatenate([-T @ instance.F, guard.b_Gamma])
 
 
 def _kkt_condition(f_free: sla.Factorization) -> float:
@@ -174,7 +153,7 @@ def _kkt_condition(f_free: sla.Factorization) -> float:
     return float(eig.max() / eig.min()) if eig.min() > 0.0 else np.inf
 
 
-def _free_force_map(assembly: NewtonAssembly):
+def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
     """(f0, W) with f_free = f0 + W @ eta_af, from one thin SVD of M_free.
 
     f0 and W are the minimum-norm solutions V S^-1 U^T [rhs, -M_eta_f] over
@@ -183,14 +162,14 @@ def _free_force_map(assembly: NewtonAssembly):
     ill-conditioned, or when a column leaves a residual: the equality rows
     are then inconsistent or pin the force command.
     """
-    f_free = sla.factor(assembly.M_free, full_matrices=False)
+    f_free = sla.factor(M_free, full_matrices=False)
     cond = _kkt_condition(f_free)
     if not np.isfinite(cond) or cond >= sla.MAX_CONDITION:
         raise SingularSystem(
             f"force balance is singular or ill-conditioned (KKT cond {cond:.3e})"
         )
     try:
-        F = f_free.min_norm(np.column_stack([assembly.rhs, -assembly.M_eta_f]))
+        F = f_free.min_norm(np.column_stack([rhs, -M_eta_f]))
     except InconsistentSystem as exc:
         raise SingularSystem(
             f"equality rows are inconsistent or pin the force command ({exc})"
@@ -346,15 +325,16 @@ def solve_force(
     f_max: float = DEFAULT_F_MAX,
 ) -> ForceSolution:
     """Maximize the worst guard margin over the force command |eta_af| <= f_max."""
-    assembly = assemble_newton(instance, guard, T, n_av)
-    n_af, n_phi, n_u = assembly.n_af, assembly.n_phi, assembly.n_u
-    f0, W = _free_force_map(assembly)
-    # eta = [eta_u; eta_af; eta_av]: the free parts come from f_free.
-    eta0 = np.concatenate([f0[n_phi : n_phi + n_u], np.zeros(n_af), f0[n_phi + n_u :]])
-    eta_map = np.concatenate([W[n_phi : n_phi + n_u], np.eye(n_af), W[n_phi + n_u :]])
-    # The stacked force [lambda; f], f = T_inv eta, is x0 + X @ eta_af.
-    x0 = np.concatenate([f0[:n_phi], assembly.T_inv @ eta0])
-    X = np.concatenate([W[:n_phi], assembly.T_inv @ eta_map])
+    T = np.asarray(T, dtype=float)
+    M_free, M_eta_f, rhs = assemble_newton(instance, guard, T, n_av)
+    n_phi, n_u, n_af = instance.n_phi, instance.n_u, M_eta_f.shape[1]
+    f0, W = _free_force_map(M_free, M_eta_f, rhs)
+    # eta = [eta_u; eta_af; eta_av] with eta_u = 0; eta_av comes from f_free.
+    eta0 = np.concatenate([np.zeros(n_u + n_af), f0[n_phi:]])
+    eta_map = np.concatenate([np.zeros((n_u, n_af)), np.eye(n_af), W[n_phi:]])
+    # The stacked force [lambda; f], f = T^T eta, is x0 + X @ eta_af.
+    x0 = np.concatenate([f0[:n_phi], T.T @ eta0])
+    X = np.concatenate([W[:n_phi], T.T @ eta_map])
     G = guard.Lambda @ X
     h = guard.b_Lambda - guard.Lambda @ x0
     if guard.n_ineq:

@@ -3,10 +3,10 @@
 Everything here re-derives its reference quantities from the raw problem
 data with its own few lines of linear algebra on np.linalg, so no check
 shares code with the solver path it checks: rank and null space come from
-SVDs under the same relative rank rule, the minimum-norm references from
-least squares and the pseudoinverse projection formula rather than the
-solver's single-SVD maps, and the brute-force force oracle rebuilds the
-force-balance equalities on its own.
+one full SVD per matrix under the same relative rank rule, the minimum-norm
+references from least squares and the pseudoinverse projection formula
+rather than the solver's single-SVD maps, and the brute-force force oracle
+rebuilds the force-balance equalities on its own.
 """
 
 from __future__ import annotations
@@ -24,19 +24,14 @@ from .velocity_solver import VelocitySolution
 VELOCITY_TOL = 1e-6
 
 
-def _kept(s: np.ndarray, rel_tol: float) -> int:
-    """Number of singular values above rel_tol times the largest."""
-    return int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
+def _rank_and_null_space(M: np.ndarray, rel_tol: float):
+    """(rank, orthonormal columns spanning {v : M v = 0}) from one full SVD.
 
-
-def _rank(M: np.ndarray, rel_tol: float) -> int:
-    return _kept(np.linalg.svd(M, compute_uv=False), rel_tol)
-
-
-def _null_space(M: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Orthonormal columns spanning {v : M v = 0}, from a full SVD."""
+    The rank counts the singular values above rel_tol times the largest.
+    """
     _, s, vh = np.linalg.svd(M)
-    return np.ascontiguousarray(vh[_kept(s, rel_tol) :].T)
+    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    return rank, np.ascontiguousarray(vh[rank:].T)
 
 
 def _lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,12 +114,11 @@ def check_velocity_solution(
         notes.append("no velocity-controlled directions; nothing to check")
         return VelocityCheck(True, 0, 0, 0.0, 0.0, 0.0, 0.0, notes)
 
-    rank_ng = _rank(np.vstack([N, G]), rel_tol)
-    rank_nc = _rank(np.vstack([N, C]), rel_tol)
+    rank_ng, null_ng = _rank_and_null_space(np.vstack([N, G]), rel_tol)
+    rank_nc, null_nc = _rank_and_null_space(np.vstack([N, C]), rel_tol)
     ok = rank_nc == rank_ng
 
     # Every velocity that satisfies constraints plus command must move the goal.
-    null_nc = _null_space(np.vstack([N, C]), rel_tol)
     null_goal_residual = float(np.max(np.abs(G @ null_nc))) if null_nc.size else 0.0
     ok = ok and null_goal_residual <= VELOCITY_TOL
 
@@ -145,7 +139,6 @@ def check_velocity_solution(
     # C v must be the same for every velocity compatible with the goal.
     variation = 0.0
     if np.isfinite(cross_cmd):
-        null_ng = _null_space(np.vstack([N, G]), rel_tol)
         if null_ng.shape[1]:
             rng = np.random.default_rng(seed)
             weights = rng.standard_normal((null_ng.shape[1], samples))
@@ -170,7 +163,9 @@ def _force_equalities(instance: SystemInstance, guard: GuardConditions, T: np.nd
 
     Returns (M_free, M_eta_f, rhs) over the unknowns [lambda; eta_u;
     eta_av] and eta_af, mirroring the physics without importing the solver
-    assembly.
+    assembly.  It takes any invertible T and pins eta_u = 0 with rows of
+    its own, where the solver assumes T^-1 = T^T and drops eta_u, so the
+    oracles built on it also check that elimination.
     """
     n, n_u, n_phi = instance.n, instance.n_u, instance.n_phi
     n_af = instance.n_a - n_av

@@ -35,8 +35,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from hybridservo.errors import InfeasibleLP
-from hybridservo.force_solver import assemble_newton
 from hybridservo.model import GuardConditions, SystemInstance
+from hybridservo.verifier import _force_equalities
 from kkt_reference import build_kkt
 
 
@@ -46,14 +46,15 @@ def _kkt_rows(instance, guard, T, n_av, f_max):
     Returns (A_eq, b_eq, A_g, b_g, A_act, bounds): the KKT equalities, the
     rows whose worst slack is the margin (the guard rows, or the box rows
     |eta_af| <= f_max without guard rows), and the map to the actuated force
-    in the original coordinates.
+    in the original coordinates, over the verifier's full layout f_free =
+    [lambda; eta_u; eta_av].
     """
-    assembly = assemble_newton(instance, guard, T, n_av)
-    K, rhs_const, rhs_map = build_kkt(assembly)
-    r, m = assembly.M_free.shape
-    n_phi, n_u, n_av, n_af, n = (
-        assembly.n_phi, assembly.n_u, assembly.n_av, assembly.n_af, assembly.n
-    )
+    equalities = _force_equalities(instance, guard, T, n_av)
+    K, rhs_const, rhs_map = build_kkt(*equalities)
+    r, m = equalities[0].shape
+    n_phi, n_u, n = instance.n_phi, instance.n_u, instance.n
+    n_af = instance.n_a - n_av
+    T_inv = np.linalg.inv(T)
     nz = m + r + n_af
     af = slice(m + r, nz)
     A_eq = np.zeros((m + r, nz))
@@ -67,8 +68,8 @@ def _kkt_rows(instance, guard, T, n_av, f_max):
     E_af = np.zeros((n, n_af))
     E_af[n_u : n_u + n_af] = np.eye(n_af)
     A_f = np.zeros((n, nz))
-    A_f[:, :m] = assembly.T_inv @ E_free
-    A_f[:, af] = assembly.T_inv @ E_af
+    A_f[:, :m] = T_inv @ E_free
+    A_f[:, af] = T_inv @ E_af
 
     if guard.n_ineq:
         A_g = guard.Lambda[:, n_phi:] @ A_f

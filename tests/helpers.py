@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from hybridservo.force_solver import assemble_newton
 from hybridservo.model import GuardConditions, SystemInstance, make_instance
 from hybridservo.subspace_linalg import DEFAULT_RANK_TOL, factor, numerical_rank
 from hybridservo.velocity_solver import candidate_basis
+from hybridservo.verifier import _force_equalities
 
 MAX_ASSEMBLY_CONDITION = 1e3
 
@@ -67,7 +67,8 @@ def random_force_assembly(
 
     Free-force count n_phi + n_u + n_av stays at or below max_free.  Full
     row rank of the stacked equalities requires n_phi + n_av >= n + n_eq,
-    which the dimension draw enforces; ill-conditioned draws are rejected.
+    which the dimension draw enforces; ill-conditioned draws, judged on the
+    verifier's full-layout equalities, are rejected.
     The number n_eq of Gamma rows is drawn from {0, 1} unless given.
     """
     fixed_eq = n_eq
@@ -94,9 +95,9 @@ def random_force_assembly(
         q, _ = np.linalg.qr(rng.standard_normal((n_a, n_a)))
         T = np.eye(n)
         T[n_u:, n_u:] = q
-        assembly = assemble_newton(instance, guard, T, n_av)
-        rank_ok = numerical_rank(assembly.M_free) == assembly.M_free.shape[0]
-        if rank_ok and np.linalg.cond(assembly.M_free) < MAX_ASSEMBLY_CONDITION:
+        M_free = _force_equalities(instance, guard, T, n_av)[0]
+        rank_ok = numerical_rank(M_free) == M_free.shape[0]
+        if rank_ok and np.linalg.cond(M_free) < MAX_ASSEMBLY_CONDITION:
             return instance, guard, T, n_av
     raise RuntimeError("could not draw a well-conditioned force assembly")
 
@@ -116,10 +117,10 @@ def random_guarded_assembly(
     -0.25.
     """
     instance, guard, T, n_av = random_force_assembly(rng, n_eq=n_eq)
-    assembly = assemble_newton(instance, guard, T, n_av)
+    M_free, M_eta_f, rhs = _force_equalities(instance, guard, T, n_av)
     n_phi, n_u = instance.n_phi, instance.n_u
-    eta_af = rng.uniform(-10.0, 10.0, assembly.n_af)
-    f_free = np.linalg.pinv(assembly.M_free) @ (assembly.rhs - assembly.M_eta_f @ eta_af)
+    eta_af = rng.uniform(-10.0, 10.0, M_eta_f.shape[1])
+    f_free = np.linalg.pinv(M_free) @ (rhs - M_eta_f @ eta_af)
     eta = np.concatenate([f_free[n_phi : n_phi + n_u], eta_af, f_free[n_phi + n_u :]])
     x = np.concatenate([f_free[:n_phi], np.linalg.solve(T, eta)])
     Lambda = rng.standard_normal((n_rows, x.size))

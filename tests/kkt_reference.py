@@ -5,7 +5,9 @@ builds the KKT system of min ||f_free||^2 s.t. M_free f_free = rhs -
 M_eta_f eta_af.  This module builds that system and solves it with
 np.linalg.solve, a route that shares no factorization with the solver, so
 tests can check the SVD route (and its closed-form condition number)
-against it.  force_lp_oracle.py carries the same system as equality rows.
+against it.  Both take the rows (M_free, M_eta_f, rhs): the solver's over
+[lambda; eta_av] or the verifier's full layout over [lambda; eta_u; eta_av],
+which force_lp_oracle.py carries as equality rows.
 """
 
 from __future__ import annotations
@@ -46,24 +48,24 @@ def solve_square(A, b) -> np.ndarray:
     return v
 
 
-def build_kkt(assembly):
+def build_kkt(M_free, M_eta_f, rhs):
     """KKT system for min ||f_free||^2 s.t. M_free f_free = rhs - M_eta_f eta_af.
 
     Returns (K, kkt_rhs_const, kkt_rhs_eta_map) with
     K @ [f_free; f_dual] = kkt_rhs_const - kkt_rhs_eta_map @ eta_af.
     """
-    r, m = assembly.M_free.shape
+    r, m = M_free.shape
     K = np.zeros((m + r, m + r))
     K[:m, :m] = 2.0 * np.eye(m)
-    K[:m, m:] = assembly.M_free.T
-    K[m:, :m] = assembly.M_free
-    kkt_rhs_const = np.concatenate([np.zeros(m), assembly.rhs])
-    kkt_rhs_eta_map = np.vstack([np.zeros((m, assembly.n_af)), assembly.M_eta_f])
+    K[:m, m:] = M_free.T
+    K[m:, :m] = M_free
+    kkt_rhs_const = np.concatenate([np.zeros(m), rhs])
+    kkt_rhs_eta_map = np.vstack([np.zeros((m, M_eta_f.shape[1])), M_eta_f])
     return K, kkt_rhs_const, kkt_rhs_eta_map
 
 
-def solve_kkt(assembly, eta_af: np.ndarray) -> np.ndarray:
+def solve_kkt(M_free, M_eta_f, rhs, eta_af: np.ndarray) -> np.ndarray:
     """Free forces for a fixed force command (minimum-norm resolution)."""
-    K, rhs_const, rhs_map = build_kkt(assembly)
+    K, rhs_const, rhs_map = build_kkt(M_free, M_eta_f, rhs)
     x = solve_square(K, rhs_const - rhs_map @ np.asarray(eta_af, dtype=float))
-    return x[: assembly.M_free.shape[1]]
+    return x[: M_free.shape[1]]

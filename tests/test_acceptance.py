@@ -26,6 +26,7 @@ from hybridservo.verifier import (
     brute_force_force_oracle,
     check_force_solution,
     check_velocity_solution,
+    _force_equalities,
     min_norm_projection,
 )
 
@@ -154,14 +155,16 @@ def test_criterion_5_kkt_matches_projection_oracle():
     hits = 0
     for _ in range(200):
         instance, guard, T, n_av = random_force_assembly(rng)
-        assembly = assemble_newton(instance, guard, T, n_av)
-        eta_af = rng.uniform(-5.0, 5.0, assembly.n_af)
-        # The free forces solve_force uses: affine in the command, one SVD.
-        f0, W = _free_force_map(assembly)
-        direct = f0 + W @ eta_af
-        oracle = min_norm_projection(
-            assembly.M_free, assembly.rhs - assembly.M_eta_f @ eta_af
-        )
+        M_free, M_eta_f, rhs = _force_equalities(instance, guard, T, n_av)
+        eta_af = rng.uniform(-5.0, 5.0, M_eta_f.shape[1])
+        # The free forces [lambda; eta_av] solve_force uses: affine in the
+        # command, one SVD.  The oracle solves over the full layout
+        # [lambda; eta_u; eta_av], so its eta_u must come out 0.
+        f0, W = _free_force_map(*assemble_newton(instance, guard, T, n_av))
+        f_free = f0 + W @ eta_af
+        n_phi = instance.n_phi
+        direct = np.concatenate([f_free[:n_phi], np.zeros(instance.n_u), f_free[n_phi:]])
+        oracle = min_norm_projection(M_free, rhs - M_eta_f @ eta_af)
         err = float(np.max(np.abs(direct - oracle))) if direct.size else 0.0
         worst = max(worst, err)
         hits += err <= 1e-7

@@ -19,7 +19,7 @@ from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
 from hybridservo.force_solver import assemble_newton, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
-from hybridservo.verifier import min_norm_projection
+from hybridservo.verifier import _force_equalities, min_norm_projection
 from kkt_reference import build_kkt, solve_kkt
 
 
@@ -53,15 +53,14 @@ def _wall_press(b_rows):
 
 
 def test_assemble_newton_structure():
+    # Rows over [lambda; eta_av] (eta_u = 0 has no column and no pin row):
+    # the balance T N^T lambda + eta = -T F, then Gamma with Gamma_f T^T.
     inst, guard = _supported_object()
-    assembly = assemble_newton(inst, guard, np.eye(2), n_av=1)
-    assert assembly.M_free.shape == (3, 3)
-    assert assembly.M_eta_f.shape == (3, 0)
-    assert np.allclose(assembly.rhs, [0.0, 2.45, 0.0])
-    # Rows: eta_u selector, then the force balance in the action frame.
-    assert np.allclose(assembly.M_free[0], [0.0, 1.0, 0.0])
-    assert np.allclose(assembly.M_free[1], [1.0, 1.0, 0.0])
-    assert np.allclose(assembly.M_free[2], [-1.0, 0.0, 1.0])
+    guard = GuardConditions(guard.Lambda, guard.b_Lambda, np.array([[0.5, 0.0, 2.0]]), np.ones(1))
+    M_free, M_eta_f, rhs = assemble_newton(inst, guard, np.diag([1.0, -1.0]), n_av=1)
+    assert np.array_equal(M_free, [[1.0, 0.0], [1.0, 1.0], [0.5, -2.0]])
+    assert M_eta_f.shape == (3, 0)
+    assert np.array_equal(rhs, [2.45, 0.0, 1.0])
 
 
 def test_assemble_newton_rejects_singular_transform():
@@ -70,30 +69,50 @@ def test_assemble_newton_rejects_singular_transform():
         assemble_newton(inst, guard, np.diag([1.0, 1e-11]), n_av=1)
 
 
+@pytest.mark.parametrize(
+    "T",
+    [
+        np.diag([1.0, 2.0]),
+        # Orthonormal, but it mixes the unactuated and actuated coordinates.
+        np.array([[0.6, -0.8], [0.8, 0.6]]),
+    ],
+    ids=["scaled", "coupled"],
+)
+def test_solve_force_rejects_a_transform_that_is_not_an_action_frame(T):
+    inst, guard = _supported_object()
+    with pytest.raises(SingularTransform):
+        solve_force(inst, guard, T, n_av=1)
+
+
+def test_unactuated_force_is_exactly_zero():
+    rng = np.random.default_rng(3)
+    cases = [random_force_assembly(rng) for _ in range(50)]
+    for inst, guard, T, n_av in [*cases, *_default_plan_cases()]:
+        assert np.all(solve_force(inst, guard, T, n_av).eta[: inst.n_u] == 0.0)
+
+
 def test_build_kkt_blocks():
     rng = np.random.default_rng(0)
     inst, guard, T, n_av = random_force_assembly(rng)
-    assembly = assemble_newton(inst, guard, T, n_av)
-    r, m = assembly.M_free.shape
-    K, rhs_const, rhs_map = build_kkt(assembly)
+    M_free, M_eta_f, rhs = _force_equalities(inst, guard, T, n_av)
+    r, m = M_free.shape
+    K, rhs_const, rhs_map = build_kkt(M_free, M_eta_f, rhs)
     assert K.shape == (m + r, m + r)
     assert np.allclose(K[:m, :m], 2.0 * np.eye(m))
-    assert np.allclose(K[:m, m:], assembly.M_free.T)
-    assert np.allclose(K[m:, :m], assembly.M_free)
+    assert np.allclose(K[:m, m:], M_free.T)
+    assert np.allclose(K[m:, :m], M_free)
     assert np.allclose(K[m:, m:], 0.0)
-    assert np.allclose(rhs_const, np.concatenate([np.zeros(m), assembly.rhs]))
-    assert np.allclose(rhs_map[m:], assembly.M_eta_f)
+    assert np.allclose(rhs_const, np.concatenate([np.zeros(m), rhs]))
+    assert np.allclose(rhs_map[m:], M_eta_f)
 
 
-def test_solve_kkt_matches_projection_oracle():
+def test_kkt_reference_matches_pinv_projection():
     rng = np.random.default_rng(1)
     inst, guard, T, n_av = random_force_assembly(rng)
-    assembly = assemble_newton(inst, guard, T, n_av)
-    eta_af = rng.uniform(-10.0, 10.0, assembly.n_af)
-    via_kkt = solve_kkt(assembly, eta_af)
-    via_pinv = min_norm_projection(
-        assembly.M_free, assembly.rhs - assembly.M_eta_f @ eta_af
-    )
+    M_free, M_eta_f, rhs = _force_equalities(inst, guard, T, n_av)
+    eta_af = rng.uniform(-10.0, 10.0, M_eta_f.shape[1])
+    via_kkt = solve_kkt(M_free, M_eta_f, rhs, eta_af)
+    via_pinv = min_norm_projection(M_free, rhs - M_eta_f @ eta_af)
     assert np.max(np.abs(via_kkt - via_pinv)) < 1e-9
 
 
@@ -439,33 +458,32 @@ def test_simplex_matches_linprog_on_random_boxed_lps(lp):
 
 
 def _svd_route_cases():
-    """(assembly, eta_af) on the 300 oracle draws and every tilting step."""
+    """(instance, guard, T, n_av, eta_af) on the 300 oracle draws and every tilting step."""
     rng = np.random.default_rng(2024)
     for i in range(300):
         n_rows = 0 if i % 7 == 0 else int(rng.integers(2, 9))
         inst, guard, T, n_av = random_guarded_assembly(rng, n_rows, infeasible=i % 3 == 2)
-        assembly = assemble_newton(inst, guard, T, n_av)
-        yield assembly, rng.uniform(-10.0, 10.0, assembly.n_af)
-    scenario = tilting.TiltingScenario()
-    for state in tilting.rollout_states(scenario):
-        instance, guard = tilting.build_instance(state, scenario)
-        vel = solve_velocity(instance)
-        assembly = assemble_newton(instance, guard, vel.T, vel.n_av)
-        yield assembly, np.linspace(-20.0, 20.0, assembly.n_af)
+        yield inst, guard, T, n_av, rng.uniform(-10.0, 10.0, inst.n_a - n_av)
+    for inst, guard, T, n_av in _default_plan_cases():
+        yield inst, guard, T, n_av, np.linspace(-20.0, 20.0, inst.n_a - n_av)
 
 
 def test_svd_route_matches_kkt_reference():
-    for assembly, eta_af in _svd_route_cases():
-        f_free = sla.factor(assembly.M_free, full_matrices=False)
+    # The solver's free forces [lambda; eta_av] against the LU solve of the
+    # full-layout KKT system over [lambda; eta_u; eta_av], whose rows pin
+    # eta_u = 0 on their own.
+    for inst, guard, T, n_av, eta_af in _svd_route_cases():
+        assembly = assemble_newton(inst, guard, T, n_av)
+        f_free = sla.factor(assembly[0], full_matrices=False)
         closed_form = force_solver._kkt_condition(f_free)
-        reference = np.linalg.cond(build_kkt(assembly)[0])
+        reference = np.linalg.cond(build_kkt(*assembly)[0])
         assert closed_form == pytest.approx(reference, rel=1e-9)
-        f0, W = force_solver._free_force_map(assembly)
-        reference = solve_kkt(assembly, eta_af)
+        f0, W = force_solver._free_force_map(*assembly)
+        reference = solve_kkt(*_force_equalities(inst, guard, T, n_av), eta_af)
+        lam, eta_av = np.split(f0 + W @ eta_af, [inst.n_phi])
+        full = np.concatenate([lam, np.zeros(inst.n_u), eta_av])
         scale = max(1.0, np.max(np.abs(reference)))
-        assert np.max(np.abs(f0 + W @ eta_af - reference)) < 1e-9 * scale
-        T_inv = np.linalg.inv(assembly.T)
-        assert np.max(np.abs(assembly.T_inv - T_inv)) < 1e-12 * np.max(np.abs(T_inv))
+        assert np.max(np.abs(full - reference)) < 1e-9 * scale
 
 
 def test_kkt_condition_counts_columns_beyond_the_rank():
@@ -484,7 +502,7 @@ def test_kkt_condition_counts_columns_beyond_the_rank():
     )
 
 
-def test_solve_force_factors_t_and_m_free_once(monkeypatch):
+def test_solve_force_factors_m_free_once(monkeypatch):
     rng = np.random.default_rng(4)
     inst, guard, T, n_av = random_guarded_assembly(rng, 4, n_eq=1)
     svd, shapes = np.linalg.svd, []
@@ -499,10 +517,9 @@ def test_solve_force_factors_t_and_m_free_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for name in ("solve", "cond", "lstsq", "inv", "pinv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    assembly_shape = assemble_newton(inst, guard, T, n_av).M_free.shape
-    shapes.clear()
     solve_force(inst, guard, T, n_av)
-    assert shapes == [T.shape, assembly_shape]
+    # M_free: the n balance rows and the Gamma row over [lambda; eta_av].
+    assert shapes == [(inst.n + 1, inst.n_phi + n_av)]
 
 
 def test_simplex_keeps_entries_below_pivot_tolerance():
