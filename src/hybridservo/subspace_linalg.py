@@ -1,13 +1,12 @@
 """SVD-backed rank, null-space and minimum-norm primitives of the solve path.
 
 Every rank decision of the two solver stages applies one rule, singular
-values above rel_tol times the largest, through :func:`factor` or
-:func:`numerical_rank`.  A :class:`Factorization` serves the rank, the null
-space and the minimum-norm map of a matrix from one SVD; numerical_rank
-skips the singular vectors where only the rank is needed.  Null-space bases
-are orthonormal, and zero-row or zero-column matrices are legal inputs
-(rank 0, full null space).  The verifier takes only constants from here
-and repeats the rank rule on np.linalg itself.
+values above rel_tol times the largest.  A :class:`Factorization`, made by
+:func:`factor`, serves the rank, the null space and the minimum-norm map
+of a matrix from one SVD.  Null-space bases are orthonormal, and zero-row
+or zero-column matrices are legal inputs (rank 0, full null space).  The
+verifier takes only constants from here and repeats the rank rule on
+np.linalg itself.
 """
 
 from __future__ import annotations
@@ -99,14 +98,3 @@ def factor(M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True) -> 
     u, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
     return Factorization(M, u, s, vh, _rank(s, rel_tol))
 
-
-def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above rel_tol times the largest singular value.
-
-    The same rule as factor's, without the singular vectors.  A matrix of
-    zeros (or with a zero dimension) has rank 0.
-    """
-    M = _as_matrix(M)
-    if M.size == 0:
-        return 0
-    return _rank(np.linalg.svd(M, compute_uv=False), rel_tol)

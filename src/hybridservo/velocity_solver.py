@@ -14,11 +14,15 @@ them fights the constraints as little as possible:
 The minimum has a closed form (see optimal_directions), so the rows come
 from one SVD and at most n_av - 1 plane rotations, with no search.
 
-Each matrix is factored once per solve.  One SVD of N gives rank(N) and
-null(N); one SVD of [N; G] gives rank([N; G]), null([N; G]) for the
-candidate basis and the minimum-norm velocity v_star that fixes the command
-magnitudes b_C = C v_star.  The only other factorizations are the direction
-SVD and the final independence check on the chosen rows.
+Each matrix is factored once per solve, by the null-space method (Nocedal
+& Wright, Numerical Optimization, 2nd ed., 16.2).  One SVD of N gives
+rank(N) and the orthonormal NullN, so one SVD of the small G NullN gives
+n_av = rank(G NullN), null([N; G]) = NullN null(G NullN) for the candidate
+basis and the minimum-norm velocity v_star = NullN (G NullN)^+ b_G that
+fixes the command magnitudes b_C = C v_star.  No rank cutoff compares the
+units of N with those of G.  The only other factorizations are the
+candidate basis, the direction SVD (whose singular values also decide that
+the rows pin the goal down) and null(R_C) for the action frame.
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ def direction_cost(k: np.ndarray, B_c: np.ndarray, NullN: np.ndarray) -> float:
     return cross - float(np.sqrt((proj * proj).sum(axis=0)).sum())
 
 
-def optimal_directions(A: np.ndarray, n_av: int) -> np.ndarray:
-    """Minimizer k (n_c x n_av, orthonormal columns) of the direction cost.
+def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer k (n_c x n_av, orthonormal columns) of the direction cost,
+    and the singular values sigma of A; A k has the top n_av of them.
 
     With A = NullN^T B_c and both bases orthonormal, c_i = B_c k_i is unit
     exactly when k_i is, and the cost reads
@@ -140,7 +145,7 @@ def optimal_directions(A: np.ndarray, n_av: int) -> np.ndarray:
         d[j] = d[carry] + d[j] - mean
         d[carry] = mean
         carry = j
-    return K
+    return K, sigma
 
 
 def solve_velocity(
@@ -151,23 +156,21 @@ def solve_velocity(
     Every rank decision uses the relative tolerance rank_tol.  Each row of
     C is signed so that its command value b_C_i is >= 0; a row with
     b_C_i == 0 gets a positive first nonzero entry.  Raises
-    SingularTransform when the rows do not pin the goal down
-    (rank [N; C] != rank [N; G]) or do not span n_av actuated axes.
+    SingularTransform when the rows do not pin the goal down:
+    rank [N; C] = r_N + rank(A k) must equal rank [N; G] = r_N + n_av.
     """
-    N, G = instance.N, instance.G
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
-    # One SVD each of N and [N; G] serves every rank, null space and v_star.
-    f_N = sla.factor(N, rank_tol)
-    f_NG = sla.factor(np.concatenate([N, G]), rank_tol)
-    r_N, r_NG = f_N.rank, f_NG.rank
-    n_av = r_NG - r_N
+    f_N = sla.factor(instance.N, rank_tol)
+    r_N = f_N.rank
+    NullN = f_N.null_space()
+    f_GN = sla.factor(instance.G @ NullN, rank_tol)
+    n_av = f_GN.rank
     if r_N + n_a < n:
         raise InfeasibleDimensions(
             f"rank(N) = {r_N} with n_a = {n_a} cannot determine all {n} velocities"
         )
-    rhs = np.concatenate([np.zeros(N.shape[0]), instance.b_G])
     try:
-        v_star = f_NG.min_norm(rhs)
+        v_star = NullN @ f_GN.min_norm(instance.b_G)
     except InconsistentSystem as exc:
         raise InconsistentGoal(
             "goal velocity conflicts with the holonomic constraints"
@@ -183,9 +186,12 @@ def solve_velocity(
             cost=0.0,
         )
 
-    B_c = candidate_basis(f_NG.null_space(), n_u, n_av, rank_tol)
-    NullN = f_N.null_space()
-    k = optimal_directions(NullN.T @ B_c, n_av)
+    B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av, rank_tol)
+    k, sigma = optimal_directions(NullN.T @ B_c, n_av)
+    if not sigma[n_av - 1] > rank_tol * sigma[0]:
+        raise SingularTransform(
+            "command rows are not independent modulo the constraints"
+        )
     C = (B_c @ k).T
     b_C = C @ v_star
     for i in range(n_av):
@@ -193,15 +199,7 @@ def solve_velocity(
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]
-    null_rc = sla.factor(R_C, rank_tol).null_space()
-    if (
-        null_rc.shape[1] != n_a - n_av
-        or sla.numerical_rank(np.concatenate([N, C]), rank_tol) != r_NG
-    ):
-        raise SingularTransform(
-            "command rows are not independent modulo the constraints"
-        )
-    R_a = np.concatenate([null_rc.T, R_C])
+    R_a = np.concatenate([sla.factor(R_C, rank_tol).null_space().T, R_C])
     T = np.eye(n)
     T[n_u:, n_u:] = R_a
     return VelocitySolution(

@@ -6,26 +6,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import svd_rank
 from hybridservo import subspace_linalg as sla
 from hybridservo.errors import InconsistentSystem, SingularSystem
 from hybridservo.verifier import _lstsq_min_norm
 from kkt_reference import solve_square
 
 
-def test_numerical_rank_known_values():
-    assert sla.numerical_rank(np.eye(4)) == 4
+def _rank(M):
+    """The rank rule twice: factor's and the tests' singular-value-only helper."""
+    ranks = {sla.factor(M).rank, svd_rank(M)}
+    assert len(ranks) == 1
+    return ranks.pop()
+
+
+def test_rank_rule_known_values():
+    assert _rank(np.eye(4)) == 4
     outer = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-    assert sla.numerical_rank(outer) == 1
-    assert sla.numerical_rank(np.zeros((3, 5))) == 0
-    assert sla.numerical_rank(np.zeros((0, 5))) == 0
+    assert _rank(outer) == 1
+    assert _rank(np.zeros((3, 5))) == 0
+    assert _rank(np.zeros((0, 5))) == 0
 
 
-def test_numerical_rank_relative_tolerance():
+def test_rank_rule_relative_tolerance():
     # Singular values 1 and 1e-12: the small one falls below 1e-8 * 1.
-    assert sla.numerical_rank(np.diag([1.0, 1e-12])) == 1
+    assert _rank(np.diag([1.0, 1e-12])) == 1
     # Scaling the matrix must not change the decision.
-    assert sla.numerical_rank(1e6 * np.diag([1.0, 1e-12])) == 1
-    assert sla.numerical_rank(np.diag([1.0, 1e-5])) == 2
+    assert _rank(1e6 * np.diag([1.0, 1e-12])) == 1
+    assert _rank(np.diag([1.0, 1e-5])) == 2
 
 
 def test_null_space_basis_properties():
@@ -103,7 +111,7 @@ def _factor_cases():
 def test_factor_agrees_with_rank_and_null_space(M):
     full = sla.factor(M)
     thin = sla.factor(M, full_matrices=False)
-    assert full.rank == thin.rank == sla.numerical_rank(M)
+    assert full.rank == thin.rank
     basis = full.null_space()
     assert basis.shape == (M.shape[1], M.shape[1] - full.rank)
     assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import direction_problem, random_feasible_instance
+from helpers import direction_problem, random_feasible_instance, svd_rank
 from hybridservo import subspace_linalg as sla
-from hybridservo.errors import EmptyBasis, InconsistentGoal, InfeasibleDimensions
+from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
+from hybridservo.errors import (
+    EmptyBasis,
+    InconsistentGoal,
+    InfeasibleDimensions,
+    SingularTransform,
+)
 from hybridservo.model import make_instance
 from hybridservo.velocity_solver import candidate_basis, direction_cost, solve_velocity
 from hybridservo.verifier import check_velocity_solution
@@ -22,7 +30,7 @@ def test_compute_dimensions_counts_added_rank():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[0.0, 0.0, 1.0]])
     inst = make_instance(1, N, G, [0.3], np.zeros(3))
-    ranks = sla.numerical_rank(N), sla.numerical_rank(np.vstack([N, G]))
+    ranks = svd_rank(N), svd_rank(np.vstack([N, G]))
     assert (solve_velocity(inst).n_av, *ranks) == (1, 1, 2)
 
 
@@ -30,7 +38,7 @@ def test_compute_dimensions_redundant_goal():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[2.0, 0.0, 0.0]])
     inst = make_instance(1, N, G, [0.0], np.zeros(3))
-    ranks = sla.numerical_rank(N), sla.numerical_rank(np.vstack([N, G]))
+    ranks = svd_rank(N), svd_rank(np.vstack([N, G]))
     assert (solve_velocity(inst).n_av, *ranks) == (0, 1, 1)
 
 
@@ -66,7 +74,7 @@ def test_candidate_count_meets_the_rank_bound():
     for _ in range(200):
         inst = random_feasible_instance(rng)
         B_c, _, n_av = direction_problem(inst)
-        r_NG = sla.numerical_rank(np.vstack([inst.N, inst.G]))
+        r_NG = svd_rank(np.vstack([inst.N, inst.G]))
         assert B_c.shape[1] >= r_NG + inst.n_a - inst.n >= n_av
 
 
@@ -207,7 +215,7 @@ def test_solve_velocity_hand_built_instance():
     assert sol.b_C[0] * sol.C[0, 2] == pytest.approx(0.3, abs=1e-9)
     assert np.allclose(sol.R_a @ sol.R_a.T, np.eye(2), atol=1e-9)
     assert np.allclose(sol.T[1:, 1:], sol.R_a)
-    assert sla.numerical_rank(np.vstack([N, sol.C])) == 2
+    assert svd_rank(np.vstack([N, sol.C])) == 2
 
 
 def test_solve_velocity_commands_pin_goal_on_random_instances():
@@ -216,7 +224,7 @@ def test_solve_velocity_commands_pin_goal_on_random_instances():
         inst = random_feasible_instance(rng)
         sol = solve_velocity(inst)
         stacked = np.vstack([inst.N, sol.C])
-        assert sla.numerical_rank(stacked) == sla.numerical_rank(
+        assert svd_rank(stacked) == svd_rank(
             np.vstack([inst.N, inst.G])
         )
         v = np.linalg.pinv(stacked) @ np.concatenate([np.zeros(inst.N.shape[0]), sol.b_C])
@@ -258,15 +266,39 @@ def test_solve_velocity_is_deterministic():
     for field in ("C", "b_C", "T", "R_a"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert a.cost == b.cost
-    assert sla.numerical_rank(np.vstack([inst.N, a.C])) == sla.numerical_rank(
+    assert svd_rank(np.vstack([inst.N, a.C])) == svd_rank(
         np.vstack([inst.N, inst.G])
     )
 
 
-def test_solve_velocity_factors_n_and_stack_once(monkeypatch):
+def test_solve_velocity_singular_transform():
+    # The goal moves the unactuated axis alone, so the only candidate row
+    # (e2) lies in N's row space and cannot pin the goal down.
+    inst = make_instance(1, [[0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0]], [0.3], np.zeros(3))
+    with pytest.raises(SingularTransform):
+        solve_velocity(inst)
+
+
+@pytest.mark.parametrize("step", [1, 4, 15])
+@pytest.mark.parametrize("scaled", ["N", "G"])
+def test_solve_velocity_is_unit_free(step, scaled):
+    # Metres against radians: rescaling N, or G with b_G, by 1e8 changes no
+    # rank decision, because no cutoff compares N's units with G's.
+    scenario = TiltingScenario()
+    inst = build_instance(rollout_states(scenario)[step - 1], scenario)[0]
+    if scaled == "N":
+        other = dataclasses.replace(inst, N=1e8 * inst.N, J_phi=None, Omega=None)
+    else:
+        other = dataclasses.replace(inst, G=1e8 * inst.G, b_G=1e8 * inst.b_G)
+    base, sol = solve_velocity(inst), solve_velocity(other)
+    assert sol.n_av == base.n_av
+    assert abs(sol.cost - base.cost) <= 1e-12
+    assert np.max(np.abs(sol.C - base.C)) <= 1e-9
+
+
+def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
     rng = np.random.default_rng(21)
     inst = random_feasible_instance(rng)
-    stack = np.vstack([inst.N, inst.G])
     svd, seen = np.linalg.svd, []
 
     def counted_svd(a, *args, **kwargs):
@@ -281,7 +313,7 @@ def test_solve_velocity_factors_n_and_stack_once(monkeypatch):
     sol = solve_velocity(inst)
     assert sol.n_av >= 1
     assert sum(a.shape == inst.N.shape and np.array_equal(a, inst.N) for a in seen) == 1
-    assert sum(a.shape == stack.shape and np.array_equal(a, stack) for a in seen) == 1
-    # Besides N and [N; G]: null(sigma_a), the direction SVD, null(R_C) and
-    # rank([N; C]).
-    assert len(seen) == 6
+    for stack in (np.vstack([inst.N, inst.G]), np.vstack([inst.N, sol.C])):
+        assert not any(a.shape == stack.shape and np.array_equal(a, stack) for a in seen)
+    # Besides N: G NullN, null(sigma_a), the direction SVD and null(R_C).
+    assert len(seen) == 5
