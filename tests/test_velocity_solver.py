@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import direction_problem, random_feasible_instance, svd_rank
+from helpers import direction_problem, random_feasible_instance
 from hybridservo import subspace_linalg as sla
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
 from hybridservo.errors import (
@@ -30,7 +30,7 @@ def test_compute_dimensions_counts_added_rank():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[0.0, 0.0, 1.0]])
     inst = make_instance(1, N, G, [0.3], np.zeros(3))
-    ranks = svd_rank(N), svd_rank(np.vstack([N, G]))
+    ranks = sla.factor(N).rank, sla.factor(np.vstack([N, G])).rank
     assert (solve_velocity(inst).n_av, *ranks) == (1, 1, 2)
 
 
@@ -38,8 +38,18 @@ def test_compute_dimensions_redundant_goal():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[2.0, 0.0, 0.0]])
     inst = make_instance(1, N, G, [0.0], np.zeros(3))
-    ranks = svd_rank(N), svd_rank(np.vstack([N, G]))
+    ranks = sla.factor(N).rank, sla.factor(np.vstack([N, G])).rank
     assert (solve_velocity(inst).n_av, *ranks) == (0, 1, 1)
+    # Off the coordinate axes G NullN is round-off rather than an exact
+    # zero; it must not count as a command either.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        N = rng.standard_normal((2, 5))
+        G = rng.standard_normal((1, 2)) @ N
+        inst = make_instance(2, N, G, [0.0], np.zeros(5))
+        sol = solve_velocity(inst)
+        assert sol.n_av == 0
+        assert check_velocity_solution(inst, sol).passed
 
 
 def test_check_feasibility_threshold():
@@ -67,6 +77,19 @@ def test_candidate_basis_empty_raises():
         candidate_basis(null_ng, n_u=1, n_av=1, rel_tol=sla.DEFAULT_RANK_TOL)
 
 
+def test_candidate_basis_ignores_round_off_in_the_actuated_part():
+    # null([N; G]) is the unactuated axis up to round-off, so every actuated
+    # direction is a candidate; ranking that round-off against its own size
+    # would drop one and leave the command row to chance.
+    null_ng = np.array([[1.0], [3e-17], [-2e-17]])
+    B_c = candidate_basis(null_ng, n_u=1, n_av=1, rel_tol=sla.DEFAULT_RANK_TOL)
+    assert B_c.shape == (3, 2)
+    inst = make_instance(1, [[0.0, 0.6, 0.8]], [[0.0, 0.8, -0.6]], [0.3], np.zeros(3))
+    sol = solve_velocity(inst)
+    assert sol.cost == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(np.abs(sol.C), [[0.0, 0.8, 0.6]], atol=1e-12)
+
+
 def test_candidate_count_meets_the_rank_bound():
     # n_c >= r_NG + n_a - n >= n_av in exact arithmetic, so EmptyBasis takes
     # round-off once r_N + n_a >= n; the criterion-4 set stays clear of it.
@@ -74,7 +97,7 @@ def test_candidate_count_meets_the_rank_bound():
     for _ in range(200):
         inst = random_feasible_instance(rng)
         B_c, _, n_av = direction_problem(inst)
-        r_NG = svd_rank(np.vstack([inst.N, inst.G]))
+        r_NG = sla.factor(np.vstack([inst.N, inst.G])).rank
         assert B_c.shape[1] >= r_NG + inst.n_a - inst.n >= n_av
 
 
@@ -215,7 +238,7 @@ def test_solve_velocity_hand_built_instance():
     assert sol.b_C[0] * sol.C[0, 2] == pytest.approx(0.3, abs=1e-9)
     assert np.allclose(sol.R_a @ sol.R_a.T, np.eye(2), atol=1e-9)
     assert np.allclose(sol.T[1:, 1:], sol.R_a)
-    assert svd_rank(np.vstack([N, sol.C])) == 2
+    assert sla.factor(np.vstack([N, sol.C])).rank == 2
 
 
 def test_solve_velocity_commands_pin_goal_on_random_instances():
@@ -224,9 +247,7 @@ def test_solve_velocity_commands_pin_goal_on_random_instances():
         inst = random_feasible_instance(rng)
         sol = solve_velocity(inst)
         stacked = np.vstack([inst.N, sol.C])
-        assert svd_rank(stacked) == svd_rank(
-            np.vstack([inst.N, inst.G])
-        )
+        assert sla.factor(stacked).rank == sla.factor(np.vstack([inst.N, inst.G])).rank
         v = np.linalg.pinv(stacked) @ np.concatenate([np.zeros(inst.N.shape[0]), sol.b_C])
         assert np.allclose(inst.G @ v, inst.b_G, atol=1e-6)
 
@@ -266,15 +287,16 @@ def test_solve_velocity_is_deterministic():
     for field in ("C", "b_C", "T", "R_a"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert a.cost == b.cost
-    assert svd_rank(np.vstack([inst.N, a.C])) == svd_rank(
-        np.vstack([inst.N, inst.G])
-    )
+    r_NC = sla.factor(np.vstack([inst.N, a.C])).rank
+    assert r_NC == sla.factor(np.vstack([inst.N, inst.G])).rank
 
 
-def test_solve_velocity_singular_transform():
+@pytest.mark.parametrize("N", [[[0.0, 1.0, 0.0]], [[0.0, 0.6, 0.8]]])
+def test_solve_velocity_singular_transform(N):
     # The goal moves the unactuated axis alone, so the only candidate row
-    # (e2) lies in N's row space and cannot pin the goal down.
-    inst = make_instance(1, [[0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0]], [0.3], np.zeros(3))
+    # is N's own row and cannot pin the goal down.  Rotated off the axes,
+    # that row's component in null(N) is round-off, not an exact zero.
+    inst = make_instance(1, N, [[1.0, 0.0, 0.0]], [0.3], np.zeros(3))
     with pytest.raises(SingularTransform):
         solve_velocity(inst)
 
