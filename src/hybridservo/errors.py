@@ -10,11 +10,14 @@ class InconsistentSystem(SolverError):
 
 
 class SingularSystem(SolverError):
-    """A square system (for example the KKT matrix) is singular or too ill-conditioned."""
+    """The force stage's equality rows are too ill-conditioned, inconsistent
+    or pin the force command, or its margin LP fails."""
 
 
 class SingularTransform(SolverError):
-    """The action frame T is not diag(I, R_a) with R_a orthonormal."""
+    """The command rows are not independent modulo the constraints (velocity
+    stage), or the action frame T is not diag(I, R_a) with R_a orthonormal
+    (force stage)."""
 
 
 class InfeasibleDimensions(SolverError):

@@ -6,7 +6,9 @@ singular value.  A :class:`Factorization`, made by :func:`factor`, serves
 the rank, the null space and the minimum-norm map of a matrix from one
 SVD.  Null-space bases are orthonormal, and zero-row or zero-column
 matrices are legal inputs (rank 0, full null space).  The verifier takes
-only constants from here and repeats the rank rule on np.linalg itself.
+only constants from here.  It scales each row of its stacks to unit norm,
+takes its own SVD on np.linalg and ranks at the fixed DEFAULT_RANK_TOL, so
+--verify ranks at 1e-8 whatever --rank-tol the solver ran with.
 """
 
 from __future__ import annotations

@@ -2,20 +2,22 @@
 
 Everything here re-derives its reference quantities from the raw problem
 data with its own few lines of linear algebra on np.linalg, so no check
-shares code with the solver path it checks: rank and null space come from
-one full SVD per matrix under the same relative rank rule, the minimum-norm
-references from least squares and the pseudoinverse projection formula
-rather than the solver's single-SVD maps, and the brute-force force oracle
-rebuilds the force-balance equalities on its own.
+shares code with the solver path it checks.  The velocity check scales
+every row of [N; G] and of [N; C] to unit norm and takes one full SVD of
+each stack for its rank, null space and minimum-norm solution.  It ranks
+at the fixed DEFAULT_RANK_TOL = 1e-8, so --verify does so whatever
+--rank-tol the solver ran with.  The force references use the pseudoinverse
+projection formula rather than the solver's single-SVD maps, and the
+brute-force force oracle rebuilds the force-balance equalities on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentSystem
 from .force_solver import ForceSolution
 from .model import GuardConditions, SystemInstance
 from .subspace_linalg import DEFAULT_RANK_TOL, RESIDUAL_TOL
@@ -24,29 +26,31 @@ from .velocity_solver import VelocitySolution
 VELOCITY_TOL = 1e-6
 
 
-def _rank_and_null_space(M: np.ndarray, rel_tol: float):
-    """(rank, orthonormal columns spanning {v : M v = 0}) from one full SVD.
+class _UnitRowSVD(NamedTuple):
+    M: np.ndarray  # the rows, each nonzero one scaled to unit norm
+    b: np.ndarray  # the right-hand side, scaled with its row
+    rank: int
+    null_space: np.ndarray  # orthonormal columns spanning {v : M v = 0}
+    v: np.ndarray | None  # minimum-norm solution, None when inconsistent
 
-    The rank counts the singular values above rel_tol times the largest.
+
+def _unit_row_svd(M: np.ndarray, b: np.ndarray) -> _UnitRowSVD:
+    """Rank, null space and minimum-norm solution of M v = b from one full SVD.
+
+    Each nonzero row of M and its entry of b are first divided by the row's
+    norm, so positive row scaling changes nothing.  The rank counts the
+    singular values above DEFAULT_RANK_TOL times the largest; v is None when
+    its residual exceeds RESIDUAL_TOL * (1 + ||b||) on the unit rows.
     """
-    _, s, vh = np.linalg.svd(M)
-    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
-    return rank, np.ascontiguousarray(vh[rank:].T)
-
-
-def _lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of A v = b by least squares.
-
-    Raises InconsistentSystem when the residual exceeds
-    RESIDUAL_TOL * (1 + ||b||).
-    """
-    v = np.linalg.lstsq(A, b, rcond=None)[0]
-    residual = np.linalg.norm(A @ v - b)
-    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
-        raise InconsistentSystem(
-            f"system has no solution: residual {residual:.3e} exceeds tolerance"
-        )
-    return v
+    norms = np.linalg.norm(M, axis=1)
+    norms[norms == 0.0] = 1.0
+    M, b = M / norms[:, None], b / norms
+    u, s, vh = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0)))
+    v = vh[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    if np.linalg.norm(M @ v - b) > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
+        v = None
+    return _UnitRowSVD(M, b, rank, vh[rank:].T, v)
 
 
 @dataclass
@@ -95,61 +99,42 @@ class ForceCheck:
         }
 
 
-def check_velocity_solution(
-    instance: SystemInstance,
-    solution: VelocitySolution,
-    rel_tol: float = DEFAULT_RANK_TOL,
-    samples: int = 32,
-    seed: int = 0,
-) -> VelocityCheck:
+def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution) -> VelocityCheck:
     """Confirm that commanding C v = b_C pins exactly the goal down.
 
-    Checks that [N; C] spans the same row space as [N; G], that the two
-    particular solutions satisfy each other's equations, and that C v is
-    constant across sampled velocities compatible with constraints and goal.
+    On unit rows of [N; G] and [N; C], one SVD each: the two stacks have
+    the same rank, every velocity that keeps the constraints and the command
+    keeps the goal, each system's minimum-norm solution satisfies the other's
+    rows, and C v is constant over the whole null space of [N; G].
     """
-    N, G, C = instance.N, instance.G, solution.C
+    n_phi = instance.N.shape[0]
+    zeros = np.zeros(n_phi)
+    goal = _unit_row_svd(np.vstack([instance.N, instance.G]), np.concatenate([zeros, instance.b_G]))
+    cmd = _unit_row_svd(np.vstack([instance.N, solution.C]), np.concatenate([zeros, solution.b_C]))
+    G, b_G = goal.M[n_phi:], goal.b[n_phi:]
+    C, b_C = cmd.M[n_phi:], cmd.b[n_phi:]
     notes: list[str] = []
-    if solution.n_av == 0:
-        notes.append("no velocity-controlled directions; nothing to check")
-        return VelocityCheck(True, 0, 0, 0.0, 0.0, 0.0, 0.0, notes)
-
-    rank_ng, null_ng = _rank_and_null_space(np.vstack([N, G]), rel_tol)
-    rank_nc, null_nc = _rank_and_null_space(np.vstack([N, C]), rel_tol)
-    ok = rank_nc == rank_ng
 
     # Every velocity that satisfies constraints plus command must move the goal.
-    null_goal_residual = float(np.max(np.abs(G @ null_nc))) if null_nc.size else 0.0
-    ok = ok and null_goal_residual <= VELOCITY_TOL
-
-    zeros_n = np.zeros(N.shape[0])
+    null_goal_residual = float(np.max(np.abs(G @ cmd.null_space), initial=0.0))
     cross_goal = cross_cmd = np.inf
-    try:
-        v_cmd = _lstsq_min_norm(np.vstack([N, C]), np.concatenate([zeros_n, solution.b_C]))
-        cross_goal = float(np.linalg.norm(G @ v_cmd - instance.b_G))
-    except InconsistentSystem:
+    if cmd.v is None:
         notes.append("command system inconsistent")
-    try:
-        v_goal = _lstsq_min_norm(np.vstack([N, G]), np.concatenate([zeros_n, instance.b_G]))
-        cross_cmd = float(np.linalg.norm(C @ v_goal - solution.b_C))
-    except InconsistentSystem:
+    else:
+        cross_goal = float(np.linalg.norm(G @ cmd.v - b_G))
+    if goal.v is None:
         notes.append("goal system inconsistent")
-    ok = ok and cross_goal <= VELOCITY_TOL and cross_cmd <= VELOCITY_TOL
-
+    else:
+        cross_cmd = float(np.linalg.norm(C @ goal.v - b_C))
     # C v must be the same for every velocity compatible with the goal.
-    variation = 0.0
-    if np.isfinite(cross_cmd):
-        if null_ng.shape[1]:
-            rng = np.random.default_rng(seed)
-            weights = rng.standard_normal((null_ng.shape[1], samples))
-            sampled = v_goal[:, None] + null_ng @ weights
-            variation = float(np.max(np.abs(C @ sampled - solution.b_C[:, None])))
-        ok = ok and variation <= VELOCITY_TOL
+    variation = float(np.max(np.abs(C @ goal.null_space), initial=0.0))
 
+    residuals = (null_goal_residual, cross_goal, cross_cmd, variation)
+    ok = cmd.rank == goal.rank and all(r <= VELOCITY_TOL for r in residuals)
     return VelocityCheck(
         passed=bool(ok),
-        rank_nc=rank_nc,
-        rank_ng=rank_ng,
+        rank_nc=cmd.rank,
+        rank_ng=goal.rank,
         null_goal_residual=null_goal_residual,
         cross_residual_goal=cross_goal,
         cross_residual_command=cross_cmd,

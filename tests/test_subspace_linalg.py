@@ -1,5 +1,5 @@
-"""Linear-algebra primitives: subspace_linalg, the verifier's least-squares
-minimum-norm route and the LU solve of the KKT test reference."""
+"""Linear-algebra primitives: subspace_linalg and the LU solve of the KKT
+test reference."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from hybridservo import subspace_linalg as sla
 from hybridservo.errors import InconsistentSystem, SingularSystem
-from hybridservo.verifier import _lstsq_min_norm
 from kkt_reference import solve_square
 
 
@@ -53,41 +52,6 @@ def test_null_space_basis_empty_matrix_is_identity():
 
 def test_null_space_basis_full_rank_has_no_columns():
     assert sla.factor(np.eye(3)).null_space().shape == (3, 0)
-
-
-# The verifier's least-squares minimum-norm route.
-
-
-def test_min_norm_solution_matches_pinv():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((2, 5))
-    b = rng.standard_normal(2)
-    x = _lstsq_min_norm(A, b)
-    assert np.allclose(A @ x, b, atol=1e-10)
-    assert np.allclose(x, np.linalg.pinv(A) @ b, atol=1e-10)
-
-
-def test_min_norm_solution_is_minimal():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((2, 5))
-    b = rng.standard_normal(2)
-    x = _lstsq_min_norm(A, b)
-    null = sla.factor(A).null_space()
-    for _ in range(10):
-        other = x + null @ rng.standard_normal(null.shape[1])
-        assert np.linalg.norm(x) <= np.linalg.norm(other) + 1e-12
-
-
-def test_min_norm_solution_inconsistent_raises():
-    A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    b = np.array([0.0, 1.0])
-    with pytest.raises(InconsistentSystem):
-        _lstsq_min_norm(A, b)
-
-
-def test_min_norm_solution_no_rows_gives_zero():
-    x = _lstsq_min_norm(np.zeros((0, 3)), np.zeros(0))
-    assert np.allclose(x, np.zeros(3))
 
 
 def _factor_cases():

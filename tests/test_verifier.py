@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_feasible_instance
 from hybridservo import cli, verifier
@@ -18,7 +20,7 @@ from hybridservo.force_solver import DEFAULT_F_MAX, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
 from hybridservo.verifier import (
-    _lstsq_min_norm,
+    _unit_row_svd,
     brute_force_force_oracle,
     check_force_solution,
     check_velocity_solution,
@@ -61,11 +63,74 @@ def test_velocity_check_fails_on_drifted_row():
     assert not check_velocity_solution(inst, replace(vel, C=corrupt)).passed
 
 
+def test_velocity_check_fails_without_commands_the_goal_needs():
+    # The goal moves a free axis, so one command is needed; a solution that
+    # claims none must fail, not pass as "nothing to check".
+    inst = make_instance(1, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [0.3], np.zeros(3))
+    vel = solve_velocity(inst)
+    assert vel.n_av == 1 and check_velocity_solution(inst, vel).passed
+    none = replace(vel, C=np.zeros((0, 3)), b_C=np.zeros(0), n_av=0)
+    report = check_velocity_solution(inst, none)
+    assert not report.passed
+    assert (report.rank_ng, report.rank_nc) == (2, 1)
+
+
 def test_velocity_check_fails_on_wrong_magnitude():
     inst, _, vel, _ = _solved_tilting_step()
     report = check_velocity_solution(inst, replace(vel, b_C=vel.b_C + 0.1))
     assert not report.passed
     assert report.cross_residual_goal > 1e-6
+
+
+LATERAL_LOAD = TiltingScenario(gravity_object=np.array([0.0, 0.6, -2.45]))
+LATERAL_PLAN = [build_instance(s, LATERAL_LOAD)[0] for s in rollout_states(LATERAL_LOAD)]
+LOG_SCALES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilting=st.booleans(), step=st.integers(0, 14), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_velocity_check_ignores_row_scaling_and_duplicate_rows(tilting, step, seed, data):
+    # Scaling rows of N, or of G with b_G, and repeating a row of N state the
+    # same constraints and goal, so the same solution gets the same verdict.
+    if tilting:
+        inst = LATERAL_PLAN[step]
+    else:
+        inst = random_feasible_instance(np.random.default_rng(seed))
+    vel = solve_velocity(inst)
+    n_phi, k = inst.N.shape[0], inst.G.shape[0]
+    s_N = np.array(data.draw(st.lists(LOG_SCALES, min_size=n_phi, max_size=n_phi)))
+    s_G = np.array(data.draw(st.lists(LOG_SCALES, min_size=k, max_size=k)))
+    repeat = data.draw(st.integers(0, n_phi - 1))
+    N = s_N[:, None] * inst.N
+    scaled = replace(
+        inst,
+        N=np.vstack([N, N[repeat]]),
+        J_phi=None,
+        Omega=None,
+        G=s_G[:, None] * inst.G,
+        b_G=s_G * inst.b_G,
+    )
+    verdicts = [check_velocity_solution(i, vel) for i in (inst, scaled)]
+    assert len({(r.passed, r.rank_ng, r.rank_nc) for r in verdicts}) == 1
+
+
+def test_velocity_check_takes_two_svds_and_no_lstsq(monkeypatch):
+    inst, _, vel, _ = _solved_tilting_step()
+    svd, seen = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_velocity_solution called lstsq or pinv")
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    monkeypatch.setattr(np.linalg, "pinv", forbidden)
+    assert check_velocity_solution(inst, vel).passed
+    # One full SVD each of the unit-row [N; G] and [N; C].
+    assert seen == [(inst.n_phi + inst.G.shape[0], inst.n), (inst.n_phi + vel.n_av, inst.n)]
 
 
 def test_force_check_passes_on_solved_step():
@@ -118,8 +183,42 @@ def test_min_norm_projection_matches_lstsq_path():
     M = rng.standard_normal((3, 7))
     rhs = rng.standard_normal(3)
     assert np.allclose(
-        min_norm_projection(M, rhs), _lstsq_min_norm(M, rhs), atol=1e-10
+        min_norm_projection(M, rhs), _unit_row_svd(M, rhs).v, atol=1e-10
     )
+
+
+# The velocity check's unit-row SVD: rank, null space and minimum-norm solution.
+
+
+def test_unit_row_svd_matches_pinv():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((2, 5))
+    b = rng.standard_normal(2)
+    x = _unit_row_svd(A, b).v
+    assert np.allclose(A @ x, b, atol=1e-10)
+    assert np.allclose(x, np.linalg.pinv(A) @ b, atol=1e-10)
+
+
+def test_unit_row_svd_is_minimal():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((2, 5))
+    b = rng.standard_normal(2)
+    x = _unit_row_svd(A, b).v
+    null = sla.factor(A).null_space()
+    for _ in range(10):
+        other = x + null @ rng.standard_normal(null.shape[1])
+        assert np.linalg.norm(x) <= np.linalg.norm(other) + 1e-12
+
+
+def test_unit_row_svd_flags_inconsistent_system():
+    A = np.array([[1.0, 0.0], [1.0, 0.0]])
+    b = np.array([0.0, 1.0])
+    assert _unit_row_svd(A, b).v is None
+
+
+def test_unit_row_svd_no_rows_gives_zero():
+    x = _unit_row_svd(np.zeros((0, 3)), np.zeros(0)).v
+    assert np.allclose(x, np.zeros(3))
 
 
 def test_verifier_imports_no_solver_code():
