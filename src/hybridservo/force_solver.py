@@ -43,10 +43,15 @@ records whether phase 2 was skipped (n_af = 0), found the optimum unique
 
 Both LPs are tiny (on tilting, 3 variables besides the slacks in phase 1),
 so they are solved on one dense tableau in numpy (Bertsimas & Tsitsiklis,
-Introduction to Linear Optimization, 1997, ch. 3).  Bland's rule keeps
-degenerate vertices from cycling and makes every run take the same pivots.
-Neither phase needs artificial variables: phase 1 is shifted so that the
-slack basis is feasible, and phase 2 appends its effort rows to phase 1's
+Introduction to Linear Optimization, 1997, ch. 3).  The most negative
+reduced cost enters until the first degenerate pivot, and the lowest-index
+improving one from then on (Bland, New finite pivoting rules for the simplex
+method, Math. Oper. Res. 2, 1977).  The pivots before the switch strictly
+improve the objective and Bland's rule cannot cycle, so degenerate vertices
+cannot cycle either, and every run takes the same pivots.  Neither phase
+needs artificial variables: phase 1 is shifted so that the slack basis is
+feasible, and its first pivot, the same degenerate one on every LP, is
+written down in closed form; phase 2 appends its effort rows to phase 1's
 final tableau and makes them feasible with one pivot per actuated
 coordinate.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
 pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
@@ -183,8 +188,9 @@ def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
 OPT_TOL = 1e-11
 PIVOT_TOL = 1e-9
 TIE_TOL = 1e-12
-# Pivots allowed per LP.  Bland's rule cannot cycle, so an LP that reaches
-# the cap is numerically broken; on tilting an LP takes a handful.
+# Pivots allowed per LP.  Neither pricing rule can cycle (see _simplex), so
+# an LP that reaches the cap is numerically broken; on tilting an LP takes a
+# handful.
 MAX_PIVOTS = 500
 
 
@@ -197,39 +203,54 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _no_optimum() -> SingularSystem:
+    return SingularSystem(f"force LP failed: no optimum after {MAX_PIVOTS} pivots")
+
+
+def _simplex(tab: np.ndarray, basis: np.ndarray, pivots: int = 0) -> np.ndarray:
     """Minimize c.z s.t. A z <= b, z >= 0 from a feasible basis; return z.
 
     tab holds [A I | b] in canonical form for the basis, one row per
     constraint, with the reduced costs [c | -c.z] as its last row; basis[i]
-    is the variable basic in row i, and every b >= 0.  Bland's rule enters
-    the lowest-index improving variable and, among rows tied in the ratio
-    test, pivots out the lowest-index basic variable, so no degenerate vertex
-    can cycle and every run takes the same pivots.  tab and basis are left
+    is the variable basic in row i, every b >= 0, and pivots counts the
+    pivots already taken on tab.  The most negative reduced cost enters
+    (Dantzig's rule) until the first degenerate pivot, one that moves no
+    basic variable by more than TIE_TOL; from then on the lowest-index
+    improving variable enters (Bland's rule).  Every pivot before the switch
+    strictly improves the objective, so no basis repeats, and Bland's rule
+    cannot cycle after it.  Among rows tied in the ratio test the
+    lowest-index basic variable leaves, and equal reduced costs go to the
+    lowest index, so every run takes the same pivots.  tab and basis are left
     at the final vertex.  Raises SingularSystem when the objective is
     unbounded or MAX_PIVOTS pivots do not reach an optimum.
     """
-    pivots = 0
+    cost, rhs = tab[-1, :-1], tab[:-1, -1]
+    ratios = np.empty(rhs.size)
+    bland = False
     while True:
-        improving = tab[-1, :-1] < -OPT_TOL
-        col = improving.argmax()
-        if not improving[col]:
-            z = np.zeros(tab.shape[1] - 1)
-            z[basis] = tab[:-1, -1]
+        col = (cost < -OPT_TOL).argmax() if bland else cost.argmin()
+        if not cost[col] < -OPT_TOL:
+            z = np.zeros(cost.size)
+            z[basis] = rhs
             return z
-        if pivots == MAX_PIVOTS:
-            raise SingularSystem(f"force LP failed: no optimum after {MAX_PIVOTS} pivots")
+        if pivots >= MAX_PIVOTS:
+            raise _no_optimum()
         column = tab[:-1, col]
-        rows = np.flatnonzero(column > PIVOT_TOL)
-        if not rows.size:
+        # The largest entry is the largest eligible one: every entry above
+        # PIVOT_TOL is above every entry that is not.
+        top = column.max()
+        if not top > PIVOT_TOL:
             raise SingularSystem("force LP failed: the objective is unbounded")
-        ratios = tab[rows, -1] / column[rows]
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > PIVOT_TOL)
+        step = ratios.min()
         # Rows whose ratios differ by round-off are ties: taking any of them
         # leaves the others at most TIE_TOL below zero, and the clip below
         # puts them back on zero.
-        ties = rows[(ratios - ratios.min()) * column[rows].max() <= TIE_TOL]
-        _pivot(tab, basis, ties[np.argmin(basis[ties])], col)
-        np.maximum(tab[:-1, -1], 0.0, out=tab[:-1, -1])
+        ties = (ratios - step) * top <= TIE_TOL
+        _pivot(tab, basis, np.where(ties, basis, cost.size).argmin(), col)
+        np.maximum(rhs, 0.0, out=rhs)
+        bland = bland or step * top <= TIE_TOL
         pivots += 1
 
 
@@ -250,25 +271,42 @@ def _max_margin(G, h, f_max):
     Shifting to eta_af = y - f_max and s = s0 + t, where s0 is the worst
     margin at the corner eta_af = -f_max, gives max t over y, t >= 0 subject
     to G y + t <= h + f_max G 1 - s0 and y <= 2 f_max.  Every right-hand
-    side is non-negative, so the slack basis is feasible.  Returns
-    (eta_af, s, tab, basis) with the final tableau and basis.
+    side is non-negative, so the slack basis is feasible.  Its first pivot
+    is forced and degenerate: t is the only improving variable, and it
+    enters in the row r of the worst corner margin, whose right-hand side is
+    0.  The tableau after that pivot is written down directly: the other
+    guard rows lose row r, the right-hand sides stay, and the cost row
+    becomes row r with a zero under t.  Returns (eta_af, s, tab, basis) with
+    the final tableau and basis.
     """
+    if MAX_PIVOTS < 1:  # the closed-form first pivot is one of them
+        raise _no_optimum()
     n_rows, n_af = G.shape
+    m = n_rows + n_af
     corner = h + f_max * G.sum(axis=1)
-    s0 = float(corner.min())
-    A = np.zeros((n_rows + n_af, n_af + 1))
-    A[:n_rows, :n_af] = G
-    A[:n_rows, n_af] = 1.0
-    A[n_rows:, :n_af] = np.eye(n_af)
+    r = int(corner.argmin())
+    s0 = float(corner[r])
     b = np.concatenate([corner - s0, np.full(n_af, 2.0 * f_max)])
-    c = np.zeros(n_af + 1)
-    c[-1] = -1.0
-    tab, basis = _tableau(A, b, c)
-    z = _simplex(tab, basis)
+    tab = np.zeros((m + 1, n_af + m + 2))
+    tab[:n_rows, :n_af] = G - G[r]
+    tab[n_rows:m, :n_af] = np.eye(n_af)
+    tab[:m, n_af + 1 : -1] = np.eye(m)
+    tab[:n_rows, n_af + 1 + r] = -1.0
+    tab[:m, -1] = b
+    # Row r and the cost row; + 0.0 turns -0.0 into 0.0, as the pivot does.
+    tab[[r, m], :n_af] = G[r] + 0.0
+    tab[[r, m], n_af + 1 + r] = 1.0
+    tab[r, n_af] = 1.0
+    basis = np.arange(n_af + 1, n_af + 1 + m)
+    basis[r] = n_af
+    z = _simplex(tab, basis, 1)
     # One step of iterative refinement against the original rows: the slack
     # columns of the final tableau hold B^-1.
-    r = b - A @ z[: n_af + 1] - z[n_af + 1 :]
-    tab[:-1, -1] = np.maximum(tab[:-1, -1] + tab[:-1, n_af + 1 : -1] @ r, 0.0)
+    y, t = z[:n_af], z[n_af]
+    res = b - z[n_af + 1 :]
+    res[:n_rows] -= G @ y + t
+    res[n_rows:] -= y
+    tab[:-1, -1] = np.maximum(tab[:-1, -1] + tab[:-1, n_af + 1 : -1] @ res, 0.0)
     z[basis] = tab[:-1, -1]
     return z[:n_af] - f_max, s0 + float(z[n_af]), tab, basis
 
@@ -281,7 +319,7 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
     nonbasic column is left, x_star is the only margin-optimal command.
     Otherwise the effort rows are appended in canonical form for the basis,
     e_j is pivoted into whichever of its rows has a negative right-hand
-    side, and Bland's rule minimizes sum e.  Returns (command, effort_pass):
+    side, and the simplex minimizes sum e.  Returns (command, effort_pass):
     x_star with "unique" or "fell_back", or the new command with "refined".
     """
     face = np.flatnonzero(tab[-1, :-1] <= OPT_TOL)

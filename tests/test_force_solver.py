@@ -361,6 +361,36 @@ def test_simplex_terminates_on_beales_cycling_example():
     assert np.all(A @ z[:4] <= b + 1e-12)
 
 
+def test_simplex_switches_to_blands_rule_at_the_first_degenerate_pivot(monkeypatch):
+    # Beale's LP behind a fifth variable z_4 <= 1 of cost -100.  The most
+    # negative reduced cost enters first, z_4 (Bland's rule would take z_0),
+    # with a step of 1; the next pivot is degenerate.  From that vertex the
+    # most-negative rule alone repeats Beale's six-pivot cycle, so the
+    # optimum -101.25 is reached only because Bland's rule takes over.
+    A = np.array(
+        [
+            [0.25, -8.0, -1.0, 9.0, 0.0],
+            [0.5, -12.0, -0.5, 3.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    b = np.array([0.0, 0.0, 1.0, 1.0])
+    c = np.array([-0.75, 20.0, -0.5, 6.0, -100.0])
+    pivot, steps = force_solver._pivot, []
+
+    def recorded(tab, basis, row, col):
+        steps.append((col, tab[row, -1] / tab[row, col]))
+        pivot(tab, basis, row, col)
+
+    monkeypatch.setattr(force_solver, "_pivot", recorded)
+    z = force_solver._simplex(*force_solver._tableau(A, b, c))
+    assert steps[:2] == [(4, 1.0), (0, 0.0)]
+    assert len(steps) == 7
+    assert c @ z[:5] == pytest.approx(-101.25, abs=1e-12)
+    assert np.allclose(z[:5], [1.0, 0.0, 1.0, 0.0, 1.0], atol=1e-12)
+
+
 def test_simplex_iteration_cap_raises_singular_system(monkeypatch):
     monkeypatch.setattr(force_solver, "MAX_PIVOTS", 0)
     inst, guard = _degenerate_margin_instance()
@@ -455,6 +485,171 @@ def test_simplex_matches_linprog_on_random_boxed_lps(lp):
     # rows that span six decades; such a draw has no reference to match.
     assume(margin_ref.status == 0)
     assert s == pytest.approx(-margin_ref.fun, rel=1e-9, abs=1e-9)
+
+
+# Inputs on which the simplex misses the exact answer by more than the
+# boxed-LP test's 1e-9 (ROADMAP item 4), pinned so that a change of pivot
+# rule cannot hide them.
+_Z3 = [0.0, 0.0, 0.0]
+
+
+def _assert_exact_margin(G, h, a0, A1, f_max):
+    x, s, tab, basis = force_solver._max_margin(G, h, f_max)
+    s_exact, least = exact_lexicographic(G, h, a0, A1, f_max)
+    assert s == pytest.approx(float(s_exact), rel=1e-9, abs=1e-9)
+    return x, tab, basis, least
+
+
+def _assert_exact_effort(G, h, a0, A1, f_max):
+    x, tab, basis, least = _assert_exact_margin(G, h, a0, A1, f_max)
+    command, _ = force_solver._least_effort(tab, basis, a0, A1, x, f_max)
+    effort = np.abs(a0 + A1 @ command).sum()
+    assert effort == pytest.approx(float(least), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ratio test skips entries at most PIVOT_TOL"
+)
+def test_margin_ratio_test_skip_leaves_a_row_infeasible():
+    # The last pivot skips four column entries of 3.6e-10, so the vertex
+    # violates the zero rows by 1.44e-9 and the margin reads 1.44e-9, not 0.
+    G = np.array(
+        [[0.0, 0.0, -1.953125e-3], [0.0, -0.25, 479.0], [-0.25, 708.0, 0.0], _Z3, _Z3, _Z3, _Z3]
+    )
+    h = np.array([0.0, 0.0, -0.25, 0.0, 0.0, 0.0, 0.0])
+    _assert_exact_margin(G, h, np.zeros(1), np.array([[1.0, 0.0, 0.0]]), 5.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL face test")
+def test_least_effort_face_test_trades_margin_for_effort():
+    # A reduced cost near 1e-12 on a slack of range near 3e4 stays on the
+    # face: effort 422.877 against the exact 499.815.
+    G = np.array(
+        [
+            [0.0, 0.0, -1e-3],
+            [0.0, -0.75, 479.557929],
+            [-0.25, 720.978306, 0.0],
+            _Z3,
+            _Z3,
+            [592.815712, 0.0, 0.0],
+            [0.0, -249.152322, 109.44549],
+        ]
+    )
+    h = np.array([-760.64716321, 0.0, -656.85403956, 0.0, 0.0, 1.25, 0.0])
+    A1 = np.array([[-1.5, 0.0, -375.67376814]])
+    _assert_exact_effort(G, h, np.array([98.06826807]), A1, 50.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL face test")
+def test_least_effort_face_test_drops_a_small_effort():
+    # A 5e-15 margin trade takes the effort from the exact 7.08e-9 to 0.
+    G = np.array(
+        [
+            [0.0, 0.0, -1.953125e-3],
+            [0.0, -0.25, 479.0],
+            [-0.25, 708.0, 0.0],
+            _Z3,
+            _Z3,
+            [36.0, 0.0, 0.0],
+            _Z3,
+        ]
+    )
+    h = np.array([0.0, -0.25, 0.0, 0.0, 0.0, 0.0, 0.0])
+    _assert_exact_effort(G, h, np.zeros(1), np.array([[0.25, 0.0, 0.0]]), 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="round-off of the shifted command")
+def test_least_effort_shift_round_off_leaves_a_small_effort():
+    # The exact command is 0, but it comes back as y - f_max with y near
+    # f_max = 50 and a row entry of -999, so it is off by 3.6e-12 and the
+    # effort 275 |x| reads 1.0e-9 against the exact 0.
+    G = np.array([[0.0], [0.0], [0.0], [0.0], [0.25], [0.0], [0.0], [-999.0]])
+    h = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25])
+    _assert_exact_effort(G, h, np.zeros(1), np.array([[275.0]]), 50.0)
+
+
+def _phase1_lps():
+    """(G, h, f_max) of every default-plan margin LP and 200 seeded boxed LPs."""
+    lps = []
+    max_margin = force_solver._max_margin
+
+    def recorded(G, h, f_max):
+        lps.append((G, h, f_max))
+        return max_margin(G, h, f_max)
+
+    force_solver._max_margin = recorded
+    try:
+        for case in _default_plan_cases():
+            solve_force(*case)
+    finally:
+        force_solver._max_margin = max_margin
+    assert len(lps) == 15
+    rng = np.random.default_rng(18)
+
+    def entries(shape):
+        # The boxed-LP test's mix (zero, multiples of 1/4 and 1e-3 .. 1e3 in
+        # magnitude), with zeros of both signs.
+        kind = rng.integers(0, 4, shape)
+        zero = np.copysign(0.0, rng.uniform(-1.0, 1.0, shape))
+        quarter = rng.integers(-8, 9, shape) / 4.0
+        size = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), shape))
+        return np.select([kind == 0, kind == 1, kind == 2], [zero, quarter, size], -size)
+
+    for _ in range(200):
+        n_rows, n_af = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        lps.append((entries((n_rows, n_af)), entries(n_rows), float(rng.choice([0.5, 5.0, 50.0]))))
+    return lps
+
+
+def test_max_margin_first_pivot_in_closed_form(monkeypatch):
+    # _max_margin writes down the tableau after the first pivot; it must be
+    # bitwise the slack tableau after _pivot(argmin corner row, t) and the
+    # clip of the right-hand sides, and that pivot counts against MAX_PIVOTS.
+    starts = []
+
+    def first_simplex(tab, basis, pivots):
+        starts.append((tab.copy(), basis.copy(), pivots))
+        raise SingularSystem("stop after the first pivot")
+
+    lps = _phase1_lps()
+    monkeypatch.setattr(force_solver, "_simplex", first_simplex)
+    for G, h, f_max in lps:
+        with pytest.raises(SingularSystem, match="first pivot"):
+            force_solver._max_margin(G, h, f_max)
+        tab, basis, pivots = starts.pop()
+        n_rows, n_af = G.shape
+        corner = h + f_max * G.sum(axis=1)
+        A = np.zeros((n_rows + n_af, n_af + 1))
+        A[:n_rows, :n_af], A[:n_rows, n_af], A[n_rows:, :n_af] = G, 1.0, np.eye(n_af)
+        b = np.concatenate([corner - corner.min(), np.full(n_af, 2.0 * f_max)])
+        c = np.append(np.zeros(n_af), -1.0)
+        want, want_basis = force_solver._tableau(A, b, c)
+        force_solver._pivot(want, want_basis, int(corner.argmin()), n_af)
+        np.maximum(want[:-1, -1], 0.0, out=want[:-1, -1])
+        assert tab.tobytes() == want.tobytes()
+        assert np.array_equal(basis, want_basis)
+        assert pivots == 1
+
+
+def test_default_plan_takes_at_most_88_pivots(monkeypatch):
+    # Counted over the 15 default steps, both phases and the effort rows'
+    # crash pivots, with each margin LP's closed-form first pivot as one.
+    # Bland's rule alone took 111.
+    pivot, max_margin, count = force_solver._pivot, force_solver._max_margin, [0]
+
+    def counted_pivot(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    def counted_max_margin(*args):
+        count[0] += 1
+        return max_margin(*args)
+
+    monkeypatch.setattr(force_solver, "_pivot", counted_pivot)
+    monkeypatch.setattr(force_solver, "_max_margin", counted_max_margin)
+    for case in _default_plan_cases():
+        solve_force(*case)
+    assert count[0] <= 88
 
 
 def _svd_route_cases():

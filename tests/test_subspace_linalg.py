@@ -32,7 +32,7 @@ def test_rank_rule_relative_tolerance():
     assert sla.factor(1e6 * np.diag([1e-4, 1e-12]), scale=1e6).rank == 1
 
 
-def test_null_space_basis_properties():
+def test_factor_null_space_properties():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((3, 6))
     f = sla.factor(M)
@@ -43,14 +43,14 @@ def test_null_space_basis_properties():
     assert np.max(np.abs(M @ basis)) < 1e-12 * np.max(np.abs(M))
 
 
-def test_null_space_basis_empty_matrix_is_identity():
+def test_factor_null_space_of_empty_matrix_is_identity():
     f = sla.factor(np.zeros((0, 4)))
     assert f.null_space().shape == (4, 4)
     assert np.allclose(f.null_space(), np.eye(4))
     assert f.rank == 0
 
 
-def test_null_space_basis_full_rank_has_no_columns():
+def test_factor_null_space_of_full_rank_has_no_columns():
     assert sla.factor(np.eye(3)).null_space().shape == (3, 0)
 
 

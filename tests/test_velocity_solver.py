@@ -26,7 +26,7 @@ from pgd_oracle import (
 )
 
 
-def test_compute_dimensions_counts_added_rank():
+def test_n_av_counts_the_rank_the_goal_adds():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[0.0, 0.0, 1.0]])
     inst = make_instance(1, N, G, [0.3], np.zeros(3))
@@ -34,7 +34,7 @@ def test_compute_dimensions_counts_added_rank():
     assert (solve_velocity(inst).n_av, *ranks) == (1, 1, 2)
 
 
-def test_compute_dimensions_redundant_goal():
+def test_goal_redundant_with_the_constraints_needs_no_command():
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[2.0, 0.0, 0.0]])
     inst = make_instance(1, N, G, [0.0], np.zeros(3))
@@ -52,7 +52,7 @@ def test_compute_dimensions_redundant_goal():
         assert check_velocity_solution(inst, sol).passed
 
 
-def test_check_feasibility_threshold():
+def test_too_few_actuated_axes_raise_infeasible_dimensions():
     # rank(N) = 1 with n = 3: two actuated axes suffice, one does not.
     N = np.array([[1.0, 0.0, 0.0]])
     G = np.array([[0.0, 0.0, 1.0]])

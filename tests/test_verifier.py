@@ -159,7 +159,7 @@ def test_force_check_fails_on_unactuated_force():
     assert report.unactuated_residual > 1e-8
 
 
-def test_verification_report_aggregates(monkeypatch):
+def test_step_verification_aggregates_both_checks(monkeypatch):
     inst, guard, _, _ = _solved_tilting_step()
     good, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
     assert good["verification"]["passed"] is True
@@ -178,7 +178,7 @@ def test_verification_report_aggregates(monkeypatch):
     assert bad["verification"]["passed"] is False
 
 
-def test_min_norm_projection_matches_lstsq_path():
+def test_min_norm_projection_matches_unit_row_svd():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((3, 7))
     rhs = rng.standard_normal(3)
