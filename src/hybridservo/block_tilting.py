@@ -272,12 +272,6 @@ def goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     return _GOAL_SELECTOR, np.concatenate([v_b, omega_b])
 
 
-def hand_arc_velocity(state: TiltingState, scenario: TiltingScenario) -> np.ndarray:
-    """Planned world-frame hand velocity: circular arc about the contact edge."""
-    r = state.hand_position - scenario.table_contacts[0]
-    return scenario.tilt_rate * cross(scenario.rotation_axis, r)
-
-
 # ---------------------------------------------------------------------------
 # Holonomic constraints.
 

@@ -7,71 +7,42 @@ Two scenario types exist: "block_tilting" rolls the built-in tilting plan,
 The two solver settings, rank_tol and f_max, come from the scenario's
 "solver" block, overridden by --rank-tol and --f-max.
 
-Exit codes: 0 success, 2 velocity stage infeasible, inconsistent or without
-independent command rows, 3 force stage infeasible or singular, 4 unreadable
-or invalid input, including command-line usage errors and out-of-range
-solver settings.
+Exit codes: 0 success; a failed step returns its error's exit_code (see
+errors.py): 2 for InfeasibleDimensions, InconsistentGoal, EmptyBasis and
+SingularTransform, 3 for InfeasibleLP and SingularSystem, 4 for
+NumericOverflow.  Unreadable or invalid input, command-line usage errors and
+out-of-range solver settings also exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import block_tilting as tilting
-from .errors import (
-    EmptyBasis,
-    InconsistentGoal,
-    InfeasibleDimensions,
-    InfeasibleLP,
-    SingularSystem,
-    SingularTransform,
-)
-from .force_solver import DEFAULT_F_MAX, solve_force
-from .model import GuardConditions, assemble_N, make_instance, real_array, validate
+from . import synthesize
+from .errors import SolverError
+from .force_solver import DEFAULT_F_MAX
+from .model import GuardConditions, SystemInstance, assemble_N, make_instance, real_array, validate
 from .subspace_linalg import DEFAULT_RANK_TOL
-from .velocity_solver import solve_velocity
 from .verifier import check_force_solution, check_velocity_solution
 
 SCHEMA_VERSION = 1
 
 SCENARIO_KEYS = {"schema", "scenario_type", "params", "solver"}
 SOLVER_KEYS = {"rank_tol", "f_max"}
-TILTING_KEYS = {
-    "edge_length",
-    "mu_hand",
-    "mu_table",
-    "n_min",
-    "gravity_object",
-    "gravity_hand",
-    "hand_contact_obj",
-    "table_contacts",
-    "rotation_axis",
-    "tilt_rate",
-    "num_steps",
-    "step_duration",
-}
-RAW_KEYS = {
-    "n_u",
-    "N",
-    "J_phi",
-    "Omega",
-    "G",
-    "b_G",
-    "F",
-    "Lambda",
-    "b_Lambda",
-    "Gamma",
-    "b_Gamma",
-}
+TILTING_KEYS = {f.name for f in dataclasses.fields(tilting.TiltingScenario) if f.init}
+# A raw instance gives every field of the instance and its guard; F fixes n_a.
+RAW_KEYS = {f.name for f in dataclasses.fields(SystemInstance) if f.name != "n_a"}
+RAW_KEYS |= {f.name for f in dataclasses.fields(GuardConditions)}
 
 CSV_COLUMNS = [
     "step", "n_av", "direction_cost", "lp_margin", "newton_residual", "ms_velocity", "ms_force"
@@ -199,12 +170,9 @@ def _raw_instance(params: dict):
 
 
 def _solve_step(instance, guard, rank_tol: float, f_max: float, verify: bool):
-    t0 = time.perf_counter()
-    vel = solve_velocity(instance, rank_tol)
-    t1 = time.perf_counter()
-    force = solve_force(instance, guard, vel.T, vel.n_av, f_max)
-    t2 = time.perf_counter()
-
+    """The step's JSON record and its CSV timings."""
+    step = synthesize(instance, guard, rank_tol, f_max)
+    vel, force = step.velocity, step.force
     force_check = check_force_solution(instance, guard, vel.T, force)
     record = {
         "n_av": int(vel.n_av),
@@ -230,8 +198,7 @@ def _solve_step(instance, guard, rank_tol: float, f_max: float, verify: bool):
             "velocity": velocity_check.to_dict(),
             "force": force_check.to_dict(),
         }
-    timing = {"ms_velocity": (t1 - t0) * 1e3, "ms_force": (t2 - t1) * 1e3}
-    return record, timing
+    return record, {"ms_velocity": step.ms_velocity, "ms_force": step.ms_force}
 
 
 def _write_outputs(doc_out: dict, timings: list[dict], args: argparse.Namespace):
@@ -239,34 +206,13 @@ def _write_outputs(doc_out: dict, timings: list[dict], args: argparse.Namespace)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(canonical_json(doc_out))
     if args.csv:
-        csv_path = out.with_suffix(".csv")
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for record, timing in zip(doc_out["steps"], timings):
-                writer.writerow(
-                    [
-                        record["step"],
-                        record["n_av"],
-                        record["direction_cost"],
-                        record["lp_margin"],
-                        record["newton_residual"],
-                        timing["ms_velocity"],
-                        timing["ms_force"],
-                    ]
-                )
+        with out.with_suffix(".csv").open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, CSV_COLUMNS, restval="", extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows({**r, **t} for r, t in zip(doc_out["steps"], timings))
             if timings:
-                writer.writerow(
-                    [
-                        "median",
-                        "",
-                        "",
-                        "",
-                        "",
-                        statistics.median(t["ms_velocity"] for t in timings),
-                        statistics.median(t["ms_force"] for t in timings),
-                    ]
-                )
+                medians = {key: statistics.median(t[key] for t in timings) for key in timings[0]}
+                writer.writerow({"step": "median", **medians})
 
 
 def run_scenario(args: argparse.Namespace) -> int:
@@ -279,27 +225,20 @@ def run_scenario(args: argparse.Namespace) -> int:
                 scenario = tilting.TiltingScenario(**doc.get("params", {}))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioParseError(f"bad tilting params: {exc}") from exc
-            steps = [
-                tilting.build_instance(state, scenario)
-                for state in tilting.rollout_states(scenario)
-            ]
+            steps = [tilting.build_instance(s, scenario) for s in tilting.rollout_states(scenario)]
         else:
             steps = [_raw_instance(doc.get("params", {}))]
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
-    records: list[dict] = []
-    timings: list[dict] = []
+    records, timings = [], []
     for index, (instance, guard) in enumerate(steps, start=1):
         try:
             record, timing = _solve_step(instance, guard, rank_tol, f_max, args.verify)
-        except (InfeasibleDimensions, InconsistentGoal, EmptyBasis, SingularTransform) as exc:
+        except SolverError as exc:
             print(f"step {index}: {exc}", file=sys.stderr)
-            return 2
-        except (InfeasibleLP, SingularSystem) as exc:
-            print(f"step {index}: {exc}", file=sys.stderr)
-            return 3
+            return exc.exit_code
         record["step"] = index
         records.append(record)
         timings.append(timing)

@@ -254,17 +254,6 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, pivots: int = 0) -> np.ndarray:
         pivots += 1
 
 
-def _tableau(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Tableau [A I | b; c 0 | 0] of A z <= b and its slack basis."""
-    m, n = A.shape
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = A
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, :n] = c
-    return tab, np.arange(n, n + m)
-
-
 def _max_margin(G, h, f_max):
     """Phase 1: max s over [eta_af; s] s.t. G eta_af + s <= h, |eta_af| <= f_max.
 

@@ -6,14 +6,14 @@ shares code with the solver path it checks.  The velocity check scales
 every row of [N; G] and of [N; C] to unit norm and takes one full SVD of
 each stack for its rank, null space and minimum-norm solution.  It ranks
 at the fixed DEFAULT_RANK_TOL = 1e-8, so --verify does so whatever
---rank-tol the solver ran with.  The force references use the pseudoinverse
-projection formula rather than the solver's single-SVD maps, and the
-brute-force force oracle rebuilds the force-balance equalities on its own.
+--rank-tol the solver ran with.  The brute-force force oracle rebuilds the
+force-balance equalities on its own and resolves the free forces by
+pseudoinverse projection rather than the solver's single-SVD map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -65,16 +65,7 @@ class VelocityCheck:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "rank_nc": self.rank_nc,
-            "rank_ng": self.rank_ng,
-            "null_goal_residual": self.null_goal_residual,
-            "cross_residual_goal": self.cross_residual_goal,
-            "cross_residual_command": self.cross_residual_command,
-            "command_variation": self.command_variation,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -88,15 +79,7 @@ class ForceCheck:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "newton_residual": self.newton_residual,
-            "unactuated_residual": self.unactuated_residual,
-            "gamma_residual": self.gamma_residual,
-            "min_guard_margin": self.min_guard_margin,
-            "guard_margins": self.guard_margins.tolist(),
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "guard_margins": self.guard_margins.tolist()}
 
 
 def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution) -> VelocityCheck:
@@ -169,11 +152,6 @@ def _force_equalities(instance: SystemInstance, guard: GuardConditions, T: np.nd
     return stacked[:, free], stacked[:, af], rhs
 
 
-def min_norm_projection(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution by pseudoinverse projection (reference path)."""
-    return np.linalg.pinv(M) @ rhs
-
-
 def check_force_solution(
     instance: SystemInstance,
     guard: GuardConditions,
@@ -209,7 +187,6 @@ def check_force_solution(
         gamma_residual=gamma_residual,
         min_guard_margin=min_margin,
         guard_margins=margins,
-        notes=[],
     )
 
 

@@ -22,7 +22,8 @@ is 5.00005e-6, and it reports the least-effort LP pinned there infeasible
 
 exact_lexicographic solves the two LPs over the command alone in exact
 arithmetic, for the small LPs where a reference must not carry HiGHS's
-feasibility tolerance into the least effort.
+feasibility tolerance into the least effort.  slack_tableau is the starting
+tableau the simplex tests hand to force_solver._simplex.
 """
 
 from __future__ import annotations
@@ -228,3 +229,11 @@ def exact_lexicographic(G, h, a0, A1, f_max):
         for num, den in _vertices(face + kinks, face, n_af)
     )
     return s, least
+
+
+def slack_tableau(A, b, c):
+    """Tableau [A I | b; c 0 | 0] of A z <= b and its slack basis, as force_solver reads it."""
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n], tab[:m, n : n + m], tab[:m, -1], tab[-1, :n] = A, np.eye(m), b, c
+    return tab, np.arange(n, n + m)

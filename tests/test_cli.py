@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from hybridservo import cli
+from hybridservo import cli, errors
 from hybridservo.cli import CSV_COLUMNS, main
-from hybridservo.errors import SingularTransform
+from hybridservo.velocity_solver import solve_velocity
 
 
 def _write_scenario(path, doc):
@@ -21,22 +21,12 @@ def _write_scenario(path, doc):
     return str(path)
 
 
-def _tilting_doc(params=None, solver=None):
-    return {
-        "schema": 1,
-        "scenario_type": "block_tilting",
-        "params": params or {},
-        "solver": solver or {},
-    }
-
-
 def _raw_doc(params, solver=None):
-    return {
-        "schema": 1,
-        "scenario_type": "raw_instance",
-        "params": params,
-        "solver": solver or {},
-    }
+    return {"schema": 1, "scenario_type": "raw_instance", "params": params, "solver": solver or {}}
+
+
+def _tilting_doc(params=None, solver=None):
+    return {**_raw_doc(params or {}, solver), "scenario_type": "block_tilting"}
 
 
 def _supported_object_params():
@@ -214,31 +204,48 @@ def test_velocity_infeasible_returns_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("step 1:")
 
 
-def test_singular_transform_returns_2(tmp_path, capsys, monkeypatch):
-    solve = cli.solve_velocity
+EXIT_CODES = [
+    ("InfeasibleDimensions", 2), ("InconsistentGoal", 2), ("EmptyBasis", 2),
+    ("SingularTransform", 2), ("InfeasibleLP", 3), ("SingularSystem", 3), ("NumericOverflow", 4),
+]
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES)
+def test_each_solver_error_returns_its_exit_code(tmp_path, capsys, monkeypatch, name, code):
+    coded = {k for k, c in vars(errors).items() if isinstance(c, type) and hasattr(c, "exit_code")}
+    assert coded == {n for n, _ in EXIT_CODES}
     calls = []
 
-    def fail_on_second_step(instance, config):
-        calls.append(instance)
+    def fail_on_second_step(*args):
+        calls.append(args)
         if len(calls) == 2:
-            raise SingularTransform("no start gave independent command rows")
-        return solve(instance, config)
+            raise getattr(errors, name)("injected")
+        return solve_velocity(*args)
 
-    monkeypatch.setattr(cli, "solve_velocity", fail_on_second_step)
+    monkeypatch.setattr("hybridservo.solve_velocity", fail_on_second_step)
     scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc())
     out = tmp_path / "o.json"
-    assert main(["--scenario", scenario, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("step 2:")
+    assert main(["--scenario", scenario, "--out", str(out)]) == code
+    assert capsys.readouterr().err == "step 2: injected\n"
     assert not out.exists()
 
 
-def test_consistent_duplicate_gamma_rows_return_3(tmp_path, capsys):
-    params = _supported_object_params()
-    params.update(Gamma=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], b_Gamma=[1.0, 2.0])
-    scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(params))
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _raw_doc(dict(n_u=1, N=[[1, -1, 0, 0]], G=[[1.5e308] * 4], b_G=[1], F=[0] * 4)),
+        _tilting_doc(params={"gravity_object": [1e308, 1e308, -1e308]}),
+        _tilting_doc(params={"mu_hand": 1e308, "mu_table": 1e308}),
+        _tilting_doc(params={"gravity_hand": [1e308] * 3}),
+    ],
+    ids=["raw-goal", "gravity-object", "friction", "gravity-hand"],
+)
+def test_steps_that_overflow_return_4(tmp_path, capsys, doc):
+    # Finite inputs whose products inside the solve exceed double precision.
+    scenario = _write_scenario(tmp_path / "scenario.json", doc)
     out = tmp_path / "o.json"
-    assert main(["--scenario", scenario, "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("step 1:")
+    assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == 4
+    assert re.match(r"step 1: (velocity|force) stage: overflow", capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from force_lp_oracle import exact_lexicographic, full_kkt_least_effort, full_kkt_margin
+from force_lp_oracle import exact_lexicographic, full_kkt_least_effort, full_kkt_margin, slack_tableau
 from helpers import random_force_assembly, random_guarded_assembly
 from hybridservo import block_tilting as tilting
-from hybridservo import cli, force_solver
+from hybridservo import cli, force_solver, synthesize
 from hybridservo import subspace_linalg as sla
 from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
 from hybridservo.force_solver import assemble_newton, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
-from hybridservo.verifier import _force_equalities, min_norm_projection
+from hybridservo.verifier import _force_equalities
 from kkt_reference import build_kkt, solve_kkt
 
 
@@ -112,14 +112,14 @@ def test_kkt_reference_matches_pinv_projection():
     M_free, M_eta_f, rhs = _force_equalities(inst, guard, T, n_av)
     eta_af = rng.uniform(-10.0, 10.0, M_eta_f.shape[1])
     via_kkt = solve_kkt(M_free, M_eta_f, rhs, eta_af)
-    via_pinv = min_norm_projection(M_free, rhs - M_eta_f @ eta_af)
+    via_pinv = np.linalg.pinv(M_free) @ (rhs - M_eta_f @ eta_af)
     assert np.max(np.abs(via_kkt - via_pinv)) < 1e-9
 
 
 def test_supported_object_equilibrium():
     inst, guard = _supported_object()
-    vel = solve_velocity(inst)
-    sol = solve_force(inst, guard, vel.T, vel.n_av)
+    step = synthesize(inst, guard)
+    vel, sol = step.velocity, step.force
     assert sol.lam[0] == pytest.approx(2.45, abs=1e-8)
     assert abs(sol.eta[0]) < 1e-9
     # Original-frame hand force carries the object weight.
@@ -242,8 +242,8 @@ def test_reduced_lp_matches_full_kkt_oracle_on_tilting_plan():
     scenario = tilting.TiltingScenario()
     for state in tilting.rollout_states(scenario):
         instance, guard = tilting.build_instance(state, scenario)
-        vel = solve_velocity(instance)
-        sol = solve_force(instance, guard, vel.T, vel.n_av)
+        step = synthesize(instance, guard)
+        vel, sol = step.velocity, step.force
         want = full_kkt_margin(instance, guard, vel.T, vel.n_av)
         assert sol.objective_margin == pytest.approx(want, abs=1e-8)
         least = full_kkt_least_effort(instance, guard, vel.T, vel.n_av)
@@ -355,7 +355,7 @@ def test_simplex_terminates_on_beales_cycling_example():
     A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-0.75, 20.0, -0.5, 6.0])
-    z = force_solver._simplex(*force_solver._tableau(A, b, c))
+    z = force_solver._simplex(*slack_tableau(A, b, c))
     assert c @ z[:4] == pytest.approx(-1.25, abs=1e-12)
     assert np.allclose(z[:4], [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     assert np.all(A @ z[:4] <= b + 1e-12)
@@ -384,7 +384,7 @@ def test_simplex_switches_to_blands_rule_at_the_first_degenerate_pivot(monkeypat
         pivot(tab, basis, row, col)
 
     monkeypatch.setattr(force_solver, "_pivot", recorded)
-    z = force_solver._simplex(*force_solver._tableau(A, b, c))
+    z = force_solver._simplex(*slack_tableau(A, b, c))
     assert steps[:2] == [(4, 1.0), (0, 0.0)]
     assert len(steps) == 7
     assert c @ z[:5] == pytest.approx(-101.25, abs=1e-12)
@@ -623,7 +623,7 @@ def test_max_margin_first_pivot_in_closed_form(monkeypatch):
         A[:n_rows, :n_af], A[:n_rows, n_af], A[n_rows:, :n_af] = G, 1.0, np.eye(n_af)
         b = np.concatenate([corner - corner.min(), np.full(n_af, 2.0 * f_max)])
         c = np.append(np.zeros(n_af), -1.0)
-        want, want_basis = force_solver._tableau(A, b, c)
+        want, want_basis = slack_tableau(A, b, c)
         force_solver._pivot(want, want_basis, int(corner.argmin()), n_af)
         np.maximum(want[:-1, -1], 0.0, out=want[:-1, -1])
         assert tab.tobytes() == want.tobytes()

@@ -1,14 +1,18 @@
-"""Whole-pipeline properties over tilting steps: row order and a long sweep."""
+"""Whole-pipeline properties over tilting steps: row order, a long sweep and synthesize."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridservo
 from hybridservo import block_tilting as tilting
 from hybridservo.errors import InfeasibleLP
 from hybridservo.force_solver import solve_force
@@ -91,3 +95,28 @@ def test_ninety_step_sweep_solves_or_reports_a_negative_margin():
     print(f"90-step sweep (solved, infeasible) per mu: {splits}")
     # With enough friction the whole quarter turn is feasible.
     assert splits[0.8] == splits[1.2] == splits[1.5] == (90, 0)
+
+
+@pytest.mark.parametrize("gravity", [None, [0.0, 0.6, -2.45]], ids=["default", "lateral-load"])
+def test_synthesize_matches_the_stages_wired_by_hand(gravity):
+    def bits(solution):
+        return [np.asarray(value).tobytes() for value in vars(solution).values()]
+
+    scenario = tilting.TiltingScenario(gravity_object=gravity)
+    for state in tilting.rollout_states(scenario):
+        instance, guard = tilting.build_instance(state, scenario)
+        step = hybridservo.synthesize(instance, guard)
+        vel = solve_velocity(instance)
+        assert bits(step.velocity) == bits(vel)
+        assert bits(step.force) == bits(solve_force(instance, guard, vel.T, vel.n_av))
+        assert step.ms_velocity > 0.0 and step.ms_force > 0.0
+
+
+def test_only_synthesize_calls_both_stages():
+    def callees(path):
+        calls = [n.func for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+        return {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+
+    modules = sorted(Path(hybridservo.__file__).parent.glob("*.py"))
+    both = [p.name for p in modules if {"solve_velocity", "solve_force"} <= callees(p)]
+    assert both == ["__init__.py"]

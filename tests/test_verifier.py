@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_feasible_instance
-from hybridservo import cli, verifier
+from hybridservo import cli, synthesize, verifier
 from hybridservo import subspace_linalg as sla
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
 from hybridservo.errors import InfeasibleLP
@@ -24,7 +24,6 @@ from hybridservo.verifier import (
     brute_force_force_oracle,
     check_force_solution,
     check_velocity_solution,
-    min_norm_projection,
 )
 
 
@@ -32,9 +31,8 @@ def _solved_tilting_step(step: int = 5, **scenario_kwargs):
     sc = TiltingScenario(**scenario_kwargs)
     st = rollout_states(sc)[step]
     inst, guard = build_instance(st, sc)
-    vel = solve_velocity(inst)
-    force = solve_force(inst, guard, vel.T, vel.n_av)
-    return inst, guard, vel, force
+    step = synthesize(inst, guard)
+    return inst, guard, step.velocity, step.force
 
 
 def test_velocity_check_passes_on_solved_instances():
@@ -163,7 +161,7 @@ def test_step_verification_aggregates_both_checks(monkeypatch):
     inst, guard, _, _ = _solved_tilting_step()
     good, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
     assert good["verification"]["passed"] is True
-    solve = cli.solve_force
+    solve = solve_force
 
     def unactuated_push(*args):
         force = solve(*args)
@@ -171,7 +169,7 @@ def test_step_verification_aggregates_both_checks(monkeypatch):
         eta[0] += 1.0
         return replace(force, eta=eta)
 
-    monkeypatch.setattr(cli, "solve_force", unactuated_push)
+    monkeypatch.setattr("hybridservo.solve_force", unactuated_push)
     bad, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
     assert bad["verification"]["velocity"]["passed"] is True
     assert bad["verification"]["force"]["passed"] is False
@@ -182,9 +180,7 @@ def test_min_norm_projection_matches_unit_row_svd():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((3, 7))
     rhs = rng.standard_normal(3)
-    assert np.allclose(
-        min_norm_projection(M, rhs), _unit_row_svd(M, rhs).v, atol=1e-10
-    )
+    assert np.allclose(np.linalg.pinv(M) @ rhs, _unit_row_svd(M, rhs).v, atol=1e-10)
 
 
 # The velocity check's unit-row SVD: rank, null space and minimum-norm solution.

@@ -6,6 +6,7 @@ the scenario and computes one rotation matrix per state.  This reference
 builds the same instance the earlier way: np.cross, np.outer and np.eye for
 the derivative and the goal twist, the initial pose recomputed on every
 build to place the table contacts in O, and a rotation matrix per piece.
+hand_arc_velocity is the planned hand velocity the tests compare against.
 """
 
 from __future__ import annotations
@@ -67,3 +68,9 @@ def build_instance(state, scenario):
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
     instance = SystemInstance(n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F, J_phi=J_phi, Omega=Omega)
     return instance, tilting.guard_conditions(scenario, R_wo)
+
+
+def hand_arc_velocity(state, scenario):
+    """Planned world-frame hand velocity: circular arc about the contact edge."""
+    r = state.hand_position - scenario.table_contacts[0]
+    return scenario.tilt_rate * tilting.cross(scenario.rotation_axis, r)
