@@ -29,6 +29,17 @@ table cones live directly in W.
 The table contact points are material points of the object, so their
 coordinates in O are fixed per scenario: TiltingScenario computes them once
 from the initial pose, and each step's instance reads them from there.
+
+Constraint matrix
+-----------------
+A material point p (in O) of the object moves at R v_b - R [p]_x omega_b in
+W, with R = R_WO and xi_O = [v_b; omega_b] (Murray, Li & Sastry 1994,
+ch. 2).  Sticking therefore reads N v = 0 with
+
+    hand rows:       [-R,  R [p_H]_x,  I]
+    each table row:  [ R, -R [p]_x,    0]
+
+for the hand contact p_H and the table contacts p, all in O.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GuardConditions, SystemInstance, assemble_N, real_array
+from .model import GuardConditions, SystemInstance, real_array
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -51,7 +62,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 # Constant blocks of every step's matrices, built once and shared read-only.
 _EYE3 = _read_only(np.eye(3))
-_MINUS_EYE3 = _read_only(-np.eye(3))
 # The goal rows select the object twist from v = [xi_O; v_H].
 _GOAL_SELECTOR = _read_only(np.hstack([np.eye(6), np.zeros((6, 3))]))
 
@@ -91,52 +101,13 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion.
-
-    The expression is homogeneous of degree two in q, which keeps it smooth
-    off the unit sphere; that is what makes the constraint Jacobian below a
-    plain partial derivative in all ten configuration coordinates.
-    """
+    """Rotation matrix of a unit quaternion."""
     w, x, y, z = q
     return np.array(
         [
             [w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
             [2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x)],
             [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z],
-        ]
-    )
-
-
-def rotation_point_derivative(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """d(R(q) p)/dq as a 3 x 4 matrix, for the homogeneous R above.
-
-    With q = (w, v) the columns are 2 (w p + v x p) for w and
-    2 ((v . p) I + v p^T - p v^T - w [p]_x) for v, written out entry by entry.
-    """
-    w, x, y, z = map(float, q)
-    a, b, c = map(float, p)
-    d = x * a + y * b + z * c
-    return 2.0 * np.array(
-        [
-            [w * a + (y * c - z * b), d, (x * b - a * y) + w * c, (x * c - a * z) - w * b],
-            [w * b + (z * a - x * c), (y * a - b * x) - w * c, d, (y * c - b * z) + w * a],
-            [w * c + (x * b - y * a), (z * a - c * x) + w * b, (z * b - c * y) - w * a, d],
-        ]
-    )
-
-
-def quat_rate_map(q: np.ndarray) -> np.ndarray:
-    """Map body angular velocity to quaternion rate: q_dot = E(q) omega."""
-    q = np.asarray(q, dtype=float)
-    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-        raise ValueError("quaternion must be unit length")
-    q0, q1, q2, q3 = q
-    return 0.5 * np.array(
-        [
-            [-q1, -q2, -q3],
-            [q0, -q3, q2],
-            [q3, q0, -q1],
-            [-q2, q1, q0],
         ]
     )
 
@@ -243,19 +214,6 @@ def initial_state(scenario: TiltingScenario) -> TiltingState:
     return TiltingState(Pose(p0, quat0), hand0)
 
 
-def state_vector(state: TiltingState) -> np.ndarray:
-    return np.concatenate([state.object_pose.p, state.object_pose.quat, state.hand_position])
-
-
-def omega_map(state: TiltingState, R: np.ndarray) -> np.ndarray:
-    """Map v = [xi_O; v_H] to q_dot: block diag of R = R_WO, E(q), identity."""
-    Omega = np.zeros((10, 9))
-    Omega[:3, :3] = R
-    Omega[3:7, 3:6] = quat_rate_map(state.object_pose.quat)
-    Omega[7:, 6:] = _EYE3
-    return Omega
-
-
 def goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     """Goal rows pinning the object body twist to the planned tilt.
 
@@ -276,34 +234,22 @@ def goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
 # Holonomic constraints.
 
 
-def constraint_value(q: np.ndarray, hand_contact_obj, table_contacts_obj, table_contacts_world) -> np.ndarray:
-    """Sticking-contact residuals as a function of the raw configuration.
+def constraint_matrix(R: np.ndarray, hand_contact_obj, table_contacts_obj) -> np.ndarray:
+    """N of the three sticking contacts in body-twist coordinates.
 
-    Rows 0:3 hand contact (hand point minus object material point), rows 3:9
-    the two table contacts (object material point minus world anchor).
+    Rows 0:3 the hand contact (hand point minus object material point),
+    rows 3:9 the two table contacts (object material point minus world
+    anchor); R = R_WO and the contact points are in O.
     """
-    p_o = q[:3]
-    quat = q[3:7]
-    p_h = q[7:]
-    R = quat_to_rotation(quat)
-    rows = [p_h - (R @ hand_contact_obj + p_o)]
-    for p_obj, p_world in zip(table_contacts_obj, table_contacts_world):
-        rows.append(R @ p_obj + p_o - p_world)
-    return np.concatenate(rows)
-
-
-def constraint_jacobian(q: np.ndarray, hand_contact_obj, table_contacts_obj) -> np.ndarray:
-    """Partial derivative of constraint_value with respect to all ten coordinates."""
-    quat = q[3:7]
-    J = np.zeros((9, 10))
-    J[:3, :3] = _MINUS_EYE3
-    J[:3, 3:7] = -rotation_point_derivative(quat, hand_contact_obj)
-    J[:3, 7:] = _EYE3
+    N = np.zeros((9, 9))
+    N[:3, :3] = -R
+    N[:3, 3:6] = R @ skew(hand_contact_obj)
+    N[:3, 6:] = _EYE3
     for i, p_obj in enumerate(table_contacts_obj):
         r = slice(3 + 3 * i, 6 + 3 * i)
-        J[r, :3] = _EYE3
-        J[r, 3:7] = rotation_point_derivative(quat, p_obj)
-    return J
+        N[r, :3] = R
+        N[r, 3:6] = -R @ skew(p_obj)
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +286,16 @@ def guard_conditions(scenario: TiltingScenario, R_wo: np.ndarray) -> GuardCondit
 def build_instance(state: TiltingState, scenario: TiltingScenario):
     """System instance plus guard conditions for one step of the plan.
 
-    The constraint residual is zero on the plan, so only its Jacobian is
-    built.
+    The constraint residual is zero on the plan, so only its derivative N
+    is built.
     """
     R_wo = quat_to_rotation(state.object_pose.quat)
-    J_phi = constraint_jacobian(
-        state_vector(state), scenario.hand_contact_obj, scenario.table_contacts_obj
-    )
-    Omega = omega_map(state, R_wo)
-    N = assemble_N(J_phi, Omega)
+    N = constraint_matrix(R_wo, scenario.hand_contact_obj, scenario.table_contacts_obj)
     G, b_G = goal_twist(state, scenario, R_wo)
     # Object gravity as a body wrench; the object frame sits at the center
     # of mass, so the torque part vanishes.
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
-    instance = SystemInstance(
-        n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F, J_phi=J_phi, Omega=Omega
-    )
+    instance = SystemInstance(n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F)
     return instance, guard_conditions(scenario, R_wo)
 
 

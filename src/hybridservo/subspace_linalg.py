@@ -77,7 +77,8 @@ class Factorization:
         R = self.matrix @ X - B
         residual = np.sqrt((R * R).sum(axis=0))
         limit = RESIDUAL_TOL * (1.0 + np.sqrt((B * B).sum(axis=0)))
-        if not np.all(residual <= limit):
+        # A residual of inf passes "<= limit" when the limit overflows too.
+        if not (np.isfinite(residual).all() and np.all(residual <= limit)):
             raise InconsistentSystem(
                 f"system has no solution: residual {np.max(residual):.3e} exceeds tolerance"
             )

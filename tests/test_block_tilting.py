@@ -10,22 +10,18 @@ from hybridservo import block_tilting as tilting
 from hybridservo.block_tilting import (
     RIDGE_DIRECTIONS,
     Z_AXIS,
+    Pose,
     TiltingScenario,
+    TiltingState,
     advance_state,
     build_instance,
-    constraint_jacobian,
-    constraint_value,
     goal_twist,
     guard_conditions,
     initial_state,
-    omega_map,
     quat_from_axis_angle,
     quat_multiply,
-    quat_rate_map,
     quat_to_rotation,
     rollout_states,
-    rotation_point_derivative,
-    state_vector,
 )
 from hybridservo.model import validate
 from hybridservo.subspace_linalg import factor
@@ -66,32 +62,6 @@ def test_quat_to_rotation_homogeneous_degree_two():
     assert np.allclose(quat_to_rotation(2.0 * q), 4.0 * quat_to_rotation(q), atol=1e-12)
 
 
-def test_rotation_point_derivative_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    h = 1e-6
-    for _ in range(20):
-        q = rng.standard_normal(4)  # deliberately not unit length
-        p = rng.standard_normal(3)
-        J = rotation_point_derivative(q, p)
-        for i in range(4):
-            dq = np.zeros(4)
-            dq[i] = h
-            num = (quat_to_rotation(q + dq) @ p - quat_to_rotation(q - dq) @ p) / (2.0 * h)
-            assert np.allclose(J[:, i], num, atol=1e-7)
-
-
-def test_quat_rate_map_is_half_quaternion_product():
-    rng = np.random.default_rng(4)
-    q = rng.standard_normal(4)
-    q = q / np.linalg.norm(q)
-    omega = rng.standard_normal(3)
-    direct = quat_rate_map(q) @ omega
-    product = 0.5 * quat_multiply(q, np.concatenate([[0.0], omega]))
-    assert np.allclose(direct, product, atol=1e-12)
-    with pytest.raises(ValueError):
-        quat_rate_map(2.0 * q)
-
-
 def test_initial_state_geometry():
     sc = TiltingScenario()
     st = initial_state(sc)
@@ -113,45 +83,41 @@ def test_initial_state_rejects_vertical_axis():
 
 def test_constraints_hold_along_rollout():
     sc = TiltingScenario()
-    contacts_obj = sc.table_contacts_obj
     for st in rollout_states(sc):
-        phi = constraint_value(
-            state_vector(st), sc.hand_contact_obj, contacts_obj, sc.table_contacts
-        )
+        phi = _constraint_value(st, sc)
         assert np.max(np.abs(phi)) < 1e-9
         assert abs(np.linalg.norm(st.object_pose.quat) - 1.0) < 1e-12
 
 
-def test_constraint_jacobian_matches_finite_differences():
+def _constraint_value(st, sc):
+    q = tilting_reference.state_vector(st)
+    return tilting_reference.constraint_value(
+        q, sc.hand_contact_obj, sc.table_contacts_obj, sc.table_contacts
+    )
+
+
+def _moved(st, v, eps):
+    """The state after moving along v = [v_b; omega_b; v_H] for time eps."""
+    quat = st.object_pose.quat
+    turn = quat_from_axis_angle(v[3:6], eps * np.linalg.norm(v[3:6]))
+    p = st.object_pose.p + eps * quat_to_rotation(quat) @ v[:3]
+    return TiltingState(Pose(p, quat_multiply(quat, turn)), st.hand_position + eps * v[6:])
+
+
+def test_constraint_matrix_matches_finite_differences_along_body_twists():
     sc = TiltingScenario()
-    contacts_obj = sc.table_contacts_obj
-    base = state_vector(rollout_states(sc)[7])
+    base = rollout_states(sc)[7]
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(100):
-        q = base + rng.uniform(-0.05, 0.05, 10)
-        J = constraint_jacobian(q, sc.hand_contact_obj, contacts_obj)
-        num = np.zeros((9, 10))
-        for i in range(10):
-            dq = np.zeros(10)
-            dq[i] = h
-            phi_plus = constraint_value(q + dq, sc.hand_contact_obj, contacts_obj, sc.table_contacts)
-            phi_minus = constraint_value(q - dq, sc.hand_contact_obj, contacts_obj, sc.table_contacts)
-            num[:, i] = (phi_plus - phi_minus) / (2.0 * h)
-        assert np.max(np.abs(J - num)) < 1e-5
-
-
-def test_omega_map_blocks():
-    sc = TiltingScenario()
-    st = rollout_states(sc)[4]
-    R = quat_to_rotation(st.object_pose.quat)
-    Om = omega_map(st, R)
-    assert Om.shape == (10, 9)
-    assert np.allclose(Om[:3, :3], R)
-    assert np.allclose(Om[3:7, 3:6], quat_rate_map(st.object_pose.quat))
-    assert np.allclose(Om[7:, 6:], np.eye(3))
-    assert np.allclose(Om[:3, 3:], 0.0)
-    assert np.allclose(Om[3:7, :3], 0.0)
+        quat = base.object_pose.quat + rng.uniform(-0.05, 0.05, 4)
+        st = TiltingState(
+            Pose(base.object_pose.p + rng.uniform(-0.05, 0.05, 3), quat / np.linalg.norm(quat)),
+            base.hand_position + rng.uniform(-0.05, 0.05, 3),
+        )
+        v = rng.standard_normal(9)
+        plus, minus = (_constraint_value(_moved(st, v, e), sc) for e in (h, -h))
+        assert np.max(np.abs(build_instance(st, sc)[0].N @ v - (plus - minus) / (2.0 * h))) < 1e-5
 
 
 def test_goal_twist_matches_numerical_plan_derivative():
@@ -168,7 +134,7 @@ def test_goal_twist_matches_numerical_plan_derivative():
         p_dot = (plus.object_pose.p - minus.object_pose.p) / (2.0 * h)
         q_dot = (plus.object_pose.quat - minus.object_pose.quat) / (2.0 * h)
         R = quat_to_rotation(st.object_pose.quat)
-        E = quat_rate_map(st.object_pose.quat)
+        E = tilting_reference.quat_rate_map(st.object_pose.quat)
         v_b = R.T @ p_dot
         omega_b = 4.0 * E.T @ q_dot
         assert np.allclose(b_G, np.concatenate([v_b, omega_b]), atol=1e-8)
@@ -275,7 +241,7 @@ def test_build_instance_is_valid_and_well_posed():
         inst, guard = build_instance(st, sc)
         assert validate(inst, guard) == []
         assert (inst.n_u, inst.n_a, inst.n, inst.n_phi) == (6, 3, 9, 9)
-        assert np.allclose(inst.N, inst.J_phi @ inst.Omega)
+        assert inst.J_phi is None and inst.Omega is None
         r_N, r_NG = factor(inst.N).rank, factor(np.vstack([inst.N, inst.G])).rank
         assert (r_NG - r_N, r_N, r_NG) == (1, 8, 9)
         assert r_N + inst.n_a >= inst.n
@@ -291,13 +257,13 @@ def test_gravity_wrench_in_body_frame():
     assert np.allclose(inst.F[6:], sc.gravity_hand)
 
 
-INSTANCE_ARRAYS = ("N", "G", "b_G", "F", "J_phi", "Omega")
+INSTANCE_ARRAYS = ("N", "G", "b_G", "F")
 GUARD_ARRAYS = ("Lambda", "b_Lambda", "Gamma", "b_Gamma")
 
 
 def test_build_instance_matches_the_cross_product_reference():
-    # Every step of the default scenario and of 20 scenarios drawn from the
-    # ranges of acceptance criterion 6.
+    # N against the quaternion chain J_phi @ Omega, on every step of the default
+    # scenario and of 20 scenarios drawn from the ranges of acceptance criterion 6.
     rng = np.random.default_rng(12)
     scenarios = [TiltingScenario()] + [
         TiltingScenario(

@@ -98,6 +98,26 @@ def test_raw_instance_roundtrip(tmp_path):
     assert step["verification"]["passed"] is True
 
 
+def test_raw_instance_with_n_factored_as_j_phi_and_omega(tmp_path, capsys):
+    # README's raw example with N = J_phi @ Omega = [[1, -1]] given in factored form.
+    factored = {k: v for k, v in _supported_object_params().items() if k != "N"}
+    factored.update(J_phi=[[2.0, 1.0]], Omega=[[0.5, -0.5], [0.0, 0.0]])
+    outputs = []
+    for name, params in [("n", _supported_object_params()), ("factored", factored)]:
+        scenario = _write_scenario(tmp_path / f"{name}.json", _raw_doc(params))
+        out = tmp_path / f"{name}_out.json"
+        assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # Given with N, the factors must reproduce it: here J_phi @ Omega = [[1, 0]].
+    mismatch = {**factored, "N": [[1.0, -1.0]], "Omega": [[0.5, -0.5], [0.0, 1.0]]}
+    scenario = _write_scenario(tmp_path / "mismatch.json", _raw_doc(mismatch))
+    out = tmp_path / "mismatch_out.json"
+    assert main(["--scenario", scenario, "--out", str(out)]) == 4
+    assert "N does not match J_phi @ Omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_overrides_reach_output(tmp_path):
     solver = {"f_max": 25.0, "rank_tol": 1e-9}
     scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))

@@ -193,6 +193,20 @@ def test_rank_deficient_equalities_raise():
         solve_force(inst, guard, np.eye(2), n_av=0)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"gravity_object": [1e308, 1e308, -1e308]}, {"gravity_hand": [1e308] * 3}],
+    ids=["gravity_object", "gravity_hand"],
+)
+def test_forces_that_overflow_raise_when_called_directly(params):
+    # Without synthesize's overflow guard the free-force residual is inf.
+    scenario = tilting.TiltingScenario(**params)
+    instance, guard = tilting.build_instance(tilting.rollout_states(scenario)[0], scenario)
+    vel = solve_velocity(instance)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+        solve_force(instance, guard, vel.T, vel.n_av)
+
+
 def test_config_f_max_changes_box():
     inst, guard = _wall_press([(-1.0, -1.0)])
     sol = solve_force(inst, guard, np.eye(1), n_av=0, f_max=10.0)

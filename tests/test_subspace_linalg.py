@@ -99,6 +99,12 @@ def test_factor_min_norm_checks_each_column():
     assert np.allclose(sla.factor(A).min_norm(B[:, :1]), [[1.0], [0.0]])
 
 
+def test_factor_min_norm_rejects_a_residual_that_overflows():
+    # ||b|| overflows as well, so the bound alone would read inf <= inf.
+    with np.errstate(over="ignore"), pytest.raises(InconsistentSystem):
+        sla.factor([[1.0, 0.0], [1.0, 0.0]]).min_norm([1e308, -1e308])
+
+
 # The LU square solve of the KKT test reference (tests/kkt_reference.py).
 
 

@@ -1,4 +1,4 @@
-"""Whole-pipeline properties over tilting steps: row order, a long sweep and synthesize."""
+"""Whole-pipeline properties over tilting steps: row order and scale, a long sweep, synthesize."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def _outcome(instance, guard):
 
 
 def _permuted(instance, guard, rng):
-    """Reorder the rows of N (with J_phi and the lambda columns), G and Lambda."""
+    """Reorder the rows of N (with the lambda columns), G and Lambda."""
     n_phi = instance.n_phi
     p_n = rng.permutation(n_phi)
     p_g = rng.permutation(instance.G.shape[0])
@@ -44,7 +44,6 @@ def _permuted(instance, guard, rng):
     instance = dataclasses.replace(
         instance,
         N=instance.N[p_n],
-        J_phi=instance.J_phi[p_n],
         G=instance.G[p_g],
         b_G=instance.b_G[p_g],
     )
@@ -73,6 +72,39 @@ def test_row_order_does_not_change_the_step(mu_hand, mu_table, step, seed):
     assert n_av_p == n_av
     assert verdicts_p == verdicts  # also: both solved, or both infeasible
     assert abs(margin_p - margin) <= 1e-9 * max(1.0, abs(margin))
+
+
+LATERAL_LOAD = [0.0, 0.6, -2.45]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lateral=st.booleans(),
+    step=st.integers(0, 14),
+    log_scales=st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+    repeated=st.integers(0, 5),
+)
+def test_goal_row_scale_and_a_repeated_goal_row_do_not_change_the_step(
+    lateral, step, log_scales, repeated
+):
+    # Each row of G, with its b_G entry, times a factor in [1e-3, 1e3], plus
+    # one more copy of a goal row: the same goal in other units.
+    scenario = tilting.TiltingScenario(gravity_object=LATERAL_LOAD if lateral else None)
+    instance, guard = tilting.build_instance(tilting.rollout_states(scenario)[step], scenario)
+    scales = 10.0 ** np.array(log_scales)
+    rows = np.append(np.arange(6), repeated)
+    scaled = dataclasses.replace(
+        instance, G=scales[:, None] * instance.G[rows], b_G=scales * instance.b_G[rows]
+    )
+    ref, got = hybridservo.synthesize(instance, guard), hybridservo.synthesize(scaled, guard)
+    assert got.velocity.n_av == ref.velocity.n_av
+    assert got.force.effort_pass == ref.force.effort_pass
+    for a, b in [
+        (got.velocity.C, ref.velocity.C),
+        (got.velocity.b_C, ref.velocity.b_C),
+        (got.force.objective_margin, ref.force.objective_margin),
+    ]:
+        assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
 
 
 def test_ninety_step_sweep_solves_or_reports_a_negative_margin():

@@ -1,12 +1,14 @@
-"""The tilting step build in its earlier form, kept as a test reference.
+"""The tilting step build in quaternion coordinates, kept as a test reference.
 
-block_tilting.build_instance writes d(R(q) p)/dq out entry by entry, takes
-cross products on scalars, reads the table contacts in the object frame from
-the scenario and computes one rotation matrix per state.  This reference
-builds the same instance the earlier way: np.cross, np.outer and np.eye for
-the derivative and the goal twist, the initial pose recomputed on every
-build to place the table contacts in O, and a rotation matrix per piece.
-hand_arc_velocity is the planned hand velocity the tests compare against.
+block_tilting.build_instance writes N in body-twist coordinates in closed
+form.  This reference reaches the same N the long way, as J_phi @ Omega:
+J_phi is the partial derivative of constraint_value in all ten coordinates
+q = [p_WO; q_WO; p_WH] (quat_to_rotation is homogeneous of degree two in
+q_WO, so the derivative is smooth off the unit sphere), and Omega maps the
+body twist to q_dot.  It also uses np.cross, np.outer and np.eye, places the
+table contacts in O from the initial pose on every build and computes a
+rotation matrix per piece.  hand_arc_velocity is the planned hand velocity
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,35 @@ def rotation_point_derivative(q, p):
     col0 = 2.0 * (w * p + np.cross(v, p))
     block = 2.0 * ((v @ p) * np.eye(3) + np.outer(v, p) - np.outer(p, v) - w * tilting.skew(p))
     return np.hstack([col0[:, None], block])
+
+
+def quat_rate_map(q):
+    """Map body angular velocity to quaternion rate: q_dot = E(q) omega."""
+    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
+        raise ValueError("quaternion must be unit length")
+    q0, q1, q2, q3 = q
+    return 0.5 * np.array([[-q1, -q2, -q3], [q0, -q3, q2], [q3, q0, -q1], [-q2, q1, q0]])
+
+
+def state_vector(state):
+    return np.concatenate([state.object_pose.p, state.object_pose.quat, state.hand_position])
+
+
+def omega_map(state, R):
+    """Map v = [xi_O; v_H] to q_dot: block diag of R = R_WO, E(q), identity."""
+    Omega = np.zeros((10, 9))
+    Omega[:3, :3] = R
+    Omega[3:7, 3:6] = quat_rate_map(state.object_pose.quat)
+    Omega[7:, 6:] = np.eye(3)
+    return Omega
+
+
+def constraint_value(q, hand_contact_obj, table_contacts_obj, table_contacts_world):
+    """Sticking-contact residuals: hand rows, then the two table contacts."""
+    p_o, R, p_h = q[:3], tilting.quat_to_rotation(q[3:7]), q[7:]
+    rows = [p_h - (R @ hand_contact_obj + p_o)]
+    rows += [R @ p + p_o - w for p, w in zip(table_contacts_obj, table_contacts_world)]
+    return np.concatenate(rows)
 
 
 def table_contacts_object_frame(scenario):
@@ -59,10 +90,10 @@ def goal_twist(state, scenario):
 
 def build_instance(state, scenario):
     contacts_obj = table_contacts_object_frame(scenario)
-    q = tilting.state_vector(state)
+    q = state_vector(state)
     J_phi = constraint_jacobian(q, scenario.hand_contact_obj, contacts_obj)
     R_wo = tilting.quat_to_rotation(state.object_pose.quat)
-    Omega = tilting.omega_map(state, R_wo)
+    Omega = omega_map(state, R_wo)
     N = assemble_N(J_phi, Omega)
     G, b_G = goal_twist(state, scenario)
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
