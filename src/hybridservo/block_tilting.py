@@ -3,10 +3,16 @@
 Frames and coordinates
 ----------------------
 World frame W has z up.  The object frame O sits at the cube center, world
-aligned at the start.  The configuration is q = [p_WO (3); q_WO (4, wxyz);
-p_WH (3)] and the generalized velocity v = [xi_O (6, body twist of the
-object, linear part first); v_H (3, hand velocity in W)].  The object twist
-is unactuated (n_u = 6) and the hand velocity actuated (n_a = 3).
+aligned at the start.  A state is the object pose (R = R_WO, p_WO) and the
+hand position p_WH; the generalized velocity is v = [xi_O (6, body twist of
+the object, linear part first); v_H (3, hand velocity in W)].  The object
+twist is unactuated (n_u = 6) and the hand velocity actuated (n_a = 3).
+
+The plan turns object and hand about the fixed contact edge at a constant
+rate, so state k has a closed form: with the angle a_k = k * tilt_rate *
+step_duration and K = [axis]_x, Rodrigues' formula gives R_k = I +
+sin(a_k) K + (1 - cos(a_k)) K^2, and every point x moves to pivot + R_k
+(x - pivot) (Murray, Li & Sastry 1994, ch. 2).
 
 Contacts and reaction sign convention
 -------------------------------------
@@ -71,10 +77,6 @@ RIDGE_DIRECTIONS = np.array(
 )
 
 
-# ---------------------------------------------------------------------------
-# Quaternion helpers, scalar-first (w, x, y, z), Hamilton convention.
-
-
 def skew(p: np.ndarray) -> np.ndarray:
     x, y, z = p
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
@@ -85,31 +87,6 @@ def cross(a, b) -> np.ndarray:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, av = a[0], a[1:]
-    bw, bv = b[0], b[1:]
-    return np.concatenate([[aw * bw - av @ bv], aw * bv + bw * av + cross(av, bv)])
-
-
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle
-    return np.concatenate([[math.cos(half)], math.sin(half) * axis])
-
-
-def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w * w + x * x - y * y - z * z, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), w * w - x * x - y * y + z * z],
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +132,9 @@ class TiltingScenario:
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValueError(f"num_steps must be an integer >= 1, got {steps!r}")
         self.num_steps = int(steps)
+        final_angle = (self.num_steps - 1) * self.tilt_rate * self.step_duration
+        if not math.isfinite(final_angle):
+            raise ValueError(f"the plan's final tilt angle {final_angle} is not finite")
         half = 0.5 * self.edge_length
         if self.gravity_object is None:
             self.gravity_object = np.array([0.0, 0.0, -2.45])
@@ -171,12 +151,15 @@ class TiltingScenario:
         self.hand_contact_obj = _finite_reals("hand_contact_obj", self.hand_contact_obj, 3)
         self.table_contacts = _finite_reals("table_contacts", self.table_contacts, (2, 3))
         axis = _finite_reals("rotation_axis", self.rotation_axis, 3)
-        norm = np.linalg.norm(axis)
+        # Scaled by its largest entry first, so that the norm cannot overflow.
+        top = float(np.abs(axis).max())
+        unit = axis / top if top > 0.0 else axis
+        norm = np.linalg.norm(unit)
         # The axis runs along a table edge, so it must lie in the table plane.
-        if not norm > 0.0 or abs(axis[2]) > 1e-9 * norm:
+        if not norm > 0.0 or abs(unit[2]) > 1e-9 * norm:
             raise ValueError(f"rotation_axis must be horizontal and nonzero, got {axis.tolist()}")
-        self.rotation_axis = axis / norm
-        self.table_contacts_obj = self.table_contacts - initial_state(self).object_pose.p
+        self.rotation_axis = unit / norm
+        self.table_contacts_obj = self.table_contacts - initial_state(self).p
 
 
 def _finite_reals(name: str, value, shape=None):
@@ -191,14 +174,9 @@ def _finite_reals(name: str, value, shape=None):
 
 
 @dataclass(frozen=True)
-class Pose:
-    p: np.ndarray
-    quat: np.ndarray
-
-
-@dataclass(frozen=True)
 class TiltingState:
-    object_pose: Pose
+    R: np.ndarray  # R_WO
+    p: np.ndarray  # p_WO
     hand_position: np.ndarray
 
 
@@ -209,12 +187,10 @@ def initial_state(scenario: TiltingScenario) -> TiltingState:
     half = 0.5 * scenario.edge_length
     edge_mid = scenario.table_contacts.mean(axis=0)
     p0 = edge_mid + half * block_dir + half * Z_AXIS
-    quat0 = np.array([1.0, 0.0, 0.0, 0.0])
-    hand0 = p0 + scenario.hand_contact_obj
-    return TiltingState(Pose(p0, quat0), hand0)
+    return TiltingState(_EYE3, p0, p0 + scenario.hand_contact_obj)
 
 
-def goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
+def goal_twist(state: TiltingState, scenario: TiltingScenario):
     """Goal rows pinning the object body twist to the planned tilt.
 
     The plan rotates the object about the contact edge at the scenario tilt
@@ -222,7 +198,7 @@ def goal_twist(state: TiltingState, scenario: TiltingScenario, R: np.ndarray):
     the current pose, whose rotation is R = R_WO, and G selects the
     (unactuated) object twist.
     """
-    p = state.object_pose.p
+    R, p = state.R, state.p
     omega_s = scenario.rotation_axis * scenario.tilt_rate
     v_s = -cross(scenario.rotation_axis, scenario.table_contacts[0]) * scenario.tilt_rate
     v_b = R.T @ v_s - R.T @ skew(p) @ omega_s
@@ -280,7 +256,7 @@ def guard_conditions(scenario: TiltingScenario, R_wo: np.ndarray) -> GuardCondit
 
 
 # ---------------------------------------------------------------------------
-# Instance assembly and state propagation.
+# Instance assembly and the plan.
 
 
 def build_instance(state: TiltingState, scenario: TiltingScenario):
@@ -289,9 +265,9 @@ def build_instance(state: TiltingState, scenario: TiltingScenario):
     The constraint residual is zero on the plan, so only its derivative N
     is built.
     """
-    R_wo = quat_to_rotation(state.object_pose.quat)
+    R_wo = state.R
     N = constraint_matrix(R_wo, scenario.hand_contact_obj, scenario.table_contacts_obj)
-    G, b_G = goal_twist(state, scenario, R_wo)
+    G, b_G = goal_twist(state, scenario)
     # Object gravity as a body wrench; the object frame sits at the center
     # of mass, so the torque part vanishes.
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
@@ -299,22 +275,20 @@ def build_instance(state: TiltingState, scenario: TiltingScenario):
     return instance, guard_conditions(scenario, R_wo)
 
 
-def advance_state(state: TiltingState, scenario: TiltingScenario, dt: float) -> TiltingState:
-    """Rotate object and hand about the contact edge by tilt_rate * dt."""
-    angle = scenario.tilt_rate * dt
-    dq = quat_from_axis_angle(scenario.rotation_axis, angle)
-    R = quat_to_rotation(dq)
-    pivot = scenario.table_contacts[0]
-    p_new = pivot + R @ (state.object_pose.p - pivot)
-    quat_new = quat_multiply(dq, state.object_pose.quat)
-    quat_new = quat_new / np.linalg.norm(quat_new)
-    hand_new = pivot + R @ (state.hand_position - pivot)
-    return TiltingState(Pose(p_new, quat_new), hand_new)
-
-
 def rollout_states(scenario: TiltingScenario) -> list[TiltingState]:
-    """The num_steps states at which actions are synthesized, plan order."""
-    states = [initial_state(scenario)]
-    for _ in range(scenario.num_steps - 1):
-        states.append(advance_state(states[-1], scenario, scenario.step_duration))
+    """The num_steps states at which actions are synthesized, plan order.
+
+    State k is the initial state turned about the contact edge by a_k =
+    k * tilt_rate * step_duration, in the closed form of the module notes.
+    """
+    start = initial_state(scenario)
+    K = skew(scenario.rotation_axis)
+    K2 = K @ K
+    pivot = scenario.table_contacts[0]
+    states = []
+    for k in range(scenario.num_steps):
+        angle = k * scenario.tilt_rate * scenario.step_duration
+        R = _EYE3 + math.sin(angle) * K + (1.0 - math.cos(angle)) * K2
+        p = pivot + R @ (start.p - pivot)
+        states.append(TiltingState(R, p, pivot + R @ (start.hand_position - pivot)))
     return states

@@ -31,7 +31,7 @@ from . import block_tilting as tilting
 from . import synthesize
 from .errors import SolverError
 from .force_solver import DEFAULT_F_MAX
-from .model import GuardConditions, SystemInstance, assemble_N, make_instance, real_array, validate
+from .model import GuardConditions, SystemInstance, make_instance, real_array, validate
 from .subspace_linalg import DEFAULT_RANK_TOL
 from .verifier import check_force_solution, check_velocity_solution
 
@@ -41,8 +41,9 @@ SCENARIO_KEYS = {"schema", "scenario_type", "params", "solver"}
 SOLVER_KEYS = {"rank_tol", "f_max"}
 TILTING_KEYS = {f.name for f in dataclasses.fields(tilting.TiltingScenario) if f.init}
 # A raw instance gives every field of the instance and its guard; F fixes n_a.
+# N may instead come factored as J_phi @ Omega.
 RAW_KEYS = {f.name for f in dataclasses.fields(SystemInstance) if f.name != "n_a"}
-RAW_KEYS |= {f.name for f in dataclasses.fields(GuardConditions)}
+RAW_KEYS |= {f.name for f in dataclasses.fields(GuardConditions)} | {"J_phi", "Omega"}
 
 CSV_COLUMNS = [
     "step", "n_av", "direction_cost", "lp_margin", "newton_residual", "ms_velocity", "ms_force"
@@ -141,16 +142,18 @@ def _raw_instance(params: dict):
         G = matrix("G")
         b_G = array("b_G", params["b_G"], 1)
         F = array("F", params["F"], 1)
-        if "N" in params:
-            N = matrix("N")
-            J_phi = matrix("J_phi") if "J_phi" in params else None
-            Omega = matrix("Omega") if "Omega" in params else None
-        elif "J_phi" in params and "Omega" in params:
-            J_phi, Omega = matrix("J_phi"), matrix("Omega")
-            N = assemble_N(J_phi, Omega)
-        else:
+        N = matrix("N") if "N" in params else None
+        if ("J_phi" in params) != ("Omega" in params):
+            raise ScenarioParseError("invalid instance: J_phi and Omega must be given together")
+        if "J_phi" in params:
+            product = matrix("J_phi") @ matrix("Omega")
+            if N is None:
+                N = product
+            else:
+                _check_factored_N(N, product)
+        elif N is None:
             raise ScenarioParseError("raw instance needs N or both J_phi and Omega")
-        instance = make_instance(n_u, N, G, b_G, F, J_phi=J_phi, Omega=Omega)
+        instance = make_instance(n_u, N, G, b_G, F)
         w = instance.n_phi + instance.n
         # Only an absent or empty guard block means no rows; any other keeps its shape.
         guard = GuardConditions(
@@ -167,6 +170,16 @@ def _raw_instance(params: dict):
     if problems:
         raise ScenarioParseError("invalid instance: " + "; ".join(problems))
     return instance, guard
+
+
+def _check_factored_N(N: np.ndarray, product: np.ndarray) -> None:
+    """Reject a given N that J_phi @ Omega does not reproduce to 1e-10 relative."""
+    err = float(np.abs(product - N).max(initial=0.0)) if N.shape == product.shape else np.inf
+    scale = max(1.0, float(np.abs(N).max(initial=0.0)))
+    if not err <= 1e-10 * scale:  # also rejects nan
+        raise ScenarioParseError(
+            f"invalid instance: N does not match J_phi @ Omega (max deviation {err:.3e})"
+        )
 
 
 def _solve_step(instance, guard, rank_tol: float, f_max: float, verify: bool):

@@ -21,7 +21,9 @@ never built.  Consistent redundant equality rows (for example
 a duplicated Gamma row) are harmless; each column's residual check raises
 SingularSystem when the rows are inconsistent or pin the command itself.
 The guard margins are affine as well: b_Lambda - Lambda [lambda; f] =
-h - G eta_af.
+h - G eta_af.  When f_max sum|G| + sum|h| leaves the float range, inputs
+so large that the margin LP would compute inf - inf, NumericOverflow is
+raised before any LP.
 
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
@@ -60,12 +62,19 @@ phase 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import subspace_linalg as sla
-from .errors import InconsistentSystem, InfeasibleLP, SingularSystem, SingularTransform
+from .errors import (
+    InconsistentSystem,
+    InfeasibleLP,
+    NumericOverflow,
+    SingularSystem,
+    SingularTransform,
+)
 from .model import GuardConditions, SystemInstance
 
 # Largest entry of T T^T - I accepted for the action frame.
@@ -370,6 +379,12 @@ def solve_force(
         # No guard rows: let the box bounds define the margin.
         G_lp = np.vstack([np.eye(n_af), -np.eye(n_af)])
         h_lp = np.full(2 * n_af, f_max)
+    # The margin LP starts from h + f_max G 1 (see _max_margin); past the
+    # float range its inf - inf would make the margin nan.
+    if not math.isfinite(f_max * float(np.abs(G_lp).sum()) + float(np.abs(h_lp).sum())):
+        raise NumericOverflow(
+            "force stage: overflow in the guard margin map; the input is out of range"
+        )
 
     if n_af:
         eta_af, s, tab, basis = _max_margin(G_lp, h_lp, f_max)

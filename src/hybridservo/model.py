@@ -23,9 +23,9 @@ import numpy as np
 class SystemInstance:
     """One time step of the constrained quasi-static system.
 
-    N has one row per holonomic constraint (n_phi rows, n columns) and may
-    be given directly or assembled from J_phi and Omega.  When J_phi and
-    Omega are both present they must reproduce N.
+    N has one row per holonomic constraint (n_phi rows, n columns), already
+    in velocity coordinates: a raw scenario given in factored form is
+    multiplied out by the CLI.
     """
 
     n_u: int
@@ -34,8 +34,6 @@ class SystemInstance:
     G: np.ndarray
     b_G: np.ndarray
     F: np.ndarray
-    J_phi: np.ndarray | None = None
-    Omega: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -69,23 +67,14 @@ class GuardConditions:
         return self.Gamma.shape[0]
 
 
-def make_instance(n_u, N, G, b_G, F, J_phi=None, Omega=None) -> SystemInstance:
+def make_instance(n_u, N, G, b_G, F) -> SystemInstance:
     """Build a SystemInstance from array-likes, deriving n_a from F."""
     N = np.asarray(N, dtype=float)
     G = np.asarray(G, dtype=float)
     b_G = np.asarray(b_G, dtype=float).reshape(-1)
     F = np.asarray(F, dtype=float).reshape(-1)
     n = F.size
-    return SystemInstance(
-        n_u=int(n_u),
-        n_a=n - int(n_u),
-        N=N,
-        G=G,
-        b_G=b_G,
-        F=F,
-        J_phi=None if J_phi is None else np.asarray(J_phi, dtype=float),
-        Omega=None if Omega is None else np.asarray(Omega, dtype=float),
-    )
+    return SystemInstance(n_u=int(n_u), n_a=n - int(n_u), N=N, G=G, b_G=b_G, F=F)
 
 
 def real_array(name: str, value) -> np.ndarray:
@@ -100,26 +89,13 @@ def real_array(name: str, value) -> np.ndarray:
     return items.astype(float)
 
 
-def assemble_N(J_phi, Omega) -> np.ndarray:
-    """Map constraint Jacobian rows into velocity space: N = J_phi @ Omega."""
-    J_phi = np.asarray(J_phi, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    if J_phi.ndim != 2 or Omega.ndim != 2:
-        raise ValueError("J_phi and Omega must be matrices")
-    if J_phi.shape[1] != Omega.shape[0]:
-        raise ValueError(
-            f"J_phi has {J_phi.shape[1]} columns but Omega has {Omega.shape[0]} rows"
-        )
-    return J_phi @ Omega
-
-
 def _finite(name, arr, problems):
     if arr.size and not np.all(np.isfinite(arr)):
         problems.append(f"{name} contains non-finite entries")
 
 
 def validate(instance: SystemInstance, guard: GuardConditions) -> list[str]:
-    """Check shapes, finiteness and N = J_phi @ Omega; return found problems."""
+    """Check shapes and finiteness; return found problems."""
     problems: list[str] = []
     n = instance.n
     if instance.n_u < 0 or instance.n_a < 0:
@@ -134,22 +110,6 @@ def validate(instance: SystemInstance, guard: GuardConditions) -> list[str]:
         problems.append(f"F must have length {n}")
     for name in ("N", "G", "b_G", "F"):
         _finite(name, getattr(instance, name), problems)
-    if (instance.J_phi is None) != (instance.Omega is None):
-        problems.append("J_phi and Omega must be given together")
-    if instance.J_phi is not None and instance.Omega is not None:
-        _finite("J_phi", instance.J_phi, problems)
-        _finite("Omega", instance.Omega, problems)
-        if instance.Omega.shape[1] != n:
-            problems.append(f"Omega must have {n} columns")
-        elif instance.J_phi.shape[1] != instance.Omega.shape[0]:
-            problems.append("J_phi columns must match Omega rows")
-        elif instance.J_phi.shape[0] != instance.n_phi:
-            problems.append("J_phi rows must match N rows")
-        else:
-            scale = max(1.0, float(np.max(np.abs(instance.N))) if instance.N.size else 1.0)
-            err = float(np.max(np.abs(instance.J_phi @ instance.Omega - instance.N))) if instance.N.size else 0.0
-            if err > 1e-10 * scale:
-                problems.append(f"N does not match J_phi @ Omega (max deviation {err:.3e})")
     w = instance.n_phi + n
     if guard.Lambda.ndim != 2 or (guard.Lambda.size and guard.Lambda.shape[1] != w):
         problems.append(f"Lambda must have {w} columns")

@@ -24,12 +24,12 @@ from hybridservo.force_solver import _free_force_map, assemble_newton, solve_for
 from hybridservo.subspace_linalg import factor
 from hybridservo.velocity_solver import solve_velocity
 from hybridservo.verifier import (
-    brute_force_force_oracle,
     check_force_solution,
     check_velocity_solution,
     _force_equalities,
 )
 
+from force_grid_oracle import brute_force_force_oracle
 from helpers import direction_problem, random_feasible_instance, random_force_assembly
 from pgd_oracle import best_pgd_cost
 from tilting_reference import hand_arc_velocity

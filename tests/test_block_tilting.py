@@ -10,21 +10,17 @@ from hybridservo import block_tilting as tilting
 from hybridservo.block_tilting import (
     RIDGE_DIRECTIONS,
     Z_AXIS,
-    Pose,
     TiltingScenario,
     TiltingState,
-    advance_state,
     build_instance,
     goal_twist,
     guard_conditions,
     initial_state,
-    quat_from_axis_angle,
-    quat_multiply,
-    quat_to_rotation,
     rollout_states,
 )
 from hybridservo.model import validate
 from hybridservo.subspace_linalg import factor
+from tilting_reference import advance_state, quat_from_axis_angle, quat_multiply, quat_to_rotation
 
 
 def test_quat_multiply_identity_and_norm():
@@ -66,12 +62,12 @@ def test_initial_state_geometry():
     sc = TiltingScenario()
     st = initial_state(sc)
     half = 0.5 * sc.edge_length
-    assert np.allclose(st.object_pose.p, [half, 0.0, half])
-    assert np.allclose(st.object_pose.quat, [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(st.p, [half, 0.0, half])
+    assert np.array_equal(st.R, np.eye(3))
     assert np.allclose(st.hand_position, [half, 0.0, sc.edge_length])
     # Table contact material points start exactly at their world anchors.
     contacts_obj = sc.table_contacts_obj
-    world = contacts_obj + st.object_pose.p
+    world = contacts_obj + st.p
     assert np.allclose(world, sc.table_contacts)
     assert np.allclose(np.abs(contacts_obj), half)
 
@@ -84,9 +80,14 @@ def test_initial_state_rejects_vertical_axis():
 def test_constraints_hold_along_rollout():
     sc = TiltingScenario()
     for st in rollout_states(sc):
-        phi = _constraint_value(st, sc)
+        R = st.R
+        phi = np.concatenate(
+            [st.hand_position - (R @ sc.hand_contact_obj + st.p)]
+            + [R @ c + st.p - w for c, w in zip(sc.table_contacts_obj, sc.table_contacts)]
+        )
         assert np.max(np.abs(phi)) < 1e-9
-        assert abs(np.linalg.norm(st.object_pose.quat) - 1.0) < 1e-12
+        assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-15
+        assert abs(np.linalg.det(R) - 1.0) < 1e-15
 
 
 def _constraint_value(st, sc):
@@ -98,43 +99,47 @@ def _constraint_value(st, sc):
 
 def _moved(st, v, eps):
     """The state after moving along v = [v_b; omega_b; v_H] for time eps."""
-    quat = st.object_pose.quat
     turn = quat_from_axis_angle(v[3:6], eps * np.linalg.norm(v[3:6]))
-    p = st.object_pose.p + eps * quat_to_rotation(quat) @ v[:3]
-    return TiltingState(Pose(p, quat_multiply(quat, turn)), st.hand_position + eps * v[6:])
+    p = st.p + eps * st.R @ v[:3]
+    return tilting_reference.QuatState(
+        p, quat_multiply(st.quat, turn), st.hand_position + eps * v[6:]
+    )
 
 
 def test_constraint_matrix_matches_finite_differences_along_body_twists():
     sc = TiltingScenario()
-    base = rollout_states(sc)[7]
+    base = tilting_reference.rollout_states(sc)[7]
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(100):
-        quat = base.object_pose.quat + rng.uniform(-0.05, 0.05, 4)
-        st = TiltingState(
-            Pose(base.object_pose.p + rng.uniform(-0.05, 0.05, 3), quat / np.linalg.norm(quat)),
+        quat = base.quat + rng.uniform(-0.05, 0.05, 4)
+        st = tilting_reference.QuatState(
+            base.p + rng.uniform(-0.05, 0.05, 3),
+            quat / np.linalg.norm(quat),
             base.hand_position + rng.uniform(-0.05, 0.05, 3),
         )
         v = rng.standard_normal(9)
         plus, minus = (_constraint_value(_moved(st, v, e), sc) for e in (h, -h))
-        assert np.max(np.abs(build_instance(st, sc)[0].N @ v - (plus - minus) / (2.0 * h))) < 1e-5
+        inst = build_instance(TiltingState(st.R, st.p, st.hand_position), sc)[0]
+        assert np.max(np.abs(inst.N @ v - (plus - minus) / (2.0 * h))) < 1e-5
 
 
 def test_goal_twist_matches_numerical_plan_derivative():
-    # Differentiate the exact plan propagation and compare against the
+    # Differentiate the quaternion plan propagation and compare against the
     # analytic goal rows: body twist from q_dot, hand velocity directly.
     sc = TiltingScenario()
     h = 1e-4
-    for st in rollout_states(sc)[::4]:
-        G, b_G = goal_twist(st, sc, quat_to_rotation(st.object_pose.quat))
+    pairs = zip(rollout_states(sc), tilting_reference.rollout_states(sc))
+    for st, ref in list(pairs)[::4]:
+        G, b_G = goal_twist(st, sc)
         assert G.shape == (6, 9)
         assert np.allclose(G, np.hstack([np.eye(6), np.zeros((6, 3))]))
-        plus = advance_state(st, sc, h)
-        minus = advance_state(st, sc, -h)
-        p_dot = (plus.object_pose.p - minus.object_pose.p) / (2.0 * h)
-        q_dot = (plus.object_pose.quat - minus.object_pose.quat) / (2.0 * h)
-        R = quat_to_rotation(st.object_pose.quat)
-        E = tilting_reference.quat_rate_map(st.object_pose.quat)
+        plus = advance_state(ref, sc, h)
+        minus = advance_state(ref, sc, -h)
+        p_dot = (plus.p - minus.p) / (2.0 * h)
+        q_dot = (plus.quat - minus.quat) / (2.0 * h)
+        R = st.R
+        E = tilting_reference.quat_rate_map(ref.quat)
         v_b = R.T @ p_dot
         omega_b = 4.0 * E.T @ q_dot
         assert np.allclose(b_G, np.concatenate([v_b, omega_b]), atol=1e-8)
@@ -154,22 +159,18 @@ def test_hand_arc_velocity_geometry():
 
 
 def test_advance_state_rotates_about_the_edge():
+    # The quaternion step of the reference rollout.
     sc = TiltingScenario()
-    st = initial_state(sc)
+    st = tilting_reference.initial_state(sc)
     contacts_obj = sc.table_contacts_obj
     nxt = advance_state(st, sc, sc.step_duration)
     # Both edge contacts lie on the rotation axis and must stay put.
-    R0 = quat_to_rotation(st.object_pose.quat)
-    R1 = quat_to_rotation(nxt.object_pose.quat)
     for c_obj in contacts_obj:
-        before = R0 @ c_obj + st.object_pose.p
-        after = R1 @ c_obj + nxt.object_pose.p
+        before = st.R @ c_obj + st.p
+        after = nxt.R @ c_obj + nxt.p
         assert np.allclose(before, after, atol=1e-12)
     # Relative rotation angle equals tilt_rate * dt.
-    q_rel = quat_multiply(
-        nxt.object_pose.quat,
-        st.object_pose.quat * np.array([1.0, -1.0, -1.0, -1.0]),
-    )
+    q_rel = quat_multiply(nxt.quat, st.quat * np.array([1.0, -1.0, -1.0, -1.0]))
     angle = 2.0 * np.arccos(np.clip(q_rel[0], -1.0, 1.0))
     assert angle == pytest.approx(sc.tilt_rate * sc.step_duration, abs=1e-12)
 
@@ -178,13 +179,13 @@ def test_rollout_has_num_steps_states():
     sc = TiltingScenario(num_steps=7)
     states = rollout_states(sc)
     assert len(states) == 7
-    total = 2.0 * np.arccos(np.clip(states[-1].object_pose.quat[0], -1.0, 1.0))
+    total = np.arccos(np.clip((np.trace(states[-1].R) - 1.0) / 2.0, -1.0, 1.0))
     assert total == pytest.approx(6.0 * sc.tilt_rate * sc.step_duration, abs=1e-9)
 
 
 def _hand_world_force_margins(state, scenario, force_obj):
     """Margins when the hand reaction equals R_wo @ force_obj, tables idle."""
-    R = quat_to_rotation(state.object_pose.quat)
+    R = state.R
     guard = guard_conditions(scenario, R)
     lam = np.concatenate([R @ force_obj, [0, 0, 10.0], [0, 0, 10.0]])
     stacked = np.concatenate([lam, np.zeros(9)])
@@ -194,7 +195,7 @@ def _hand_world_force_margins(state, scenario, force_obj):
 def test_guard_conditions_shapes_and_pressing_force():
     sc = TiltingScenario()
     st = rollout_states(sc)[5]
-    guard = guard_conditions(sc, quat_to_rotation(st.object_pose.quat))
+    guard = guard_conditions(sc, st.R)
     assert guard.Lambda.shape == (27, 18)
     assert guard.b_Lambda.shape == (27,)
     assert guard.n_eq == 0
@@ -241,7 +242,6 @@ def test_build_instance_is_valid_and_well_posed():
         inst, guard = build_instance(st, sc)
         assert validate(inst, guard) == []
         assert (inst.n_u, inst.n_a, inst.n, inst.n_phi) == (6, 3, 9, 9)
-        assert inst.J_phi is None and inst.Omega is None
         r_N, r_NG = factor(inst.N).rank, factor(np.vstack([inst.N, inst.G])).rank
         assert (r_NG - r_N, r_N, r_NG) == (1, 8, 9)
         assert r_N + inst.n_a >= inst.n
@@ -251,8 +251,7 @@ def test_gravity_wrench_in_body_frame():
     sc = TiltingScenario()
     st = rollout_states(sc)[8]
     inst, _ = build_instance(st, sc)
-    R = quat_to_rotation(st.object_pose.quat)
-    assert np.allclose(inst.F[:3], R.T @ sc.gravity_object)
+    assert np.allclose(inst.F[:3], st.R.T @ sc.gravity_object)
     assert np.allclose(inst.F[3:6], 0.0)
     assert np.allclose(inst.F[6:], sc.gravity_hand)
 
@@ -261,11 +260,10 @@ INSTANCE_ARRAYS = ("N", "G", "b_G", "F")
 GUARD_ARRAYS = ("Lambda", "b_Lambda", "Gamma", "b_Gamma")
 
 
-def test_build_instance_matches_the_cross_product_reference():
-    # N against the quaternion chain J_phi @ Omega, on every step of the default
-    # scenario and of 20 scenarios drawn from the ranges of acceptance criterion 6.
+def _criterion_6_scenarios():
+    """The default scenario and 20 drawn from the ranges of acceptance criterion 6."""
     rng = np.random.default_rng(12)
-    scenarios = [TiltingScenario()] + [
+    return [TiltingScenario()] + [
         TiltingScenario(
             edge_length=float(rng.uniform(0.05, 0.12)),
             mu_hand=float(rng.uniform(0.6, 1.2)),
@@ -274,19 +272,44 @@ def test_build_instance_matches_the_cross_product_reference():
         )
         for _ in range(20)
     ]
+
+
+def _worst_relative(pairs) -> float:
+    """Largest |got - ref| / max(1, |ref|) over pairs of equal-shape arrays."""
     worst = 0.0
-    for sc in scenarios:
-        for st in rollout_states(sc):
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        if got.size:
+            worst = max(worst, float((np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max()))
+    return worst
+
+
+def test_rollout_matches_the_quaternion_reference():
+    # The closed-form states against the step-by-step quaternion rollout, on a
+    # 90-step plan, the default 15-step plan and the criterion-6 scenarios.
+    worst = 0.0
+    for sc in [TiltingScenario(num_steps=90)] + _criterion_6_scenarios():
+        states, ref_states = rollout_states(sc), tilting_reference.rollout_states(sc)
+        assert len(states) == len(ref_states) == sc.num_steps
+        for st, ref in zip(states, ref_states):
+            pairs = [(st.R, ref.R), (st.p, ref.p), (st.hand_position, ref.hand_position)]
+            worst = max(worst, _worst_relative(pairs))
+    print(f"worst state difference from the quaternion rollout: {worst:.1e} max(1, |x|)")
+    assert worst <= 2e-15
+
+
+def test_build_instance_matches_the_cross_product_reference():
+    # N against the quaternion chain J_phi @ Omega, each step built from the
+    # reference's quaternion rollout, on the criterion-6 scenarios.
+    worst = 0.0
+    for sc in _criterion_6_scenarios():
+        for st, ref_st in zip(rollout_states(sc), tilting_reference.rollout_states(sc)):
             inst, guard = build_instance(st, sc)
-            ref_inst, ref_guard = tilting_reference.build_instance(st, sc)
+            ref_inst, ref_guard = tilting_reference.build_instance(ref_st, sc)
             assert (inst.n_u, inst.n_a) == (ref_inst.n_u, ref_inst.n_a)
             pairs = [(getattr(inst, k), getattr(ref_inst, k)) for k in INSTANCE_ARRAYS]
             pairs += [(getattr(guard, k), getattr(ref_guard, k)) for k in GUARD_ARRAYS]
-            for got, ref in pairs:
-                assert got.shape == ref.shape
-                if got.size:
-                    diff = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
-                    worst = max(worst, float(diff.max()))
+            worst = max(worst, _worst_relative(pairs))
     print(f"worst difference from the reference: {worst:.1e} max(1, |x|)")
     assert worst <= 1e-15
 
@@ -304,7 +327,6 @@ def test_build_instance_does_no_cross_products_or_initial_state(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np, "cross", counted("np.cross", np.cross))
-    for name in ("initial_state", "quat_to_rotation"):
-        monkeypatch.setattr(tilting, name, counted(name, getattr(tilting, name)))
+    monkeypatch.setattr(tilting, "initial_state", counted("initial_state", tilting.initial_state))
     build_instance(st, sc)
-    assert calls == {"quat_to_rotation": 1}
+    assert calls == {}

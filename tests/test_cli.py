@@ -41,6 +41,12 @@ def _supported_object_params():
     }
 
 
+def _factored_params():
+    """The supported-object instance with N = J_phi @ Omega = [[1, -1]] factored."""
+    factored = {k: v for k, v in _supported_object_params().items() if k != "N"}
+    return {**factored, "J_phi": [[2.0, 1.0]], "Omega": [[0.5, -0.5], [0.0, 0.0]]}
+
+
 def test_default_tilting_run(tmp_path):
     scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc())
     out = tmp_path / "out.json"
@@ -99,9 +105,8 @@ def test_raw_instance_roundtrip(tmp_path):
 
 
 def test_raw_instance_with_n_factored_as_j_phi_and_omega(tmp_path, capsys):
-    # README's raw example with N = J_phi @ Omega = [[1, -1]] given in factored form.
-    factored = {k: v for k, v in _supported_object_params().items() if k != "N"}
-    factored.update(J_phi=[[2.0, 1.0]], Omega=[[0.5, -0.5], [0.0, 0.0]])
+    # README's raw example with N given in factored form.
+    factored = _factored_params()
     outputs = []
     for name, params in [("n", _supported_object_params()), ("factored", factored)]:
         scenario = _write_scenario(tmp_path / f"{name}.json", _raw_doc(params))
@@ -403,6 +408,10 @@ def test_step_records_report_effort_pass(tmp_path):
         _raw_doc({**_supported_object_params(), "b_Lambda": -0.5}),
         _raw_doc({**_supported_object_params(), "Gamma": [[0, 1, 0]], "b_Gamma": 0}),
         _raw_doc({**_supported_object_params(), "N": [[10**400, -1]]}),
+        _tilting_doc(params={"tilt_rate": 10, "step_duration": 1e308}),
+        _tilting_doc(params={"tilt_rate": 1e308, "step_duration": 10}),
+        _raw_doc({**_factored_params(), "J_phi": [[2.0, 1.0, 0.0]]}),
+        _raw_doc({**_supported_object_params(), "J_phi": [[1.0, -1.0]]}),
     ],
     ids=[
         "num-steps-float", "num-steps-0", "num-steps-true", "axis-vertical", "axis-zero",
@@ -410,6 +419,7 @@ def test_step_records_report_effort_pass(tmp_path):
         "lambda-wrong-width", "n-scalar", "g-scalar", "edge-negative", "step-duration-0",
         "n-min-negative", "mu-negative", "n-strings", "g-bool", "b-g-null", "f-matrix",
         "b-g-scalar", "b-lambda-scalar", "b-gamma-scalar", "n-int-overflow",
+        "angle-overflow-duration", "angle-overflow-rate", "factor-shapes", "factor-alone",
     ],
 )
 def test_bad_scenario_params_return_4(tmp_path, capsys, doc):
@@ -420,6 +430,20 @@ def test_bad_scenario_params_return_4(tmp_path, capsys, doc):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_huge_rotation_axis_gives_the_plan_of_its_direction(tmp_path):
+    # The norm of [1e308, 1e308, 0] overflows; the axis is the diagonal all the same.
+    edge = [[0.0265, 0.0265, 0.0], [-0.0265, -0.0265, 0.0]]
+    outputs = []
+    for name, axis in [("unit", [1, 1, 0]), ("huge", [1e308, 1e308, 0])]:
+        doc = _tilting_doc(params={"rotation_axis": axis, "table_contacts": edge})
+        scenario = _write_scenario(tmp_path / f"{name}.json", doc)
+        out = tmp_path / f"{name}_out.json"
+        assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["all_verified"] is True
 
 
 def test_readme_names_every_setting():

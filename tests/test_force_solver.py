@@ -15,7 +15,7 @@ from helpers import random_force_assembly, random_guarded_assembly
 from hybridservo import block_tilting as tilting
 from hybridservo import cli, force_solver, synthesize
 from hybridservo import subspace_linalg as sla
-from hybridservo.errors import InfeasibleLP, SingularSystem, SingularTransform
+from hybridservo.errors import InfeasibleLP, NumericOverflow, SingularSystem, SingularTransform
 from hybridservo.force_solver import assemble_newton, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
@@ -194,17 +194,25 @@ def test_rank_deficient_equalities_raise():
 
 
 @pytest.mark.parametrize(
-    "params",
-    [{"gravity_object": [1e308, 1e308, -1e308]}, {"gravity_hand": [1e308] * 3}],
-    ids=["gravity_object", "gravity_hand"],
+    "params, error",
+    [
+        ({"gravity_object": [1e308, 1e308, -1e308]}, SingularSystem),
+        ({"gravity_hand": [1e308] * 3}, SingularSystem),
+        ({"mu_hand": 1e308, "mu_table": 1e308}, NumericOverflow),
+    ],
+    ids=["gravity_object", "gravity_hand", "friction"],
 )
-def test_forces_that_overflow_raise_when_called_directly(params):
-    # Without synthesize's overflow guard the free-force residual is inf.
+def test_forces_that_overflow_raise_when_called_directly(params, error):
+    # Without synthesize's overflow guard the free-force residual is inf, or
+    # the margin map holds inf - inf, which would make the LP margin nan.
     scenario = tilting.TiltingScenario(**params)
     instance, guard = tilting.build_instance(tilting.rollout_states(scenario)[0], scenario)
     vel = solve_velocity(instance)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as exc_info:
         solve_force(instance, guard, vel.T, vel.n_av)
+    if error is NumericOverflow:
+        assert exc_info.value.exit_code == 4
+        assert str(exc_info.value).startswith("force stage: overflow")
 
 
 def test_config_f_max_changes_box():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hybridservo.model import GuardConditions, assemble_N, make_instance, validate
+from hybridservo.model import GuardConditions, make_instance, validate
 
 
 def _small_instance():
@@ -19,13 +19,6 @@ def test_make_instance_derives_counts():
     assert inst.n_phi == 1
 
 
-def test_assemble_N_is_product():
-    rng = np.random.default_rng(0)
-    J = rng.standard_normal((4, 7))
-    Om = rng.standard_normal((7, 5))
-    assert np.allclose(assemble_N(J, Om), J @ Om)
-
-
 def test_validate_clean_instance():
     inst = _small_instance()
     guard = GuardConditions.empty(inst.n_phi, inst.n)
@@ -39,15 +32,6 @@ def test_validate_catches_shape_and_finiteness():
     assert any("N" in p for p in problems)
     assert any("b_G" in p for p in problems)
     assert any("non-finite" in p for p in problems)
-
-
-def test_validate_checks_factored_constraint():
-    J = np.array([[1.0, 0.0], [0.0, 1.0]])
-    Om = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    good = make_instance(1, J @ Om, np.zeros((0, 3)), [], np.zeros(3), J_phi=J, Omega=Om)
-    assert validate(good, GuardConditions.empty(2, 3)) == []
-    bad = make_instance(1, J @ Om + 1e-3, np.zeros((0, 3)), [], np.zeros(3), J_phi=J, Omega=Om)
-    assert any("J_phi" in p or "Omega" in p for p in validate(bad, GuardConditions.empty(2, 3)))
 
 
 def test_guard_conditions_empty_counts():

@@ -309,7 +309,7 @@ def test_solve_velocity_is_unit_free(step, scaled):
     scenario = TiltingScenario()
     inst = build_instance(rollout_states(scenario)[step - 1], scenario)[0]
     if scaled == "N":
-        other = dataclasses.replace(inst, N=1e8 * inst.N, J_phi=None, Omega=None)
+        other = dataclasses.replace(inst, N=1e8 * inst.N)
     else:
         other = dataclasses.replace(inst, G=1e8 * inst.G, b_G=1e8 * inst.b_G)
     base, sol = solve_velocity(inst), solve_velocity(other)

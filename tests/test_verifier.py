@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from force_grid_oracle import brute_force_force_oracle
 from helpers import random_feasible_instance
 from hybridservo import cli, synthesize, verifier
 from hybridservo import subspace_linalg as sla
@@ -19,12 +20,7 @@ from hybridservo.errors import InfeasibleLP
 from hybridservo.force_solver import DEFAULT_F_MAX, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
-from hybridservo.verifier import (
-    _unit_row_svd,
-    brute_force_force_oracle,
-    check_force_solution,
-    check_velocity_solution,
-)
+from hybridservo.verifier import _unit_row_svd, check_force_solution, check_velocity_solution
 
 
 def _solved_tilting_step(step: int = 5, **scenario_kwargs):
@@ -103,8 +99,6 @@ def test_velocity_check_ignores_row_scaling_and_duplicate_rows(tilting, step, se
     scaled = replace(
         inst,
         N=np.vstack([N, N[repeat]]),
-        J_phi=None,
-        Omega=None,
         G=s_G[:, None] * inst.G,
         b_G=s_G * inst.b_G,
     )
