@@ -32,9 +32,20 @@ cone is fixed in the object frame (the face normal tilts with the object),
 so the hand reaction is rotated into O before the cone rows apply; the
 table cones live directly in W.
 
-The table contact points are material points of the object, so their
-coordinates in O are fixed per scenario: TiltingScenario computes them once
-from the initial pose, and each step's instance reads them from there.
+Per scenario and per step
+-------------------------
+All steps of a plan share one scenario, and everything a step needs except
+R = R_WO is fixed by it.  TiltingScenario computes those blocks once, at
+construction: the table contact points in O (material points of the
+object, placed by the initial pose), the 3 x 3 x 3 stack of the contacts'
+skew blocks below, the hand's cone and normal rows in O, the table's cone
+rows and the spatial goal twist.  A step then only applies R to them: one
+product for the three skew blocks of N, one for the goal twist and one for
+the hand's guard rows.  Blocks that no scenario changes (the hand
+identity columns of N, the goal selector, the empty Gamma) are module
+constants.  A scenario is therefore immutable: its fields are frozen and
+its arrays read-only, since a change made after construction would not
+reach the precomputed blocks.
 
 Constraint matrix
 -----------------
@@ -45,7 +56,11 @@ ch. 2).  Sticking therefore reads N v = 0 with
     hand rows:       [-R,  R [p_H]_x,  I]
     each table row:  [ R, -R [p]_x,    0]
 
-for the hand contact p_H and the table contacts p, all in O.
+for the hand contact p_H and the table contacts p, all in O, so columns
+3:6 are R times the per-scenario blocks [p_H]_x and -[p]_x.  The columns
+0:3 are -R and R themselves: written as R times -I they would carry zeros
+of the other sign, and the SVD of N, whose Householder reflections follow
+the sign of a zero, would then differ in round-off.
 """
 
 from __future__ import annotations
@@ -68,8 +83,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 # Constant blocks of every step's matrices, built once and shared read-only.
 _EYE3 = _read_only(np.eye(3))
+# N's hand-velocity columns: the hand rows read +v_H, the table rows nothing.
+_HAND_COLUMNS = _read_only(np.vstack([np.eye(3), np.zeros((6, 3))]))
 # The goal rows select the object twist from v = [xi_O; v_H].
 _GOAL_SELECTOR = _read_only(np.hstack([np.eye(6), np.zeros((6, 3))]))
+# No guard equalities over [lambda; f] (9 reactions, 9 velocities).
+_NO_GAMMA = _read_only(np.zeros((0, 18)))
+_NO_B_GAMMA = _read_only(np.zeros(0))
 
 # Unit ridge directions of the eight-sided friction pyramids.
 RIDGE_DIRECTIONS = np.array(
@@ -93,16 +113,21 @@ def cross(a, b) -> np.ndarray:
 # Scenario and state.
 
 
-@dataclass
+@dataclass(frozen=True)
 class TiltingScenario:
-    """Geometry, friction and motion plan for one tilting task.
+    """Geometry, friction and motion plan for one tilting task; immutable.
 
     Vector defaults depend on edge_length, so they are resolved after
     construction: hand contact at the center of the top face, table contacts
     at the ends of an edge centered on the world origin, rotation axis along
     that edge pointing so positive tilt lifts the far side of the block.
-    Once the inputs are checked, table_contacts_obj holds the table contact
-    points in O, fixed by the initial pose.
+    Once the inputs are checked, the per-scenario blocks of the module notes
+    are computed: table_contacts_obj (the table contact points in O, fixed
+    by the initial pose), contact_skews (3 x 3 x 3: [p_H]_x, -[p_1]_x,
+    -[p_2]_x), hand_rows (9 x 3: the hand's cone rows and normal row in O),
+    table_rows (8 x 3: the table's cone rows) and spatial_twist (2 x 3: the
+    plan's spatial velocity v_s and angular velocity omega_s).  Every array
+    is read-only; dataclasses.replace builds a changed scenario.
     """
 
     edge_length: float = 0.075
@@ -118,10 +143,20 @@ class TiltingScenario:
     num_steps: int = 15
     step_duration: float = 1.0
     table_contacts_obj: np.ndarray = field(init=False, repr=False)
+    contact_skews: np.ndarray = field(init=False, repr=False)
+    hand_rows: np.ndarray = field(init=False, repr=False)
+    table_rows: np.ndarray = field(init=False, repr=False)
+    spatial_twist: np.ndarray = field(init=False, repr=False)
+
+    def _set(self, name: str, value) -> None:
+        """Write a field during construction; the dataclass is frozen."""
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         for name in ("edge_length", "mu_hand", "mu_table", "n_min", "tilt_rate", "step_duration"):
-            setattr(self, name, _finite_reals(name, getattr(self, name)))
+            self._set(name, _finite_reals(name, getattr(self, name)))
         for name in ("edge_length", "step_duration"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -131,26 +166,22 @@ class TiltingScenario:
         steps = self.num_steps
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValueError(f"num_steps must be an integer >= 1, got {steps!r}")
-        self.num_steps = int(steps)
+        self._set("num_steps", int(steps))
         final_angle = (self.num_steps - 1) * self.tilt_rate * self.step_duration
         if not math.isfinite(final_angle):
             raise ValueError(f"the plan's final tilt angle {final_angle} is not finite")
         half = 0.5 * self.edge_length
-        if self.gravity_object is None:
-            self.gravity_object = np.array([0.0, 0.0, -2.45])
-        if self.gravity_hand is None:
-            self.gravity_hand = np.zeros(3)
-        if self.hand_contact_obj is None:
-            self.hand_contact_obj = np.array([0.0, 0.0, half])
-        if self.table_contacts is None:
-            self.table_contacts = np.array([[0.0, -half, 0.0], [0.0, half, 0.0]])
-        if self.rotation_axis is None:
-            self.rotation_axis = np.array([0.0, -1.0, 0.0])
-        self.gravity_object = _finite_reals("gravity_object", self.gravity_object, 3)
-        self.gravity_hand = _finite_reals("gravity_hand", self.gravity_hand, 3)
-        self.hand_contact_obj = _finite_reals("hand_contact_obj", self.hand_contact_obj, 3)
-        self.table_contacts = _finite_reals("table_contacts", self.table_contacts, (2, 3))
-        axis = _finite_reals("rotation_axis", self.rotation_axis, 3)
+        defaults = {
+            "gravity_object": ([0.0, 0.0, -2.45], 3),
+            "gravity_hand": ([0.0, 0.0, 0.0], 3),
+            "hand_contact_obj": ([0.0, 0.0, half], 3),
+            "table_contacts": ([[0.0, -half, 0.0], [0.0, half, 0.0]], (2, 3)),
+        }
+        for name, (default, shape) in defaults.items():
+            value = getattr(self, name)
+            self._set(name, _finite_reals(name, default if value is None else value, shape))
+        axis = self.rotation_axis
+        axis = _finite_reals("rotation_axis", [0.0, -1.0, 0.0] if axis is None else axis, 3)
         # Scaled by its largest entry first, so that the norm cannot overflow.
         top = float(np.abs(axis).max())
         unit = axis / top if top > 0.0 else axis
@@ -158,8 +189,16 @@ class TiltingScenario:
         # The axis runs along a table edge, so it must lie in the table plane.
         if not norm > 0.0 or abs(unit[2]) > 1e-9 * norm:
             raise ValueError(f"rotation_axis must be horizontal and nonzero, got {axis.tolist()}")
-        self.rotation_axis = unit / norm
-        self.table_contacts_obj = self.table_contacts - initial_state(self).p
+        self._set("rotation_axis", unit / norm)
+        contacts_obj = self.table_contacts - initial_state(self).p
+        self._set("table_contacts_obj", contacts_obj)
+        skews = [skew(self.hand_contact_obj)] + [-skew(p) for p in contacts_obj]
+        self._set("contact_skews", np.array(skews))
+        self._set("hand_rows", np.vstack([RIDGE_DIRECTIONS - self.mu_hand * Z_AXIS, -Z_AXIS]))
+        self._set("table_rows", RIDGE_DIRECTIONS - self.mu_table * Z_AXIS)
+        omega_s = self.rotation_axis * self.tilt_rate
+        v_s = -cross(self.rotation_axis, self.table_contacts[0]) * self.tilt_rate
+        self._set("spatial_twist", np.array([v_s, omega_s]))
 
 
 def _finite_reals(name: str, value, shape=None):
@@ -194,37 +233,31 @@ def goal_twist(state: TiltingState, scenario: TiltingScenario):
     """Goal rows pinning the object body twist to the planned tilt.
 
     The plan rotates the object about the contact edge at the scenario tilt
-    rate.  The spatial twist of that motion is mapped to the body frame of
-    the current pose, whose rotation is R = R_WO, and G selects the
-    (unactuated) object twist.
+    rate, with the spatial twist (v_s, omega_s) of the scenario.  Its body
+    twist at the current pose (R = R_WO, p = p_WO) is R^T [v_s - p x
+    omega_s; omega_s], and G selects the (unactuated) object twist.
     """
-    R, p = state.R, state.p
-    omega_s = scenario.rotation_axis * scenario.tilt_rate
-    v_s = -cross(scenario.rotation_axis, scenario.table_contacts[0]) * scenario.tilt_rate
-    v_b = R.T @ v_s - R.T @ skew(p) @ omega_s
-    omega_b = R.T @ omega_s
-    return _GOAL_SELECTOR, np.concatenate([v_b, omega_b])
+    v_s, omega_s = scenario.spatial_twist
+    twist = np.array([v_s - cross(state.p, omega_s), omega_s])
+    return _GOAL_SELECTOR, (twist @ state.R).ravel()
 
 
 # ---------------------------------------------------------------------------
 # Holonomic constraints.
 
 
-def constraint_matrix(R: np.ndarray, hand_contact_obj, table_contacts_obj) -> np.ndarray:
+def constraint_matrix(scenario: TiltingScenario, R: np.ndarray) -> np.ndarray:
     """N of the three sticking contacts in body-twist coordinates.
 
     Rows 0:3 the hand contact (hand point minus object material point),
     rows 3:9 the two table contacts (object material point minus world
-    anchor); R = R_WO and the contact points are in O.
+    anchor); R = R_WO turns the scenario's skew blocks into columns 3:6.
     """
-    N = np.zeros((9, 9))
+    N = np.empty((9, 9))
     N[:3, :3] = -R
-    N[:3, 3:6] = R @ skew(hand_contact_obj)
-    N[:3, 6:] = _EYE3
-    for i, p_obj in enumerate(table_contacts_obj):
-        r = slice(3 + 3 * i, 6 + 3 * i)
-        N[r, :3] = R
-        N[r, 3:6] = -R @ skew(p_obj)
+    N[3:6, :3] = N[6:, :3] = R
+    N[:, 3:6] = (R @ scenario.contact_skews).reshape(9, 3)
+    N[:, 6:] = _HAND_COLUMNS
     return N
 
 
@@ -237,22 +270,19 @@ def guard_conditions(scenario: TiltingScenario, R_wo: np.ndarray) -> GuardCondit
 
     Reactions stack as lambda = [hand (on hand, W); table 1; table 2 (on
     object, W)].  24 cone rows come first (8 ridges per contact), then the
-    three normal lower bounds; the hand cone turns with the object's
+    three normal lower bounds; the hand rows turn with the object's
     rotation R_wo.  No guard equalities.
     """
-    to_object = R_wo.T
-    n_cols = 9 + 9
-    Lambda = np.zeros((27, n_cols))
-    cone_hand = (RIDGE_DIRECTIONS - scenario.mu_hand * Z_AXIS) @ to_object
-    cone_table = RIDGE_DIRECTIONS - scenario.mu_table * Z_AXIS
-    Lambda[0:8, 0:3] = cone_hand
-    Lambda[8:16, 3:6] = cone_table
-    Lambda[16:24, 6:9] = cone_table
-    Lambda[24, 0:3] = -Z_AXIS @ to_object
-    Lambda[25, 3:6] = -Z_AXIS
-    Lambda[26, 6:9] = -Z_AXIS
-    b_Lambda = np.concatenate([np.zeros(24), np.full(3, -scenario.n_min)])
-    return GuardConditions(Lambda, b_Lambda, np.zeros((0, n_cols)), np.zeros(0))
+    hand = scenario.hand_rows @ R_wo.T
+    Lambda = np.zeros((27, 18))
+    Lambda[0:8, 0:3] = hand[:8]
+    Lambda[8:16, 3:6] = scenario.table_rows
+    Lambda[16:24, 6:9] = scenario.table_rows
+    Lambda[24, 0:3] = hand[8]
+    Lambda[25, 3:6] = Lambda[26, 6:9] = -Z_AXIS
+    b_Lambda = np.zeros(27)
+    b_Lambda[24:] = -scenario.n_min
+    return GuardConditions(Lambda, b_Lambda, _NO_GAMMA, _NO_B_GAMMA)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +296,7 @@ def build_instance(state: TiltingState, scenario: TiltingScenario):
     is built.
     """
     R_wo = state.R
-    N = constraint_matrix(R_wo, scenario.hand_contact_obj, scenario.table_contacts_obj)
+    N = constraint_matrix(scenario, R_wo)
     G, b_G = goal_twist(state, scenario)
     # Object gravity as a body wrench; the object frame sits at the center
     # of mass, so the torque part vanishes.

@@ -5,8 +5,11 @@ In the action frame the quasi-static force balance reads
     T N^T lambda + eta + T F = 0,        eta = T f,
 
 where T = diag(I, R_a) with R_a orthonormal, the frame the velocity stage
-builds, so T^-1 = T^T.  The unactuated block eta_u = f_u is zero (nothing
-actuates those coordinates), so it is no unknown, and any guard equalities
+builds, so T^-1 = T^T.  The frame is checked in block form: the identity
+and zero blocks exactly, and then T T^T - I = diag(0, R_a R_a^T - I), so
+only the n_a x n_a block R_a R_a^T - I is formed and held to FRAME_TOL.
+The unactuated block eta_u = f_u is zero (nothing actuates those
+coordinates), so it is no unknown, and any guard equalities
 Gamma [lambda; f] = b_Gamma are appended.  Everything except the force
 command eta_af is a "free" force the physics determines: f_free =
 [lambda; eta_av].  Given eta_af, the free forces are resolved as the
@@ -101,22 +104,29 @@ def _check_transform(T: np.ndarray, n: int, n_u: int) -> np.ndarray:
     """T as an array, checked to be an action frame diag(I, R_a), R_a orthonormal.
 
     The identity and zero blocks must be exact, as the velocity stage writes
-    them, and max|T T^T - I| at most FRAME_TOL, so that T^-1 = T^T.
+    them, and max|T T^T - I| at most FRAME_TOL, so that T^-1 = T^T.  With
+    those blocks exact, T T^T - I = diag(0, R_a R_a^T - I), so only the
+    n_a x n_a block is formed.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (n, n):
         raise ValueError(f"T must be {n} x {n}, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("T contains non-finite entries")
-    error = float(np.abs(T @ T.T - np.eye(n)).max(initial=0.0))
+    R_a = T[n_u:, n_u:]
+    gram = R_a @ R_a.T
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    error = float(np.abs(gram).max(initial=0.0))
+    # The first n_u rows and columns hold exactly n_u nonzeros, all ones on
+    # the diagonal.
     if (
-        not np.array_equal(T[:n_u], np.eye(n_u, n))
-        or T[n_u:, :n_u].any()
+        (T.diagonal()[:n_u] != 1.0).any()
+        or np.count_nonzero(T[:n_u]) + np.count_nonzero(T[n_u:, :n_u]) != n_u
         or error > FRAME_TOL
     ):
         raise SingularTransform(
             f"T is not an action frame diag(I, R_a) with R_a orthonormal "
-            f"(max |T T^T - I| {error:.3e})"
+            f"(max |R_a R_a^T - I| {error:.3e})"
         )
     return T
 
@@ -155,16 +165,22 @@ def _kkt_condition(f_free: sla.Factorization) -> float:
     K = [[2I, M^T], [M, 0]] over the kept rank has the eigenvalues
     1 +- sqrt(1 + sigma_i^2) for each kept singular value and 2 once for
     each column of M beyond the rank, so no factorization of K is needed.
+    Both moduli 1 + sqrt(1 + sigma^2) and sqrt(1 + sigma^2) - 1 grow with
+    sigma, so the largest eigenvalue modulus comes from the largest kept
+    singular value and the smallest from the smallest (or is 2).
     sqrt(1 + sigma^2) - 1 is evaluated as sigma^2 / (1 + sqrt(1 + sigma^2))
-    so that it does not cancel.
+    so that it does not cancel.  The arithmetic is on numpy scalars, so an
+    overflow raises under np.errstate(over="raise").
     """
-    sigma2 = f_free.s[: f_free.rank] ** 2
-    root = np.sqrt(1.0 + sigma2)
-    extra = f_free.vh.shape[1] - f_free.rank
-    eig = np.concatenate([1.0 + root, sigma2 / (1.0 + root), np.full(extra, 2.0)])
-    if not eig.size:
+    rank = f_free.rank
+    if rank == 0:
         return 1.0
-    return float(eig.max() / eig.min()) if eig.min() > 0.0 else np.inf
+    top, low = f_free.s[0] ** 2, f_free.s[rank - 1] ** 2
+    largest = 1.0 + np.sqrt(1.0 + top)
+    smallest = low / (1.0 + np.sqrt(1.0 + low))
+    if f_free.vh.shape[1] > rank:
+        smallest = min(smallest, 2.0)
+    return float(largest / smallest) if smallest > 0.0 else np.inf
 
 
 def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):

@@ -29,6 +29,7 @@ the candidate basis's and the direction SVD's cosines against 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .errors import (
     InconsistentGoal,
     InconsistentSystem,
     InfeasibleDimensions,
+    NumericOverflow,
     SingularTransform,
 )
 from .model import SystemInstance
@@ -83,12 +85,15 @@ def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int, rel_tol: float) ->
     return B_c
 
 
-def direction_cost(k: np.ndarray, B_c: np.ndarray, NullN: np.ndarray) -> float:
-    """Cost of command rows c_i = B_c k_i (columns of k assumed unit in c)."""
-    C = B_c @ k
-    gram = C.T @ C
+def direction_cost(k: np.ndarray, A: np.ndarray) -> float:
+    """Cost of the command rows C = (B_c k)^T, from k and A = NullN^T B_c.
+
+    B_c has orthonormal columns, so C C^T = k^T k and NullN^T C^T = A k:
+    neither C nor its projection needs forming.
+    """
+    gram = k.T @ k
     cross = float(np.abs(gram).sum() - np.abs(np.diag(gram)).sum())
-    proj = NullN.T @ C
+    proj = A @ k
     return cross - float(np.sqrt((proj * proj).sum(axis=0)).sum())
 
 
@@ -160,17 +165,25 @@ def solve_velocity(
     b_C_i == 0 gets a positive first nonzero entry.  Raises
     SingularTransform when the rows do not pin the goal down:
     rank [N; C] = r_N + rank(A k) must equal rank [N; G] = r_N + n_av.
+    Raises NumericOverflow when ||G||_F or ||b_G|| overflows, which would
+    otherwise rank G NullN at 0 and report a conflicting goal.
     """
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
     f_N = sla.factor(instance.N, rank_tol)
     r_N = f_N.rank
-    NullN = f_N.null_space()
-    f_GN = sla.factor(instance.G @ NullN, rank_tol, scale=float(np.linalg.norm(instance.G)))
-    n_av = f_GN.rank
     if r_N + n_a < n:
         raise InfeasibleDimensions(
             f"rank(N) = {r_N} with n_a = {n_a} cannot determine all {n} velocities"
         )
+    NullN = f_N.null_space()
+    # np.linalg.norm(b_G) is the square root of b_G @ b_G: inf exactly when that is.
+    g_scale = float(np.linalg.norm(instance.G))
+    if not math.isfinite(g_scale + float(instance.b_G @ instance.b_G)):
+        raise NumericOverflow(
+            "velocity stage: overflow in the goal scale; the input is out of range"
+        )
+    f_GN = sla.factor(instance.G @ NullN, rank_tol, scale=g_scale)
+    n_av = f_GN.rank
     try:
         v_star = NullN @ f_GN.min_norm(instance.b_G)
     except InconsistentSystem as exc:
@@ -189,7 +202,8 @@ def solve_velocity(
         )
 
     B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av, rank_tol)
-    k, sigma = optimal_directions(NullN.T @ B_c, n_av)
+    A = NullN.T @ B_c
+    k, sigma = optimal_directions(A, n_av)
     if not sigma[n_av - 1] > rank_tol:
         raise SingularTransform("command rows are not independent modulo the constraints")
     C = (B_c @ k).T
@@ -208,5 +222,5 @@ def solve_velocity(
         T=T,
         R_a=R_a,
         n_av=n_av,
-        cost=direction_cost(k, B_c, NullN),
+        cost=direction_cost(k, A),
     )

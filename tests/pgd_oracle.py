@@ -70,6 +70,11 @@ def _cost_and_grad(k, B_c, null_basis):
     return cost, B_c.T @ grad_c
 
 
+def direction_cost(k, B_c, null_basis):
+    """The cost of the command rows C = (B_c k)^T in its defining form."""
+    return _cost_and_grad(k, B_c, null_basis)[0]
+
+
 def _project(k, B_c):
     """Rescale each column so the corresponding command row has unit norm."""
     norms = _column_norms(B_c @ k)

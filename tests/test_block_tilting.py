@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -18,8 +19,10 @@ from hybridservo.block_tilting import (
     initial_state,
     rollout_states,
 )
+from hybridservo.force_solver import solve_force
 from hybridservo.model import validate
 from hybridservo.subspace_linalg import factor
+from hybridservo.velocity_solver import solve_velocity
 from tilting_reference import advance_state, quat_from_axis_angle, quat_multiply, quat_to_rotation
 
 
@@ -328,5 +331,42 @@ def test_build_instance_does_no_cross_products_or_initial_state(monkeypatch):
 
     monkeypatch.setattr(np, "cross", counted("np.cross", np.cross))
     monkeypatch.setattr(tilting, "initial_state", counted("initial_state", tilting.initial_state))
+    # The contact skews are per-scenario blocks, built with the scenario.
+    monkeypatch.setattr(tilting, "skew", counted("skew", tilting.skew))
     build_instance(st, sc)
     assert calls == {}
+
+
+def test_a_default_step_takes_five_svds(monkeypatch):
+    # Four in the velocity stage (N, G NullN, the directions, null(R_C); the
+    # candidate basis is empty-input here) and one in the force stage (M_free).
+    sc = TiltingScenario()
+    st = rollout_states(sc)[3]
+    svd, calls = np.linalg.svd, Counter()
+    stage = "build"
+
+    def counted_svd(*args, **kwargs):
+        calls[stage] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    instance, guard = build_instance(st, sc)
+    stage = "velocity"
+    vel = solve_velocity(instance)
+    stage = "force"
+    solve_force(instance, guard, vel.T, vel.n_av)
+    assert calls == {"velocity": 4, "force": 1}
+
+
+def test_scenario_is_immutable_and_replace_rebuilds_its_blocks():
+    sc = TiltingScenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.mu_hand = 1.0
+    with pytest.raises(ValueError):
+        sc.contact_skews[0, 0, 0] = 1.0
+    changed, fresh = dataclasses.replace(sc, mu_hand=1.0), TiltingScenario(mu_hand=1.0)
+    for a, b in zip(rollout_states(changed), rollout_states(fresh)):
+        built, ref = build_instance(a, changed), build_instance(b, fresh)
+        pairs = [(getattr(built[0], k), getattr(ref[0], k)) for k in INSTANCE_ARRAYS]
+        pairs += [(getattr(built[1], k), getattr(ref[1], k)) for k in GUARD_ARRAYS]
+        assert all(np.array_equal(x, y) for x, y in pairs)

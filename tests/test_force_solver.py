@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -82,6 +83,43 @@ def test_solve_force_rejects_a_transform_that_is_not_an_action_frame(T):
     inst, guard = _supported_object()
     with pytest.raises(SingularTransform):
         solve_force(inst, guard, T, n_av=1)
+
+
+def _action_frame(error=0.0, entry=None):
+    """diag(I_6, R_a) with max|R_a R_a^T - I| = error, one entry optionally set."""
+    Q = np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))[0]
+    T = np.eye(9)
+    T[6:, 6:] = np.diag([np.sqrt(1.0 + error), 1.0, 1.0]) @ Q
+    if entry is not None:
+        T[entry[0]] = entry[1]
+    return T
+
+
+@pytest.mark.parametrize(
+    "T, error",
+    [
+        (_action_frame(), None),
+        (_action_frame(5e-11), None),
+        (_action_frame(2e-10), SingularTransform),
+        (_action_frame(entry=((0, 0), 1.0 + 2.0**-52)), SingularTransform),
+        (_action_frame(entry=((0, 1), 1e-300)), SingularTransform),
+        (_action_frame(entry=((7, 2), 1e-300)), SingularTransform),
+        (_action_frame(entry=((2, 7), 1e-300)), SingularTransform),
+        (_action_frame(entry=((4, 4), np.nan)), ValueError),
+        (_action_frame(entry=((7, 8), np.inf)), ValueError),
+        (np.eye(8), ValueError),
+    ],
+    ids=[
+        "exact", "off-5e-11", "off-2e-10", "identity-ulp", "identity-block-1e-300",
+        "lower-block-1e-300", "upper-block-1e-300", "nan", "inf", "shape",
+    ],
+)
+def test_frame_check_accepts_and_rejects_exactly_these_frames(T, error):
+    if error is None:
+        assert np.array_equal(force_solver._check_transform(T, 9, 6), T)
+    else:
+        with pytest.raises(error):
+            force_solver._check_transform(T, 9, 6)
 
 
 def test_unactuated_force_is_exactly_zero():
@@ -213,6 +251,23 @@ def test_forces_that_overflow_raise_when_called_directly(params, error):
     if error is NumericOverflow:
         assert exc_info.value.exit_code == 4
         assert str(exc_info.value).startswith("force stage: overflow")
+
+
+@pytest.mark.parametrize(
+    "g_scale, b_scale", [(1e300, 1e300), (1e200, 1.0)], ids=["goal_and_value", "goal_rows"]
+)
+def test_goals_that_overflow_raise_when_called_directly(g_scale, b_scale):
+    # ||G||_F overflows; ranked against an inf scale G NullN would have rank
+    # 0, and the goal would read as conflicting with the constraints.
+    scenario = tilting.TiltingScenario()
+    instance, guard = tilting.build_instance(tilting.rollout_states(scenario)[2], scenario)
+    instance = dataclasses.replace(instance, G=g_scale * instance.G, b_G=b_scale * instance.b_G)
+    with np.errstate(over="ignore"), pytest.raises(NumericOverflow) as exc_info:
+        solve_velocity(instance)
+    assert exc_info.value.exit_code == 4
+    assert str(exc_info.value).startswith("velocity stage: overflow")
+    with pytest.raises(NumericOverflow):
+        synthesize(instance, guard)
 
 
 def test_config_f_max_changes_box():

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import direction_problem, random_feasible_instance
 from hybridservo import subspace_linalg as sla
+from hybridservo import velocity_solver
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
 from hybridservo.errors import (
     EmptyBasis,
@@ -15,13 +16,14 @@ from hybridservo.errors import (
     SingularTransform,
 )
 from hybridservo.model import make_instance
-from hybridservo.velocity_solver import candidate_basis, direction_cost, solve_velocity
+from hybridservo.velocity_solver import candidate_basis, solve_velocity
 from hybridservo.verifier import check_velocity_solution
 from pgd_oracle import (
     TIE_EPS,
     PgdConfig,
     _cost_and_grad,
     _project,
+    direction_cost,
     projected_gradient_descent,
 )
 
@@ -118,6 +120,30 @@ def test_direction_cost_penalizes_parallel_rows():
     k_para = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     k_orth = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert direction_cost(k_para, B_c, null_n) > direction_cost(k_orth, B_c, null_n)
+
+
+def test_direction_cost_from_k_and_a_matches_the_defining_form():
+    # C C^T = k^T k and NullN^T C^T = A k when B_c has orthonormal columns.
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(50):
+        B_c, null_n, n_av = direction_problem(random_feasible_instance(rng))
+        k = rng.standard_normal((B_c.shape[1], n_av))
+        ref = direction_cost(k, B_c, null_n)
+        got = velocity_solver.direction_cost(k, null_n.T @ B_c)
+        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-14
+
+
+def test_solve_velocity_cost_is_the_cost_of_its_rows():
+    rng = np.random.default_rng(13)
+    scenario = TiltingScenario()
+    tilting = [build_instance(st, scenario)[0] for st in rollout_states(scenario)]
+    for inst in tilting + [random_feasible_instance(rng) for _ in range(50)]:
+        sol = solve_velocity(inst)
+        null_n = sla.factor(inst.N).null_space()
+        ref = direction_cost(sol.C.T, np.eye(inst.n), null_n)
+        assert abs(sol.cost - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_pgd_is_deterministic_and_unit_norm():
