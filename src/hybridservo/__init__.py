@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NumericOverflow
 from .force_solver import DEFAULT_F_MAX, ForceSolution, solve_force
-from .subspace_linalg import DEFAULT_RANK_TOL
 from .velocity_solver import VelocitySolution, solve_velocity
 
 __version__ = "0.1.0"
@@ -30,7 +29,7 @@ class Step:
     ms_force: float
 
 
-def synthesize(instance, guard, rank_tol=DEFAULT_RANK_TOL, f_max=DEFAULT_F_MAX) -> Step:
+def synthesize(instance, guard, *, f_max=DEFAULT_F_MAX) -> Step:
     """One hybrid action: the velocity stage, then the force stage in its frame.
 
     Raises the stages' SolverErrors, and NumericOverflow when a product of
@@ -40,7 +39,7 @@ def synthesize(instance, guard, rank_tol=DEFAULT_RANK_TOL, f_max=DEFAULT_F_MAX) 
     try:
         with np.errstate(over="raise"):
             t0 = time.perf_counter()
-            vel = solve_velocity(instance, rank_tol)
+            vel = solve_velocity(instance)
             t1 = time.perf_counter()
             stage = "force"
             force = solve_force(instance, guard, vel.T, vel.n_av, f_max)

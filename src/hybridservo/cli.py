@@ -4,14 +4,14 @@ Reads a versioned scenario JSON, synthesizes one hybrid action per step,
 and writes the results as canonical JSON (optionally with a timing CSV).
 Two scenario types exist: "block_tilting" rolls the built-in tilting plan,
 "raw_instance" solves a single instance given directly as matrices.
-The two solver settings, rank_tol and f_max, come from the scenario's
-"solver" block, overridden by --rank-tol and --f-max.
+The one solver setting, f_max, comes from the scenario's "solver" block,
+overridden by --f-max.
 
 Exit codes: 0 success; a failed step returns its error's exit_code (see
 errors.py): 2 for InfeasibleDimensions, InconsistentGoal, EmptyBasis and
 SingularTransform, 3 for InfeasibleLP and SingularSystem, 4 for
 NumericOverflow.  Unreadable or invalid input, command-line usage errors and
-out-of-range solver settings also exit 4.
+an out-of-range solver setting also exit 4.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from . import synthesize
 from .errors import SolverError
 from .force_solver import DEFAULT_F_MAX
 from .model import GuardConditions, SystemInstance, make_instance, real_array, validate
-from .subspace_linalg import DEFAULT_RANK_TOL
 from .verifier import check_force_solution, check_velocity_solution
 
 SCHEMA_VERSION = 1
 
 SCENARIO_KEYS = {"schema", "scenario_type", "params", "solver"}
-SOLVER_KEYS = {"rank_tol", "f_max"}
+SOLVER_KEYS = {"f_max"}
 TILTING_KEYS = {f.name for f in dataclasses.fields(tilting.TiltingScenario) if f.init}
 # A raw instance gives every field of the instance and its guard; F fixes n_a.
 # N may instead come factored as J_phi @ Omega.
@@ -98,27 +97,21 @@ def _load_scenario(path: Path) -> dict:
     return doc
 
 
-def _solver_settings(doc: dict, args: argparse.Namespace) -> tuple[float, float]:
-    """rank_tol and f_max; a command-line flag wins over the scenario file."""
-    solver = doc.get("solver", {})
-    values = []
-    for key, default in (("rank_tol", DEFAULT_RANK_TOL), ("f_max", DEFAULT_F_MAX)):
-        value = getattr(args, key)
-        if value is None:
-            value = solver.get(key, default)
-        # float() would take true as 1.0 and "1e-8" as a number.
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioParseError(f"bad solver settings: {key} {value!r} is not a number")
-        try:
-            values.append(float(value))
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ScenarioParseError(f"bad solver settings: {key}: {exc}") from exc
-    rank_tol, f_max = values
+def _solver_settings(doc: dict, args: argparse.Namespace) -> float:
+    """f_max; the command-line flag wins over the scenario file."""
+    value = args.f_max
+    if value is None:
+        value = doc.get("solver", {}).get("f_max", DEFAULT_F_MAX)
+    # float() would take true as 1.0 and "10" as a number.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioParseError(f"bad solver settings: f_max {value!r} is not a number")
+    try:
+        f_max = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ScenarioParseError(f"bad solver settings: f_max: {exc}") from exc
     if not (math.isfinite(f_max) and f_max > 0.0):
         raise ScenarioParseError(f"bad solver settings: f_max {f_max} must be finite and > 0")
-    if not 0.0 < rank_tol < 1.0:  # also rejects nan
-        raise ScenarioParseError(f"bad solver settings: rank_tol {rank_tol} must be in (0, 1)")
-    return rank_tol, f_max
+    return f_max
 
 
 def _raw_instance(params: dict):
@@ -182,9 +175,9 @@ def _check_factored_N(N: np.ndarray, product: np.ndarray) -> None:
         )
 
 
-def _solve_step(instance, guard, rank_tol: float, f_max: float, verify: bool):
+def _solve_step(instance, guard, f_max: float, verify: bool):
     """The step's JSON record and its CSV timings."""
-    step = synthesize(instance, guard, rank_tol, f_max)
+    step = synthesize(instance, guard, f_max=f_max)
     vel, force = step.velocity, step.force
     force_check = check_force_solution(instance, guard, vel.T, force)
     record = {
@@ -232,7 +225,7 @@ def run_scenario(args: argparse.Namespace) -> int:
     """Solve every step of the scenario and write the outputs; return the exit code."""
     try:
         doc = _load_scenario(Path(args.scenario))
-        rank_tol, f_max = _solver_settings(doc, args)
+        f_max = _solver_settings(doc, args)
         if doc["scenario_type"] == "block_tilting":
             try:
                 scenario = tilting.TiltingScenario(**doc.get("params", {}))
@@ -248,7 +241,7 @@ def run_scenario(args: argparse.Namespace) -> int:
     records, timings = [], []
     for index, (instance, guard) in enumerate(steps, start=1):
         try:
-            record, timing = _solve_step(instance, guard, rank_tol, f_max, args.verify)
+            record, timing = _solve_step(instance, guard, f_max, args.verify)
         except SolverError as exc:
             print(f"step {index}: {exc}", file=sys.stderr)
             return exc.exit_code
@@ -259,7 +252,7 @@ def run_scenario(args: argparse.Namespace) -> int:
     doc_out = {
         "schema": SCHEMA_VERSION,
         "scenario_type": doc["scenario_type"],
-        "solver": {"rank_tol": rank_tol, "f_max": f_max},
+        "solver": {"f_max": f_max},
         "steps": records,
         "all_verified": (
             all(r["verification"]["passed"] for r in records) if args.verify else None
@@ -276,9 +269,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument(
-        "--rank-tol", type=float, help=f"relative rank tolerance (default {DEFAULT_RANK_TOL:g})"
-    )
     parser.add_argument(
         "--f-max", type=float, help=f"force command bound [N] (default {DEFAULT_F_MAX:g})"
     )

@@ -1,14 +1,13 @@
 """SVD-backed rank, null-space and minimum-norm primitives of the solve path.
 
 Every rank decision of the two solver stages applies one rule, singular
-values above rel_tol times a reference size, by default the largest
+values above RANK_TOL times a reference size, by default the largest
 singular value.  A :class:`Factorization`, made by :func:`factor`, serves
 the rank, the null space and the minimum-norm map of a matrix from one
 SVD.  Null-space bases are orthonormal, and zero-row or zero-column
 matrices are legal inputs (rank 0, full null space).  The verifier takes
 only constants from here.  It scales each row of its stacks to unit norm,
-takes its own SVD on np.linalg and ranks at the fixed DEFAULT_RANK_TOL, so
---verify ranks at 1e-8 whatever --rank-tol the solver ran with.
+takes its own SVD on np.linalg and ranks at the same RANK_TOL.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import numpy as np
 
 from .errors import InconsistentSystem
 
-DEFAULT_RANK_TOL = 1e-8
+# Relative rank tolerance of every rank decision, the solver's and the verifier's.
+RANK_TOL = 1e-8
 
 # Residual acceptance for linear solves, relative to 1 + ||b||.
 RESIDUAL_TOL = 1e-8
@@ -37,11 +37,11 @@ def _as_matrix(M) -> np.ndarray:
     return M
 
 
-def _rank(s: np.ndarray, rel_tol: float, scale: float | None) -> int:
-    """The package's rank rule: count singular values above rel_tol * scale."""
+def _rank(s: np.ndarray, scale: float | None) -> int:
+    """The package's rank rule: count singular values above RANK_TOL * scale."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * (s[0] if scale is None else scale)))
+    return int(np.count_nonzero(s > RANK_TOL * (s[0] if scale is None else scale)))
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ class Factorization:
         return X
 
 
-def factor(
-    M, rel_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = True, scale: float | None = None
-) -> Factorization:
+def factor(M, *, full_matrices: bool = True, scale: float | None = None) -> Factorization:
     """One SVD of M with the rank cutoff relative to scale (default: M's
     largest singular value).  full_matrices=True keeps every right singular
     vector, as the null space needs; the thin form suffices for the
@@ -101,5 +99,5 @@ def factor(
         vh = np.eye(c) if full_matrices else np.zeros((0, c))
         return Factorization(M, u, np.zeros(0), vh, 0)
     u, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
-    return Factorization(M, u, s, vh, _rank(s, rel_tol, scale))
+    return Factorization(M, u, s, vh, _rank(s, scale))
 

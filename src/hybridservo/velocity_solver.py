@@ -22,9 +22,10 @@ basis and the minimum-norm velocity v_star = NullN (G NullN)^+ b_G that
 fixes the command magnitudes b_C = C v_star.  The only other
 factorizations are the candidate basis, the direction SVD (whose singular
 values also decide that the rows pin the goal down) and null(R_C) for the
-action frame.  No rank cutoff compares N's units with G's: G NullN is
-ranked against ||G||_F (a goal repeating a constraint adds no rank),
-the candidate basis's and the direction SVD's cosines against 1.
+action frame.  Every cutoff is the fixed relative tolerance sla.RANK_TOL,
+the one the verifier ranks at.  No rank cutoff compares N's units with
+G's: G NullN is ranked against ||G||_F (a goal repeating a constraint adds
+no rank), the candidate basis's and the direction SVD's cosines against 1.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class VelocitySolution:
     cost: float
 
 
-def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int, rel_tol: float) -> np.ndarray:
+def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int) -> np.ndarray:
     """Orthonormal columns spanning the admissible command rows.
 
     A command row c must have zero unactuated prefix and annihilate every
@@ -74,7 +75,7 @@ def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int, rel_tol: float) ->
     there are at least r_NG + n_a - n >= n_av of them once r_N + n_a >= n.
     """
     # Actuated part only, sigma_a^T c_a = 0; sigma_a's singular values are cosines (<= 1).
-    basis_a = sla.factor(null_ng[n_u:, :].T, rel_tol, scale=1.0).null_space()
+    basis_a = sla.factor(null_ng[n_u:, :].T, scale=1.0).null_space()
     n_c = basis_a.shape[1]
     if n_c < n_av:
         raise EmptyBasis(
@@ -155,21 +156,18 @@ def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray
     return K, sigma
 
 
-def solve_velocity(
-    instance: SystemInstance, rank_tol: float = sla.DEFAULT_RANK_TOL
-) -> VelocitySolution:
+def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     """Pick velocity-controlled directions and magnitudes for one instance.
 
-    Every rank decision uses the relative tolerance rank_tol.  Each row of
-    C is signed so that its command value b_C_i is >= 0; a row with
-    b_C_i == 0 gets a positive first nonzero entry.  Raises
+    Each row of C is signed so that its command value b_C_i is >= 0; a
+    row with b_C_i == 0 gets a positive first nonzero entry.  Raises
     SingularTransform when the rows do not pin the goal down:
     rank [N; C] = r_N + rank(A k) must equal rank [N; G] = r_N + n_av.
     Raises NumericOverflow when ||G||_F or ||b_G|| overflows, which would
     otherwise rank G NullN at 0 and report a conflicting goal.
     """
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
-    f_N = sla.factor(instance.N, rank_tol)
+    f_N = sla.factor(instance.N)
     r_N = f_N.rank
     if r_N + n_a < n:
         raise InfeasibleDimensions(
@@ -182,7 +180,7 @@ def solve_velocity(
         raise NumericOverflow(
             "velocity stage: overflow in the goal scale; the input is out of range"
         )
-    f_GN = sla.factor(instance.G @ NullN, rank_tol, scale=g_scale)
+    f_GN = sla.factor(instance.G @ NullN, scale=g_scale)
     n_av = f_GN.rank
     try:
         v_star = NullN @ f_GN.min_norm(instance.b_G)
@@ -201,10 +199,10 @@ def solve_velocity(
             cost=0.0,
         )
 
-    B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av, rank_tol)
+    B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av)
     A = NullN.T @ B_c
     k, sigma = optimal_directions(A, n_av)
-    if not sigma[n_av - 1] > rank_tol:
+    if not sigma[n_av - 1] > sla.RANK_TOL:
         raise SingularTransform("command rows are not independent modulo the constraints")
     C = (B_c @ k).T
     b_C = C @ v_star
@@ -213,7 +211,7 @@ def solve_velocity(
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]
-    R_a = np.concatenate([sla.factor(R_C, rank_tol).null_space().T, R_C])
+    R_a = np.concatenate([sla.factor(R_C).null_space().T, R_C])
     T = np.eye(n)
     T[n_u:, n_u:] = R_a
     return VelocitySolution(

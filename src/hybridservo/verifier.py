@@ -5,11 +5,11 @@ data with its own few lines of linear algebra on np.linalg, so no check
 shares code with the solver path it checks.  The velocity check scales
 every row of [N; G] and of [N; C] to unit norm and takes one full SVD of
 each stack for its rank, null space and minimum-norm solution.  It ranks
-at the fixed DEFAULT_RANK_TOL = 1e-8, so --verify does so whatever
---rank-tol the solver ran with.  _force_equalities rebuilds the
-force-balance equalities on their own, in the full layout [lambda; eta_u;
-eta_av], for the test oracles that resolve the free forces by
-pseudoinverse projection rather than the solver's single-SVD map.
+at the solver's fixed RANK_TOL, by its own rule on the unit rows.
+_force_equalities rebuilds the force-balance equalities on their own, in
+the full layout [lambda; eta_u; eta_av], for the test oracles that resolve
+the free forces by pseudoinverse projection rather than the solver's
+single-SVD map.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .force_solver import ForceSolution
 from .model import GuardConditions, SystemInstance
-from .subspace_linalg import DEFAULT_RANK_TOL, RESIDUAL_TOL
+from .subspace_linalg import RANK_TOL, RESIDUAL_TOL
 from .velocity_solver import VelocitySolution
 
 VELOCITY_TOL = 1e-6
@@ -40,14 +40,14 @@ def _unit_row_svd(M: np.ndarray, b: np.ndarray) -> _UnitRowSVD:
 
     Each nonzero row of M and its entry of b are first divided by the row's
     norm, so positive row scaling changes nothing.  The rank counts the
-    singular values above DEFAULT_RANK_TOL times the largest; v is None when
+    singular values above RANK_TOL times the largest; v is None when
     its residual exceeds RESIDUAL_TOL * (1 + ||b||) on the unit rows.
     """
     norms = np.linalg.norm(M, axis=1)
     norms[norms == 0.0] = 1.0
     M, b = M / norms[:, None], b / norms
     u, s, vh = np.linalg.svd(M)
-    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0)))
+    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
     v = vh[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     if np.linalg.norm(M @ v - b) > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
         v = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from hybridservo.model import GuardConditions, SystemInstance, make_instance
-from hybridservo.subspace_linalg import DEFAULT_RANK_TOL, factor
+from hybridservo.subspace_linalg import factor
 from hybridservo.velocity_solver import candidate_basis
 from hybridservo.verifier import _force_equalities
 
@@ -56,7 +56,7 @@ def direction_problem(instance: SystemInstance):
     f_N = factor(instance.N)
     f_NG = factor(np.vstack([instance.N, instance.G]))
     n_av = f_NG.rank - f_N.rank
-    B_c = candidate_basis(f_NG.null_space(), instance.n_u, n_av, DEFAULT_RANK_TOL)
+    B_c = candidate_basis(f_NG.null_space(), instance.n_u, n_av)
     return B_c, f_N.null_space(), n_av
 
 

@@ -124,14 +124,13 @@ def test_raw_instance_with_n_factored_as_j_phi_and_omega(tmp_path, capsys):
 
 
 def test_solver_overrides_reach_output(tmp_path):
-    solver = {"f_max": 25.0, "rank_tol": 1e-9}
-    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
+    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver={"f_max": 25.0}))
     out = tmp_path / "out.json"
     args = ["--scenario", scenario, "--out", str(out), "--f-max", "10.0"]
     assert main(args) == 0
     doc = json.loads(out.read_text())
-    # Command line wins over the scenario file; untouched keys pass through.
-    assert doc["solver"] == {"f_max": 10.0, "rank_tol": 1e-9}
+    # Command line wins over the scenario file.
+    assert doc["solver"] == {"f_max": 10.0}
 
 
 @pytest.mark.parametrize(
@@ -140,11 +139,20 @@ def test_solver_overrides_reach_output(tmp_path):
         ({}, ["--starts", "0"], "unrecognized arguments: --starts 0"),
         ({"num_starts": 0}, [], "unknown solver keys"),
         ({"max_iters": "many"}, [], "unknown solver keys"),
+        ({}, ["--rank-tol", "0"], "unrecognized arguments: --rank-tol 0"),
+        ({}, ["--rank-tol", "1"], "unrecognized arguments: --rank-tol 1"),
+        ({}, ["--rank-tol", "nan"], "unrecognized arguments: --rank-tol nan"),
+        ({"rank_tol": 1.5}, [], "unknown solver keys"),
+        ({"rank_tol": "1e-8"}, [], "unknown solver keys"),
     ],
-    ids=["starts-flag-0", "num-starts-0", "max-iters-string"],
+    ids=[
+        "starts-flag-0", "num-starts-0", "max-iters-string", "rank-tol-0", "rank-tol-1",
+        "rank-tol-nan", "scenario-rank-tol-1.5", "scenario-rank-tol-string",
+    ],
 )
-def test_bad_search_settings_are_parse_errors(tmp_path, capsys, solver, flags, message):
-    # The schema-1 direction-search settings are gone: usage or unknown-key errors.
+def test_removed_settings_are_parse_errors(tmp_path, capsys, solver, flags, message):
+    # The direction-search settings and the rank tolerance are gone from
+    # schema 1: usage or unknown-key errors.
     scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc(solver=solver))
     out = tmp_path / "o.json"
     assert main(["--scenario", scenario, "--out", str(out), *flags]) == 4
@@ -339,20 +347,14 @@ def test_help_returns_0(capsys):
         ({}, ["--f-max", "nan"]),
         ({}, ["--f-max", "inf"]),
         ({}, ["--f-max", "-1"]),
-        ({}, ["--rank-tol", "0"]),
-        ({}, ["--rank-tol", "1"]),
-        ({}, ["--rank-tol", "nan"]),
         ({"f_max": 0.0}, []),
         ({"f_max": "inf"}, []),
-        ({"rank_tol": 1.5}, []),
         ({"f_max": True}, []),
         ({"f_max": "10"}, []),
-        ({"rank_tol": "1e-8"}, []),
     ],
     ids=[
-        "f-max-nan", "f-max-inf", "f-max-negative", "rank-tol-0", "rank-tol-1",
-        "rank-tol-nan", "scenario-f-max-0", "scenario-f-max-inf", "scenario-rank-tol-1.5",
-        "scenario-f-max-true", "scenario-f-max-string", "scenario-rank-tol-string",
+        "f-max-nan", "f-max-inf", "f-max-negative", "scenario-f-max-0", "scenario-f-max-inf",
+        "scenario-f-max-true", "scenario-f-max-string",
     ],
 )
 def test_out_of_range_solver_settings_return_4(tmp_path, capsys, solver, flags):

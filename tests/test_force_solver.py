@@ -277,6 +277,39 @@ def test_config_f_max_changes_box():
     assert sol.objective_margin == pytest.approx(9.0, abs=1e-6)
 
 
+def test_synthesize_takes_f_max_by_keyword_only():
+    # A third positional argument, the old rank tolerance, must not run as f_max.
+    inst, guard = _wall_press([(-1.0, -1.0)])
+    with pytest.raises(TypeError):
+        synthesize(inst, guard, 1e-8)
+    assert synthesize(inst, guard, f_max=10.0).force.objective_margin == pytest.approx(9.0)
+
+
+def test_ill_conditioned_force_balance_raises_singular_system(tmp_path, capsys):
+    # M_free = [[n]]: cond(K) = (1 + sqrt(1 + n^2)) / (n^2 / (1 + sqrt(1 + n^2)))
+    # is 4e14 for n = 1e-7, past MAX_CONDITION = 1e12, and 4e10 for n = 1e-5.
+    def solve(n):
+        inst = make_instance(0, [[n]], np.zeros((0, 1)), [], [0.0])
+        return solve_force(inst, GuardConditions.empty(1, 1), np.eye(1), n_av=0)
+
+    with pytest.raises(SingularSystem) as exc_info:
+        solve(1e-7)
+    assert str(exc_info.value) == (
+        "force balance is singular or ill-conditioned (KKT cond 4.000e+14)"
+    )
+    assert solve(1e-5).objective_margin == pytest.approx(50.0, abs=1e-6)
+    # Through the CLI the goal adds no velocity command, so the force stage fails.
+    raw = {"n_u": 0, "N": [[1e-7]], "G": [[1.0]], "b_G": [0.0], "F": [0.0]}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"schema": 1, "scenario_type": "raw_instance", "params": raw}))
+    out = tmp_path / "out.json"
+    assert cli.main(["--scenario", str(scenario), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "step 1: force balance is singular or ill-conditioned (KKT cond 4.000e+14)"
+    )
+    assert not out.exists()
+
+
 def _effort(sol, T, n_u):
     """l1 norm of the actuated force in the original coordinates."""
     return float(np.abs(np.linalg.solve(T, sol.eta)[n_u:]).sum())
@@ -645,6 +678,41 @@ def test_least_effort_shift_round_off_leaves_a_small_effort():
     _assert_exact_effort(G, h, np.zeros(1), np.array([[275.0]]), 50.0)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="round-off of the shifted command")
+def test_least_effort_shift_round_off_through_a_small_entry():
+    # The margin is -129 and the row 1e-3 x <= 0 leaves the exact command
+    # 0, but y comes back 1.18e-11 below f_max = 0.5, so the effort 85 |x|
+    # reads 1.005e-9 against the exact 0.
+    G = np.array([[0.0], [0.0], [1e-3]])
+    h = np.array([0.0, -129.0, -129.0])
+    _assert_exact_effort(G, h, np.zeros(1), np.array([[85.0]]), 0.5)
+
+
+def _assert_feasible_vertex(G, h, f_max):
+    """The boxed-LP test's first check: the phase-1 vertex keeps every row."""
+    x, s, _, _ = force_solver._max_margin(G, h, f_max)
+    assert np.all(G @ x + s <= h + 1e-9 * (1.0 + np.abs(h)))
+
+
+# On the next two the margin matches the exact 0, so _assert_exact_margin
+# passes, but the vertex breaks a row with a large entry.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="phase-1 vertex breaks a row")
+def test_margin_vertex_breaks_a_row_scaled_by_a_thousand():
+    # x = [0, -1.26e-10, -5] with s = 0: the row -1e3 x_1 <= 0 is off by 1.26e-7.
+    G = np.array([_Z3, [-1.0, 0.0, 0.0], [0.0, -1e-3, 0.0], _Z3, [0.0, -1e3, 0.0]])
+    h = np.array([0.25, 0.0, 0.0, 0.0, 0.0])
+    _assert_feasible_vertex(G, h, 5.0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ratio test skips entries at most PIVOT_TOL"
+)
+def test_margin_vertex_breaks_a_row_through_a_small_entry():
+    # x = [-2.54e-12, 0] with s = 0: the row -885 x_0 + x_1 <= 0 is off by 2.24e-9.
+    G = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-885.0, 1.0], [-1.0, 0.0], [0.0, 0.25]])
+    _assert_feasible_vertex(G, np.zeros(6), 50.0)
+
+
 def _phase1_lps():
     """(G, h, f_max) of every default-plan margin LP and 200 seeded boxed LPs."""
     lps = []
@@ -768,7 +836,7 @@ def test_kkt_condition_counts_columns_beyond_the_rank():
         rel=1e-12,
     )
     # A tiny kept singular value: no cancellation in sqrt(1 + s^2) - 1.
-    f_tiny = sla.factor(np.array([[1e-9]]), rel_tol=1e-12)
+    f_tiny = sla.factor(np.array([[1e-9]]))
     assert force_solver._kkt_condition(f_tiny) == pytest.approx(
         (1.0 + np.sqrt(1.0 + 1e-18)) / (1e-18 / 2.0), rel=1e-12
     )

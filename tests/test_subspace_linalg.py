@@ -32,6 +32,13 @@ def test_rank_rule_relative_tolerance():
     assert sla.factor(1e6 * np.diag([1e-4, 1e-12]), scale=1e6).rank == 1
 
 
+def test_factor_takes_no_tolerance():
+    # The cutoff is RANK_TOL: a tolerance passed in its old place must not
+    # bind to full_matrices.
+    with pytest.raises(TypeError):
+        sla.factor(np.eye(2), 1e-8)
+
+
 def test_factor_null_space_properties():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((3, 6))

@@ -76,7 +76,7 @@ def test_candidate_basis_empty_raises():
     # The only direction pinning the goal lives on the unactuated axis.
     null_ng = sla.factor(np.array([[0.0, 0.0], [1.0, 0.0]])).null_space()
     with pytest.raises(EmptyBasis):
-        candidate_basis(null_ng, n_u=1, n_av=1, rel_tol=sla.DEFAULT_RANK_TOL)
+        candidate_basis(null_ng, n_u=1, n_av=1)
 
 
 def test_candidate_basis_ignores_round_off_in_the_actuated_part():
@@ -84,7 +84,7 @@ def test_candidate_basis_ignores_round_off_in_the_actuated_part():
     # direction is a candidate; ranking that round-off against its own size
     # would drop one and leave the command row to chance.
     null_ng = np.array([[1.0], [3e-17], [-2e-17]])
-    B_c = candidate_basis(null_ng, n_u=1, n_av=1, rel_tol=sla.DEFAULT_RANK_TOL)
+    B_c = candidate_basis(null_ng, n_u=1, n_av=1)
     assert B_c.shape == (3, 2)
     inst = make_instance(1, [[0.0, 0.6, 0.8]], [[0.0, 0.8, -0.6]], [0.3], np.zeros(3))
     sol = solve_velocity(inst)

@@ -153,7 +153,7 @@ def test_force_check_fails_on_unactuated_force():
 
 def test_step_verification_aggregates_both_checks(monkeypatch):
     inst, guard, _, _ = _solved_tilting_step()
-    good, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
+    good, _ = cli._solve_step(inst, guard, DEFAULT_F_MAX, verify=True)
     assert good["verification"]["passed"] is True
     solve = solve_force
 
@@ -164,7 +164,7 @@ def test_step_verification_aggregates_both_checks(monkeypatch):
         return replace(force, eta=eta)
 
     monkeypatch.setattr("hybridservo.solve_force", unactuated_push)
-    bad, _ = cli._solve_step(inst, guard, sla.DEFAULT_RANK_TOL, DEFAULT_F_MAX, verify=True)
+    bad, _ = cli._solve_step(inst, guard, DEFAULT_F_MAX, verify=True)
     assert bad["verification"]["velocity"]["passed"] is True
     assert bad["verification"]["force"]["passed"] is False
     assert bad["verification"]["passed"] is False
