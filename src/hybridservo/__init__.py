@@ -32,8 +32,9 @@ class Step:
 def synthesize(instance, guard, *, f_max=DEFAULT_F_MAX) -> Step:
     """One hybrid action: the velocity stage, then the force stage in its frame.
 
-    Raises the stages' SolverErrors, and NumericOverflow when a product of
-    the step's numbers overflows double precision inside either stage.
+    Raises the stages' SolverErrors, NumericOverflow when a product of the
+    step's numbers overflows double precision inside either stage, and the
+    force stage's ValueError unless f_max is finite and > 0.
     """
     stage = "velocity"
     try:

@@ -301,7 +301,7 @@ def build_instance(state: TiltingState, scenario: TiltingScenario):
     # Object gravity as a body wrench; the object frame sits at the center
     # of mass, so the torque part vanishes.
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
-    instance = SystemInstance(n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F)
+    instance = SystemInstance(n_u=6, N=N, G=G, b_G=b_G, F=F)
     return instance, guard_conditions(scenario, R_wo)
 
 

@@ -20,7 +20,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import statistics
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 from . import block_tilting as tilting
 from . import synthesize
 from .errors import SolverError
-from .force_solver import DEFAULT_F_MAX
+from .force_solver import DEFAULT_F_MAX, check_f_max
 from .model import GuardConditions, SystemInstance, make_instance, real_array, validate
 from .verifier import check_force_solution, check_velocity_solution
 
@@ -39,9 +38,9 @@ SCHEMA_VERSION = 1
 SCENARIO_KEYS = {"schema", "scenario_type", "params", "solver"}
 SOLVER_KEYS = {"f_max"}
 TILTING_KEYS = {f.name for f in dataclasses.fields(tilting.TiltingScenario) if f.init}
-# A raw instance gives every field of the instance and its guard; F fixes n_a.
-# N may instead come factored as J_phi @ Omega.
-RAW_KEYS = {f.name for f in dataclasses.fields(SystemInstance) if f.name != "n_a"}
+# A raw instance gives every field of the instance and its guard.  N may
+# instead come factored as J_phi @ Omega.
+RAW_KEYS = {f.name for f in dataclasses.fields(SystemInstance)}
 RAW_KEYS |= {f.name for f in dataclasses.fields(GuardConditions)} | {"J_phi", "Omega"}
 
 CSV_COLUMNS = [
@@ -109,8 +108,10 @@ def _solver_settings(doc: dict, args: argparse.Namespace) -> float:
         f_max = float(value)
     except OverflowError as exc:  # an integer beyond the float range
         raise ScenarioParseError(f"bad solver settings: f_max: {exc}") from exc
-    if not (math.isfinite(f_max) and f_max > 0.0):
-        raise ScenarioParseError(f"bad solver settings: f_max {f_max} must be finite and > 0")
+    try:
+        check_f_max(f_max)
+    except ValueError as exc:
+        raise ScenarioParseError(f"bad solver settings: {exc}") from exc
     return f_max
 
 
@@ -185,7 +186,7 @@ def _solve_step(instance, guard, f_max: float, verify: bool):
         "n_af": int(instance.n_a - vel.n_av),
         "C": vel.C.tolist(),
         "w_av": vel.b_C.tolist(),
-        "R_a": vel.R_a.tolist(),
+        "R_a": vel.T[instance.n_u :, instance.n_u :].tolist(),
         "T": vel.T.tolist(),
         "direction_cost": float(vel.cost),
         "eta_af": force.eta_af.tolist(),

@@ -15,7 +15,7 @@ command eta_af is a "free" force the physics determines: f_free =
 [lambda; eta_av].  Given eta_af, the free forces are resolved as the
 minimum-norm solution of the stacked equality system M_free f_free =
 rhs - M_eta_f eta_af.  That solution is affine in the command, f_free =
-f0 + W eta_af, and one thin SVD M_free = U S V^T gives it for every
+f0 + W eta_af, and one SVD M_free = U S V^T gives it for every
 command at once: [f0, W] = V S^-1 U^T [rhs, -M_eta_f] over the singular
 values kept by the package's rank rule (Golub & Van Loan, Matrix
 Computations, 5.5).  The same SVD gives the condition of the
@@ -30,12 +30,14 @@ raised before any LP.
 
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
-[eta_af; s] subject to G eta_af + s <= h and |eta_af| <= f_max.  With at
-least one guard row the margin is bounded because eta_af is boxed; with no
-guard rows the box rows take the place of the guard rows and the margin
-sits at the box bound.  With no force-controlled direction (n_af = 0)
-there is nothing to choose and no LP is solved: the margin is min(h), or
-f_max without guard rows.
+[eta_af; s] subject to G eta_af + s <= h and |eta_af| <= f_max, which is
+bounded because eta_af is boxed.  Two cases need no LP.  With no
+force-controlled direction (n_af = 0) there is nothing to choose and the
+margin is min(h).  With no guard rows the margin is the box's own slack,
+max s subject to +-eta_i + s <= f_max: adding the two rows of any i gives
+s <= f_max, with equality only at eta_i = 0, so eta_af = 0 and s = f_max
+is the unique optimum and the margin LP only ever sees real guard rows.
+f_max itself must be finite and > 0 (check_f_max).
 
 The margin optimum can be degenerate (several commands achieve the same
 worst margin), so phase 2 picks, among the margin-maximal commands, the one
@@ -147,8 +149,8 @@ def assemble_newton(
     n, n_u = instance.n, instance.n_u
     n_phi = instance.n_phi
     n_af = instance.n_a - n_av
-    if n_af < 0:
-        raise ValueError("n_av exceeds the number of actuated dimensions")
+    if not 0 <= n_av <= instance.n_a:
+        raise ValueError(f"n_av = {n_av} must lie in [0, n_a] = [0, {instance.n_a}]")
     T = _check_transform(T, n, n_u)
 
     eta_rows = np.concatenate([np.eye(n)[:, n_u:], guard.Gamma[:, n_phi:] @ T[n_u:].T])
@@ -184,7 +186,7 @@ def _kkt_condition(f_free: sla.Factorization) -> float:
 
 
 def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
-    """(f0, W) with f_free = f0 + W @ eta_af, from one thin SVD of M_free.
+    """(f0, W) with f_free = f0 + W @ eta_af, from one SVD of M_free.
 
     f0 and W are the minimum-norm solutions V S^-1 U^T [rhs, -M_eta_f] over
     the kept singular values, which is what the KKT system gives when it is
@@ -192,7 +194,7 @@ def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
     ill-conditioned, or when a column leaves a residual: the equality rows
     are then inconsistent or pin the force command.
     """
-    f_free = sla.factor(M_free, full_matrices=False)
+    f_free = sla.factor(M_free)
     cond = _kkt_condition(f_free)
     if not np.isfinite(cond) or cond >= sla.MAX_CONDITION:
         raise SingularSystem(
@@ -369,6 +371,12 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
     return y - f_max, "refined"
 
 
+def check_f_max(f_max: float) -> None:
+    """Raise ValueError unless the command bound f_max is finite and > 0."""
+    if not (math.isfinite(f_max) and f_max > 0.0):
+        raise ValueError(f"f_max {f_max} must be finite and > 0")
+
+
 def solve_force(
     instance: SystemInstance,
     guard: GuardConditions,
@@ -377,6 +385,7 @@ def solve_force(
     f_max: float = DEFAULT_F_MAX,
 ) -> ForceSolution:
     """Maximize the worst guard margin over the force command |eta_af| <= f_max."""
+    check_f_max(f_max)
     T = np.asarray(T, dtype=float)
     M_free, M_eta_f, rhs = assemble_newton(instance, guard, T, n_av)
     n_phi, n_u, n_af = instance.n_phi, instance.n_u, M_eta_f.shape[1]
@@ -389,32 +398,27 @@ def solve_force(
     X = np.concatenate([W[:n_phi], T.T @ eta_map])
     G = guard.Lambda @ X
     h = guard.b_Lambda - guard.Lambda @ x0
-    if guard.n_ineq:
-        G_lp, h_lp = G, h
-    else:
-        # No guard rows: let the box bounds define the margin.
-        G_lp = np.vstack([np.eye(n_af), -np.eye(n_af)])
-        h_lp = np.full(2 * n_af, f_max)
     # The margin LP starts from h + f_max G 1 (see _max_margin); past the
     # float range its inf - inf would make the margin nan.
-    if not math.isfinite(f_max * float(np.abs(G_lp).sum()) + float(np.abs(h_lp).sum())):
+    if not math.isfinite(f_max * float(np.abs(G).sum()) + float(np.abs(h).sum())):
         raise NumericOverflow(
             "force stage: overflow in the guard margin map; the input is out of range"
         )
 
-    if n_af:
-        eta_af, s, tab, basis = _max_margin(G_lp, h_lp, f_max)
-    else:
-        eta_af = np.zeros(0)
-        s = float(h_lp.min()) if h_lp.size else f_max
-    if s < -FEASIBILITY_TOL:
-        raise InfeasibleLP(
-            f"best achievable guard margin is {s:.6e}", margin=s
-        )
-    effort_pass = "skipped"
-    if n_af:
-        act = slice(n_phi + n_u, None)
-        eta_af, effort_pass = _least_effort(tab, basis, x0[act], X[act], eta_af, f_max)
+    # Without guard rows the box alone sets the margin, at its unique
+    # optimum (see the module notes).
+    eta_af, s = np.zeros(n_af), f_max
+    effort_pass = "unique" if n_af else "skipped"
+    if guard.n_ineq:
+        if n_af:
+            eta_af, s, tab, basis = _max_margin(G, h, f_max)
+        else:
+            s = float(h.min())
+        if s < -FEASIBILITY_TOL:
+            raise InfeasibleLP(f"best achievable guard margin is {s:.6e}", margin=s)
+        if n_af:
+            act = slice(n_phi + n_u, None)
+            eta_af, effort_pass = _least_effort(tab, basis, x0[act], X[act], eta_af, f_max)
     return ForceSolution(
         eta_af=eta_af,
         lam=x0[:n_phi] + X[:n_phi] @ eta_af,

@@ -25,11 +25,11 @@ class SystemInstance:
 
     N has one row per holonomic constraint (n_phi rows, n columns), already
     in velocity coordinates: a raw scenario given in factored form is
-    multiplied out by the CLI.
+    multiplied out by the CLI.  F has one entry per generalized velocity,
+    so it fixes n, and n_a = n - n_u.
     """
 
     n_u: int
-    n_a: int
     N: np.ndarray
     G: np.ndarray
     b_G: np.ndarray
@@ -37,7 +37,11 @@ class SystemInstance:
 
     @property
     def n(self) -> int:
-        return self.n_u + self.n_a
+        return self.F.size
+
+    @property
+    def n_a(self) -> int:
+        return self.n - self.n_u
 
     @property
     def n_phi(self) -> int:
@@ -68,13 +72,12 @@ class GuardConditions:
 
 
 def make_instance(n_u, N, G, b_G, F) -> SystemInstance:
-    """Build a SystemInstance from array-likes, deriving n_a from F."""
+    """Build a SystemInstance from array-likes, b_G and F flattened."""
     N = np.asarray(N, dtype=float)
     G = np.asarray(G, dtype=float)
     b_G = np.asarray(b_G, dtype=float).reshape(-1)
     F = np.asarray(F, dtype=float).reshape(-1)
-    n = F.size
-    return SystemInstance(n_u=int(n_u), n_a=n - int(n_u), N=N, G=G, b_G=b_G, F=F)
+    return SystemInstance(n_u=int(n_u), N=N, G=G, b_G=b_G, F=F)
 
 
 def real_array(name: str, value) -> np.ndarray:
@@ -98,16 +101,14 @@ def validate(instance: SystemInstance, guard: GuardConditions) -> list[str]:
     """Check shapes and finiteness; return found problems."""
     problems: list[str] = []
     n = instance.n
-    if instance.n_u < 0 or instance.n_a < 0:
-        problems.append("n_u and n_a must be nonnegative")
+    if not 0 <= instance.n_u <= n:
+        problems.append(f"n_u must lie in [0, {n}], got {instance.n_u}")
     if instance.N.ndim != 2 or instance.N.shape[1] != n:
         problems.append(f"N must have {n} columns, got shape {instance.N.shape}")
     if instance.G.ndim != 2 or instance.G.shape[1] != n:
         problems.append(f"G must have {n} columns, got shape {instance.G.shape}")
     if instance.b_G.shape != (instance.G.shape[0],):
         problems.append("b_G length must match the number of goal rows")
-    if instance.F.shape != (n,):
-        problems.append(f"F must have length {n}")
     for name in ("N", "G", "b_G", "F"):
         _finite(name, getattr(instance, name), problems)
     w = instance.n_phi + n

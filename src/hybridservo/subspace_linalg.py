@@ -59,7 +59,7 @@ class Factorization:
     rank: int
 
     def null_space(self) -> np.ndarray:
-        """Orthonormal columns spanning {v : M v = 0}; needs full_matrices=True."""
+        """Orthonormal columns spanning {v : M v = 0}."""
         return np.ascontiguousarray(self.vh[self.rank :].T)
 
     def min_norm(self, B) -> np.ndarray:
@@ -85,19 +85,15 @@ class Factorization:
         return X
 
 
-def factor(M, *, full_matrices: bool = True, scale: float | None = None) -> Factorization:
-    """One SVD of M with the rank cutoff relative to scale (default: M's
-    largest singular value).  full_matrices=True keeps every right singular
-    vector, as the null space needs; the thin form suffices for the
-    minimum-norm map.  A matrix with a zero dimension has rank 0 and a full
-    null space.
+def factor(M, *, scale: float | None = None) -> Factorization:
+    """One full SVD of M with the rank cutoff relative to scale (default:
+    M's largest singular value).  It keeps every right singular vector, so
+    the null space is the rows of vh past the rank.  A matrix with a zero
+    dimension has rank 0 and a full null space.
     """
     M = _as_matrix(M)
-    r, c = M.shape
     if M.size == 0:
-        u = np.eye(r) if full_matrices else np.zeros((r, 0))
-        vh = np.eye(c) if full_matrices else np.zeros((0, c))
-        return Factorization(M, u, np.zeros(0), vh, 0)
-    u, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
+        r, c = M.shape
+        return Factorization(M, np.eye(r), np.zeros(0), np.eye(c), 0)
+    u, s, vh = np.linalg.svd(M)
     return Factorization(M, u, s, vh, _rank(s, scale))
-

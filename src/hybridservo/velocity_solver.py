@@ -51,17 +51,19 @@ from .model import SystemInstance
 class VelocitySolution:
     """Velocity commands plus the action-frame transform they induce.
 
-    C stacks the command rows (n_av x n), b_C their magnitudes.  R_a is the
-    actuated-frame rotation whose last n_av rows are the velocity-controlled
-    axes, and T = diag(I_{n_u}, R_a).
+    C stacks the command rows (n_av x n), b_C their magnitudes.  T =
+    diag(I_{n_u}, R_a), where the actuated-frame rotation R_a has the
+    velocity-controlled axes as its last n_av rows.
     """
 
     C: np.ndarray
     b_C: np.ndarray
     T: np.ndarray
-    R_a: np.ndarray
-    n_av: int
     cost: float
+
+    @property
+    def n_av(self) -> int:
+        return self.C.shape[0]
 
 
 def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int) -> np.ndarray:
@@ -190,14 +192,7 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         ) from exc
 
     if n_av == 0:
-        return VelocitySolution(
-            C=np.zeros((0, n)),
-            b_C=np.zeros(0),
-            T=np.eye(n),
-            R_a=np.eye(n_a),
-            n_av=0,
-            cost=0.0,
-        )
+        return VelocitySolution(C=np.zeros((0, n)), b_C=np.zeros(0), T=np.eye(n), cost=0.0)
 
     B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av)
     A = NullN.T @ B_c
@@ -211,14 +206,6 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]
-    R_a = np.concatenate([sla.factor(R_C).null_space().T, R_C])
     T = np.eye(n)
-    T[n_u:, n_u:] = R_a
-    return VelocitySolution(
-        C=C,
-        b_C=b_C,
-        T=T,
-        R_a=R_a,
-        n_av=n_av,
-        cost=direction_cost(k, A),
-    )
+    T[n_u:, n_u:] = np.concatenate([sla.factor(R_C).null_space().T, R_C])
+    return VelocitySolution(C=C, b_C=b_C, T=T, cost=direction_cost(k, A))

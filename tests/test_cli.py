@@ -62,6 +62,7 @@ def test_default_tilting_run(tmp_path):
         assert step["lp_margin"] > 0.0
         assert min(step["guard_margins"]) >= 0.0
         assert step["verification"]["passed"] is True
+        assert step["R_a"] == [row[6:] for row in step["T"][6:]]
 
 
 def test_output_json_is_deterministic(tmp_path):

@@ -64,6 +64,15 @@ def test_assemble_newton_structure():
     assert np.array_equal(rhs, [2.45, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("n_av", [-1, 2])
+def test_assemble_newton_rejects_n_av_outside_the_actuated_range(n_av):
+    inst, guard = _supported_object()
+    with pytest.raises(ValueError, match=rf"n_av = {n_av} must lie in \[0, n_a\] = \[0, 1\]"):
+        assemble_newton(inst, guard, np.eye(2), n_av)
+    with pytest.raises(ValueError, match="n_av"):
+        solve_force(inst, guard, np.eye(2), n_av)
+
+
 def test_assemble_newton_rejects_singular_transform():
     inst, guard = _supported_object()
     with pytest.raises(SingularTransform):
@@ -277,6 +286,17 @@ def test_config_f_max_changes_box():
     assert sol.objective_margin == pytest.approx(9.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("f_max", [0.0, -1.0, np.nan, np.inf])
+def test_f_max_must_be_finite_and_positive(f_max):
+    # The force stage owns the rule; synthesize reaches it through the stage.
+    inst, guard = _wall_press([(-1.0, -1.0)])
+    message = f"f_max {f_max} must be finite and > 0"
+    with pytest.raises(ValueError, match=message):
+        solve_force(inst, guard, np.eye(1), n_av=0, f_max=f_max)
+    with pytest.raises(ValueError, match=message):
+        synthesize(inst, guard, f_max=f_max)
+
+
 def test_synthesize_takes_f_max_by_keyword_only():
     # A third positional argument, the old rank tolerance, must not run as f_max.
     inst, guard = _wall_press([(-1.0, -1.0)])
@@ -362,7 +382,7 @@ def test_reduced_lp_matches_full_kkt_oracle_on_tilting_plan():
 
 def test_no_force_direction_solves_without_lp(monkeypatch):
     def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved with n_af = 0")
+        raise AssertionError("an LP was solved with n_af = 0 or without guard rows")
 
     monkeypatch.setattr(force_solver, "_simplex", no_lp)
     inst, guard = _supported_object()
@@ -378,6 +398,19 @@ def test_no_force_direction_solves_without_lp(monkeypatch):
     with pytest.raises(InfeasibleLP) as exc_info:
         solve_force(inst, strict, np.eye(2), n_av=1)
     assert exc_info.value.margin == pytest.approx(-0.55, abs=1e-9)
+    # Force-controlled directions but no guard rows: the box's own margin
+    # has the unique optimum eta_af = 0, s = f_max, exactly and without an LP.
+    rng = np.random.default_rng(5)
+    n_afs = set()
+    for f_max in (0.5, 50.0):
+        for _ in range(20):
+            inst, guard, T, n_av = random_force_assembly(rng)
+            sol = solve_force(inst, guard, T, n_av, f_max=f_max)
+            n_afs.add(inst.n_a - n_av)
+            assert np.array_equal(sol.eta_af, np.zeros(inst.n_a - n_av))
+            assert sol.objective_margin == f_max
+            assert sol.effort_pass == ("unique" if sol.eta_af.size else "skipped")
+    assert n_afs == {0, 1, 2, 3}
 
 
 def _degenerate_margin_instance():
@@ -814,7 +847,7 @@ def test_svd_route_matches_kkt_reference():
     # eta_u = 0 on their own.
     for inst, guard, T, n_av, eta_af in _svd_route_cases():
         assembly = assemble_newton(inst, guard, T, n_av)
-        f_free = sla.factor(assembly[0], full_matrices=False)
+        f_free = sla.factor(assembly[0])
         closed_form = force_solver._kkt_condition(f_free)
         reference = np.linalg.cond(build_kkt(*assembly)[0])
         assert closed_form == pytest.approx(reference, rel=1e-9)
@@ -828,7 +861,7 @@ def test_svd_route_matches_kkt_reference():
 
 def test_kkt_condition_counts_columns_beyond_the_rank():
     # M = [1 0 0]: K has eigenvalues 1 +- sqrt(2) and 2 twice.
-    f_free = sla.factor(np.array([[1.0, 0.0, 0.0]]), full_matrices=False)
+    f_free = sla.factor(np.array([[1.0, 0.0, 0.0]]))
     expected = (1.0 + np.sqrt(2.0)) / (np.sqrt(2.0) - 1.0)
     assert force_solver._kkt_condition(f_free) == pytest.approx(expected, rel=1e-14)
     assert force_solver._kkt_condition(f_free) == pytest.approx(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
-from hybridservo.model import GuardConditions, make_instance, validate
+import numpy as np
+import pytest
+
+from hybridservo.model import GuardConditions, SystemInstance, make_instance, validate
 
 
 def _small_instance():
@@ -17,6 +20,22 @@ def test_make_instance_derives_counts():
     assert inst.n_u == 1
     assert inst.n_a == 2
     assert inst.n_phi == 1
+
+
+def test_instance_stores_n_u_and_derives_n_and_n_a_from_f():
+    assert [f.name for f in dataclasses.fields(SystemInstance)] == ["n_u", "N", "G", "b_G", "F"]
+    N, G = np.zeros((9, 9)), np.zeros((6, 9))
+    inst = SystemInstance(n_u=6, N=N, G=G, b_G=np.zeros(6), F=np.zeros(9))
+    assert (inst.n, inst.n_a) == (9, 3)
+    with pytest.raises(TypeError):
+        SystemInstance(n_u=6, n_a=4, N=inst.N, G=inst.G, b_G=inst.b_G, F=inst.F)
+
+
+@pytest.mark.parametrize("n_u", [-1, 4])
+def test_validate_keeps_n_u_within_the_velocity_count(n_u):
+    inst = dataclasses.replace(_small_instance(), n_u=n_u)
+    problems = validate(inst, GuardConditions.empty(1, 3))
+    assert problems == [f"n_u must lie in [0, 3], got {n_u}"]
 
 
 def test_validate_clean_instance():

@@ -34,7 +34,7 @@ def test_rank_rule_relative_tolerance():
 
 def test_factor_takes_no_tolerance():
     # The cutoff is RANK_TOL: a tolerance passed in its old place must not
-    # bind to full_matrices.
+    # bind to a keyword.
     with pytest.raises(TypeError):
         sla.factor(np.eye(2), 1e-8)
 
@@ -78,8 +78,6 @@ def _factor_cases():
 @pytest.mark.parametrize("M", _factor_cases(), ids=lambda M: "x".join(map(str, M.shape)))
 def test_factor_agrees_with_rank_and_null_space(M):
     full = sla.factor(M)
-    thin = sla.factor(M, full_matrices=False)
-    assert full.rank == thin.rank
     basis = full.null_space()
     assert basis.shape == (M.shape[1], M.shape[1] - full.rank)
     assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
@@ -90,7 +88,7 @@ def test_factor_min_norm_matches_pinv_per_column():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))  # rank 2
     B = A @ rng.standard_normal((5, 4))
-    X = sla.factor(A, full_matrices=False).min_norm(B)
+    X = sla.factor(A).min_norm(B)
     assert X.shape == (5, 4)
     assert np.allclose(X, np.linalg.pinv(A) @ B, atol=1e-10)
     assert np.allclose(sla.factor(A).min_norm(B[:, 1]), X[:, 1], atol=1e-12)

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridservo
+from force_lp_oracle import full_kkt_margin
 from hybridservo import block_tilting as tilting
-from hybridservo.errors import InfeasibleLP
+from hybridservo.errors import InfeasibleLP, SolverError
 from hybridservo.force_solver import solve_force
 from hybridservo.velocity_solver import solve_velocity
 from hybridservo.verifier import check_force_solution, check_velocity_solution
@@ -152,3 +153,50 @@ def test_only_synthesize_calls_both_stages():
     modules = sorted(Path(hybridservo.__file__).parent.glob("*.py"))
     both = [p.name for p in modules if {"solve_velocity", "solve_force"} <= callees(p)]
     assert both == ["__init__.py"]
+
+
+def _random_tilting_params(rng):
+    """A tilting task far from the default: edge 0.003-3 m, mu 0-2, n_min
+    0-3 N, gravity with lateral parts on object and hand, tilt rate +-0.3
+    rad/s and, in 30% of the draws, a random hand contact on the top face."""
+    edge = float(np.exp(rng.uniform(np.log(0.003), np.log(3.0))))
+    params = {
+        "edge_length": edge,
+        "mu_hand": float(rng.uniform(0.0, 2.0)),
+        "mu_table": float(rng.uniform(0.0, 2.0)),
+        "n_min": float(rng.uniform(0.0, 3.0)),
+        "gravity_object": rng.uniform(-5.0, 5.0, 3).tolist(),
+        "gravity_hand": rng.uniform(-2.0, 2.0, 3).tolist(),
+        "tilt_rate": float(rng.uniform(-0.3, 0.3)),
+        "num_steps": 8,
+    }
+    if rng.uniform() < 0.3:
+        params["hand_contact_obj"] = [*rng.uniform(-edge / 2, edge / 2, 2).tolist(), edge / 2]
+    return params
+
+
+def test_random_tilting_steps_solve_and_verify_or_raise_a_documented_error():
+    # Every step ends in a documented SolverError (exit 2, 3 or 4), or it
+    # passes both verifier checks with the margin of the full-KKT HiGHS
+    # reference to 1e-9 relative.
+    rng = np.random.default_rng(6)
+    outcomes = {}
+    for _ in range(100):
+        scenario = tilting.TiltingScenario(**_random_tilting_params(rng))
+        for state in tilting.rollout_states(scenario):
+            instance, guard = tilting.build_instance(state, scenario)
+            try:
+                step = hybridservo.synthesize(instance, guard)
+            except SolverError as exc:
+                assert exc.exit_code in (2, 3, 4)
+                kind = type(exc).__name__
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+                continue
+            vel, force = step.velocity, step.force
+            assert check_velocity_solution(instance, vel).passed
+            assert check_force_solution(instance, guard, vel.T, force).passed
+            want = full_kkt_margin(instance, guard, vel.T, vel.n_av)
+            assert abs(force.objective_margin - want) <= 1e-9 * max(1.0, abs(want))
+            outcomes["solved"] = outcomes.get("solved", 0) + 1
+    print(f"random tilting steps: {outcomes}")
+    assert outcomes["solved"] > 0

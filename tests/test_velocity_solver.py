@@ -16,7 +16,7 @@ from hybridservo.errors import (
     SingularTransform,
 )
 from hybridservo.model import make_instance
-from hybridservo.velocity_solver import candidate_basis, solve_velocity
+from hybridservo.velocity_solver import VelocitySolution, candidate_basis, solve_velocity
 from hybridservo.verifier import check_velocity_solution
 from pgd_oracle import (
     TIE_EPS,
@@ -262,8 +262,9 @@ def test_solve_velocity_hand_built_instance():
     # The only admissible unit command row is +/- e3.
     assert np.allclose(np.abs(sol.C), [[0.0, 0.0, 1.0]], atol=1e-9)
     assert sol.b_C[0] * sol.C[0, 2] == pytest.approx(0.3, abs=1e-9)
-    assert np.allclose(sol.R_a @ sol.R_a.T, np.eye(2), atol=1e-9)
-    assert np.allclose(sol.T[1:, 1:], sol.R_a)
+    R_a = sol.T[1:, 1:]
+    assert np.allclose(R_a @ R_a.T, np.eye(2), atol=1e-9)
+    assert np.array_equal(R_a[-1], sol.C[0, 1:])
     assert sla.factor(np.vstack([N, sol.C])).rank == 2
 
 
@@ -276,6 +277,13 @@ def test_solve_velocity_commands_pin_goal_on_random_instances():
         assert sla.factor(stacked).rank == sla.factor(np.vstack([inst.N, inst.G])).rank
         v = np.linalg.pinv(stacked) @ np.concatenate([np.zeros(inst.N.shape[0]), sol.b_C])
         assert np.allclose(inst.G @ v, inst.b_G, atol=1e-6)
+
+
+def test_velocity_solution_stores_no_derived_fields():
+    fields = [f.name for f in dataclasses.fields(VelocitySolution)]
+    assert fields == ["C", "b_C", "T", "cost"]
+    sol = solve_velocity(random_feasible_instance(np.random.default_rng(8)))
+    assert sol.n_av == sol.C.shape[0] >= 1
 
 
 def test_solve_velocity_zero_commands_needed():
@@ -310,7 +318,7 @@ def test_solve_velocity_is_deterministic():
     inst = random_feasible_instance(rng, n=6)
     a = solve_velocity(inst)
     b = solve_velocity(inst)
-    for field in ("C", "b_C", "T", "R_a"):
+    for field in ("C", "b_C", "T"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert a.cost == b.cost
     r_NC = sla.factor(np.vstack([inst.N, a.C])).rank

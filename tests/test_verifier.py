@@ -63,7 +63,7 @@ def test_velocity_check_fails_without_commands_the_goal_needs():
     inst = make_instance(1, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [0.3], np.zeros(3))
     vel = solve_velocity(inst)
     assert vel.n_av == 1 and check_velocity_solution(inst, vel).passed
-    none = replace(vel, C=np.zeros((0, 3)), b_C=np.zeros(0), n_av=0)
+    none = replace(vel, C=np.zeros((0, 3)), b_C=np.zeros(0))
     report = check_velocity_solution(inst, none)
     assert not report.passed
     assert (report.rank_ng, report.rank_nc) == (2, 1)

@@ -167,7 +167,7 @@ def build_instance(state: QuatState, scenario):
     N = J_phi @ omega_map(state, R_wo)
     G, b_G = goal_twist(state, scenario)
     F = np.concatenate([R_wo.T @ scenario.gravity_object, np.zeros(3), scenario.gravity_hand])
-    instance = SystemInstance(n_u=6, n_a=3, N=N, G=G, b_G=b_G, F=F)
+    instance = SystemInstance(n_u=6, N=N, G=G, b_G=b_G, F=F)
     return instance, tilting.guard_conditions(scenario, R_wo)
 
 
