@@ -92,6 +92,11 @@ DEFAULT_F_MAX = 50.0
 FEASIBILITY_TOL = 1e-9
 
 
+def _put_identity(a: np.ndarray, row: int, col: int, k: int, value: float = 1.0) -> None:
+    """Write value on the diagonal of a's k x k block at (row, col); a is C-contiguous."""
+    a.ravel()[row * a.shape[1] + col :: a.shape[1] + 1][:k] = value
+
+
 @dataclass
 class ForceSolution:
     eta_af: np.ndarray
@@ -113,16 +118,17 @@ def _check_transform(T: np.ndarray, n: int, n_u: int) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.shape != (n, n):
         raise ValueError(f"T must be {n} x {n}, got {T.shape}")
-    if not np.all(np.isfinite(T)):
+    if not np.isfinite(T).all():
         raise ValueError("T contains non-finite entries")
     R_a = T[n_u:, n_u:]
     gram = R_a @ R_a.T
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    error = float(np.abs(gram).max(initial=0.0))
+    gram.ravel()[:: n - n_u + 1] -= 1.0
+    np.abs(gram, out=gram)
+    error = float(gram.flat[gram.argmax()]) if gram.size else 0.0
     # The first n_u rows and columns hold exactly n_u nonzeros, all ones on
     # the diagonal.
     if (
-        (T.diagonal()[:n_u] != 1.0).any()
+        np.count_nonzero(T.diagonal()[:n_u] != 1.0)
         or np.count_nonzero(T[:n_u]) + np.count_nonzero(T[n_u:, :n_u]) != n_u
         or error > FRAME_TOL
     ):
@@ -143,8 +149,8 @@ def assemble_newton(
 
     Over [lambda; eta] the rows read [T N^T, I] and [Gamma_lambda,
     Gamma_f T^T].  eta_u = 0 drops its columns; the actuated columns
-    [eta_af; eta_av] are split by slicing, so M_free multiplies f_free =
-    [lambda; eta_av] and M_eta_f the command eta_af.  rhs is [-T F; b_Gamma].
+    [eta_af; eta_av] are split, so M_free multiplies f_free = [lambda;
+    eta_av] and M_eta_f the command eta_af.  rhs is [-T F; b_Gamma].
     """
     n, n_u = instance.n, instance.n_u
     n_phi = instance.n_phi
@@ -153,12 +159,15 @@ def assemble_newton(
         raise ValueError(f"n_av = {n_av} must lie in [0, n_a] = [0, {instance.n_a}]")
     T = _check_transform(T, n, n_u)
 
-    eta_rows = np.concatenate([np.eye(n)[:, n_u:], guard.Gamma[:, n_phi:] @ T[n_u:].T])
-    M_free = np.zeros((eta_rows.shape[0], n_phi + n_av))
-    M_free[:n, :n_phi] = T @ instance.N.T
-    M_free[n:, :n_phi] = guard.Gamma[:, :n_phi]
-    M_free[:, n_phi:] = eta_rows[:, n_af:]
-    return M_free, eta_rows[:, :n_af], np.concatenate([-T @ instance.F, guard.b_Gamma])
+    rows = n + guard.n_eq
+    M_free, M_eta_f, rhs = np.zeros((rows, n_phi + n_av)), np.zeros((rows, n_af)), np.empty(rows)
+    M_free[:n, :n_phi], rhs[:n] = T @ instance.N.T, -T @ instance.F
+    _put_identity(M_eta_f, n_u, 0, n_af)
+    _put_identity(M_free, n_u + n_af, n_phi, n_av)
+    eta_rows = guard.Gamma[:, n_phi:] @ T[n_u:].T
+    M_free[n:, :n_phi], M_free[n:, n_phi:] = guard.Gamma[:, :n_phi], eta_rows[:, n_af:]
+    M_eta_f[n:], rhs[n:] = eta_rows[:, :n_af], guard.b_Gamma
+    return M_free, M_eta_f, rhs
 
 
 def _kkt_condition(f_free: sla.Factorization) -> float:
@@ -196,12 +205,14 @@ def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
     """
     f_free = sla.factor(M_free)
     cond = _kkt_condition(f_free)
-    if not np.isfinite(cond) or cond >= sla.MAX_CONDITION:
+    if not math.isfinite(cond) or cond >= sla.MAX_CONDITION:
         raise SingularSystem(
             f"force balance is singular or ill-conditioned (KKT cond {cond:.3e})"
         )
+    B = np.empty((rhs.size, 1 + M_eta_f.shape[1]))
+    B[:, 0], B[:, 1:] = rhs, -M_eta_f
     try:
-        F = f_free.min_norm(np.column_stack([rhs, -M_eta_f]))
+        F = f_free.min_norm(B)
     except InconsistentSystem as exc:
         raise SingularSystem(
             f"equality rows are inconsistent or pin the force command ({exc})"
@@ -223,10 +234,11 @@ MAX_PIVOTS = 500
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Make variable col basic in row: one Gauss-Jordan step, in place."""
-    tab[row] /= tab[row, col]
+    pivot_row = tab[row]
+    pivot_row /= pivot_row[col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= factors[:, None] * tab[row]
+    tab -= factors[:, None] * pivot_row
     basis[row] = col
 
 
@@ -265,17 +277,18 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, pivots: int = 0) -> np.ndarray:
         column = tab[:-1, col]
         # The largest entry is the largest eligible one: every entry above
         # PIVOT_TOL is above every entry that is not.
-        top = column.max()
+        top = column[column.argmax()]
         if not top > PIVOT_TOL:
             raise SingularSystem("force LP failed: the objective is unbounded")
         ratios.fill(np.inf)
         np.divide(rhs, column, out=ratios, where=column > PIVOT_TOL)
-        step = ratios.min()
+        step = ratios[ratios.argmin()]
         # Rows whose ratios differ by round-off are ties: taking any of them
         # leaves the others at most TIE_TOL below zero, and the clip below
-        # puts them back on zero.
-        ties = (ratios - step) * top <= TIE_TOL
-        _pivot(tab, basis, np.where(ties, basis, cost.size).argmin(), col)
+        # puts them back on zero.  In place, the ratios become (ratio - step) * top.
+        ratios -= step
+        ratios *= top
+        _pivot(tab, basis, np.where(ratios <= TIE_TOL, basis, cost.size).argmin(), col)
         np.maximum(rhs, 0.0, out=rhs)
         bland = bland or step * top <= TIE_TOL
         pivots += 1
@@ -302,17 +315,16 @@ def _max_margin(G, h, f_max):
     corner = h + f_max * G.sum(axis=1)
     r = int(corner.argmin())
     s0 = float(corner[r])
-    b = np.concatenate([corner - s0, np.full(n_af, 2.0 * f_max)])
     tab = np.zeros((m + 1, n_af + m + 2))
-    tab[:n_rows, :n_af] = G - G[r]
-    tab[n_rows:m, :n_af] = np.eye(n_af)
-    tab[:m, n_af + 1 : -1] = np.eye(m)
+    tab[:n_rows, -1], tab[n_rows:m, -1] = corner - s0, 2.0 * f_max
+    b = tab[:m, -1].copy()
+    np.subtract(G, G[r], out=tab[:n_rows, :n_af])
+    _put_identity(tab, n_rows, 0, n_af)
+    _put_identity(tab, 0, n_af + 1, m)
     tab[:n_rows, n_af + 1 + r] = -1.0
-    tab[:m, -1] = b
     # Row r and the cost row; + 0.0 turns -0.0 into 0.0, as the pivot does.
-    tab[[r, m], :n_af] = G[r] + 0.0
-    tab[[r, m], n_af + 1 + r] = 1.0
-    tab[r, n_af] = 1.0
+    tab[r, :n_af] = tab[m, :n_af] = G[r] + 0.0
+    tab[r, n_af + 1 + r] = tab[m, n_af + 1 + r] = tab[r, n_af] = 1.0
     basis = np.arange(n_af + 1, n_af + 1 + m)
     basis[r] = n_af
     z = _simplex(tab, basis, 1)
@@ -322,8 +334,9 @@ def _max_margin(G, h, f_max):
     res = b - z[n_af + 1 :]
     res[:n_rows] -= G @ y + t
     res[n_rows:] -= y
-    tab[:-1, -1] = np.maximum(tab[:-1, -1] + tab[:-1, n_af + 1 : -1] @ res, 0.0)
-    z[basis] = tab[:-1, -1]
+    rhs = tab[:-1, -1]
+    np.maximum(rhs + tab[:-1, n_af + 1 : -1] @ res, 0.0, out=rhs)
+    z[basis] = rhs
     return z[:n_af] - f_max, s0 + float(z[n_af]), tab, basis
 
 
@@ -338,7 +351,7 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
     side, and the simplex minimizes sum e.  Returns (command, effort_pass):
     x_star with "unique" or "fell_back", or the new command with "refined".
     """
-    face = np.flatnonzero(tab[-1, :-1] <= OPT_TOL)
+    face = (tab[-1, :-1] <= OPT_TOL).nonzero()[0]
     m, k = basis.size, face.size
     if k == m:
         return x_star, "unique"
@@ -354,10 +367,14 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
     face_tab = np.zeros((rows + 1, k + 3 * n_act + 1))
     face_tab[:m, :k], face_tab[:m, -1] = tab[:-1, face], tab[:-1, -1]
     face_tab[m:rows, :k], face_tab[m:rows, -1] = E[:, face], E[:, -1]
-    face_tab[m:rows, k : k + n_act] = np.tile(-np.eye(n_act), (2, 1))
-    face_tab[m:rows, k + n_act : -1] = np.eye(2 * n_act)
+    # [-I; -I] under e (negative zeros, as in -I) and I under the effort rows' slacks.
+    face_tab[m:rows, k : k + n_act] = -0.0
+    _put_identity(face_tab, m, k, n_act, -1.0)
+    _put_identity(face_tab, m + n_act, k, n_act, -1.0)
+    _put_identity(face_tab, m, k + n_act, 2 * n_act)
     face_tab[-1, k : k + n_act] = 1.0
-    face_basis = np.concatenate([np.searchsorted(face, basis), np.arange(k + n_act, k + 3 * n_act)])
+    face_basis = np.arange(k + n_act - m, k + 3 * n_act)
+    face_basis[:m] = face.searchsorted(basis)
     for j in range(n_act):
         row = m + j if face_tab[m + j, -1] < 0.0 else m + n_act + j
         _pivot(face_tab, face_basis, row, k + j)
@@ -366,7 +383,7 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
     except SingularSystem:
         return x_star, "fell_back"
     y = np.zeros(n_af)
-    on_face = np.searchsorted(face, n_af)
+    on_face = face.searchsorted(n_af)
     y[face[:on_face]] = z[:on_face]
     return y - f_max, "refined"
 
@@ -388,14 +405,16 @@ def solve_force(
     check_f_max(f_max)
     T = np.asarray(T, dtype=float)
     M_free, M_eta_f, rhs = assemble_newton(instance, guard, T, n_av)
-    n_phi, n_u, n_af = instance.n_phi, instance.n_u, M_eta_f.shape[1]
+    n, n_phi, n_u, n_af = instance.n, instance.n_phi, instance.n_u, M_eta_f.shape[1]
     f0, W = _free_force_map(M_free, M_eta_f, rhs)
-    # eta = [eta_u; eta_af; eta_av] with eta_u = 0; eta_av comes from f_free.
-    eta0 = np.concatenate([np.zeros(n_u + n_af), f0[n_phi:]])
-    eta_map = np.concatenate([np.zeros((n_u, n_af)), np.eye(n_af), W[n_phi:]])
+    # eta = [eta_u; eta_af; eta_av] = eta0 + eta_map @ eta_af, eta_u = 0, eta_av from f_free.
+    eta0, eta_map = np.zeros(n), np.zeros((n, n_af))
+    eta0[n_u + n_af :], eta_map[n_u + n_af :] = f0[n_phi:], W[n_phi:]
+    _put_identity(eta_map, n_u, 0, n_af)
     # The stacked force [lambda; f], f = T^T eta, is x0 + X @ eta_af.
-    x0 = np.concatenate([f0[:n_phi], T.T @ eta0])
-    X = np.concatenate([W[:n_phi], T.T @ eta_map])
+    x0, X = np.empty(n_phi + n), np.empty((n_phi + n, n_af))
+    x0[:n_phi], x0[n_phi:] = f0[:n_phi], T.T @ eta0
+    X[:n_phi], X[n_phi:] = W[:n_phi], T.T @ eta_map
     G = guard.Lambda @ X
     h = guard.b_Lambda - guard.Lambda @ x0
     # The margin LP starts from h + f_max G 1 (see _max_margin); past the
@@ -413,7 +432,7 @@ def solve_force(
         if n_af:
             eta_af, s, tab, basis = _max_margin(G, h, f_max)
         else:
-            s = float(h.min())
+            s = float(h[h.argmin()])
         if s < -FEASIBILITY_TOL:
             raise InfeasibleLP(f"best achievable guard margin is {s:.6e}", margin=s)
         if n_af:

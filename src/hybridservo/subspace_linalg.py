@@ -12,7 +12,7 @@ takes its own SVD on np.linalg and ranks at the same RANK_TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +44,11 @@ def _rank(s: np.ndarray, scale: float | None) -> int:
     return int(np.count_nonzero(s > RANK_TOL * (s[0] if scale is None else scale)))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """SVD M = u @ diag(s) @ vh of a source matrix and its numerical rank.
 
     One factorization serves the rank, the null space and the minimum-norm
-    map V S^-1 U^T over the kept singular values.
+    map V S^-1 U^T over the kept singular values.  It is immutable.
     """
 
     matrix: np.ndarray
@@ -78,7 +77,7 @@ class Factorization:
         residual = np.sqrt((R * R).sum(axis=0))
         limit = RESIDUAL_TOL * (1.0 + np.sqrt((B * B).sum(axis=0)))
         # A residual of inf passes "<= limit" when the limit overflows too.
-        if not (np.isfinite(residual).all() and np.all(residual <= limit)):
+        if not (np.isfinite(residual).all() and (residual <= limit).all()):
             raise InconsistentSystem(
                 f"system has no solution: residual {np.max(residual):.3e} exceeds tolerance"
             )

@@ -206,6 +206,8 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]
-    T = np.eye(n)
-    T[n_u:, n_u:] = np.concatenate([sla.factor(R_C).null_space().T, R_C])
+    T = np.zeros((n, n))
+    T.ravel()[: n_u * (n + 1) : n + 1] = 1.0
+    T[n_u : n - n_av, n_u:] = sla.factor(R_C).null_space().T
+    T[n - n_av :, n_u:] = R_C
     return VelocitySolution(C=C, b_C=b_C, T=T, cost=direction_cost(k, A))

@@ -358,6 +358,30 @@ def test_a_default_step_takes_five_svds(monkeypatch):
     assert calls == {"velocity": 4, "force": 1}
 
 
+@pytest.mark.parametrize("step", [1, 4, 15])
+def test_a_default_step_builds_no_scaffolding_arrays(monkeypatch, step):
+    # The force stage allocates each array at its final shape and fills it in
+    # place: no identity to slice or tile, and nothing to stack.  The
+    # velocity stage's two identities are the empty candidate-basis input's
+    # SVD factors; the build's one concatenate stacks the generalized force F.
+    sc = TiltingScenario()
+    st = rollout_states(sc)[step - 1]
+    calls, stage = Counter(), "build"
+    for name in ("eye", "tile", "column_stack", "concatenate"):
+
+        def counted(*args, _make=getattr(np, name), _name=name, **kwargs):
+            calls[stage, _name] += 1
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    instance, guard = build_instance(st, sc)
+    stage = "velocity"
+    vel = solve_velocity(instance)
+    stage = "force"
+    solve_force(instance, guard, vel.T, vel.n_av)
+    assert calls == {("build", "concatenate"): 1, ("velocity", "eye"): 2}
+
+
 def test_scenario_is_immutable_and_replace_rebuilds_its_blocks():
     sc = TiltingScenario()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -534,6 +534,40 @@ def test_simplex_switches_to_blands_rule_at_the_first_degenerate_pivot(monkeypat
     assert np.allclose(z[:5], [1.0, 0.0, 1.0, 0.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "gap, want_basis, want_rhs",
+    [
+        # (ratio_1 - step) * top = 2^-40 = 9.1e-13 <= TIE_TOL: all three rows
+        # tie, and z_1, the lowest basic variable, leaves from row 1.  Rows 0
+        # and 2 come out at -2^-41 and -2^-42; the clip puts both on 0.
+        (2.0**-42, [3, 0, 2], [0.0, 1.0 + 2.0**-42, 0.0]),
+        # 2^-39 = 1.8e-12 > TIE_TOL: row 1 drops out of the tie, so z_2
+        # leaves from row 2, though row 0 has the same ratio.
+        (2.0**-41, [3, 1, 0], [0.0, 2.0**-39, 1.0]),
+    ],
+)
+def test_simplex_ratio_test_tie_rule(gap, want_basis, want_rhs):
+    # z_0 enters (cost -1) on a tableau in canonical form for the basis
+    # [z_3, z_1, z_2].  Its column is [2, 4, 1], so top = 4, and the ratios
+    # are [1, 1 + gap, 1]; every number here is exact in binary.
+    tab = np.array(
+        [
+            [2.0, 0.0, 0.0, 1.0, 2.0],
+            [4.0, 1.0, 0.0, 0.0, 4.0 * (1.0 + gap)],
+            [1.0, 0.0, 1.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    basis = np.array([3, 1, 2])
+    z = force_solver._simplex(tab, basis)
+    assert basis.tolist() == want_basis
+    assert tab[:-1, -1].tolist() == want_rhs
+    want_z = np.zeros(4)
+    want_z[want_basis] = want_rhs
+    assert z.tolist() == want_z.tolist()
+    assert np.all(tab[-1, :-1] >= 0.0)
+
+
 def test_simplex_iteration_cap_raises_singular_system(monkeypatch):
     monkeypatch.setattr(force_solver, "MAX_PIVOTS", 0)
     inst, guard = _degenerate_margin_instance()
