@@ -41,10 +41,11 @@ f_max itself must be finite and > 0 (check_f_max).
 
 The margin optimum can be degenerate (several commands achieve the same
 worst margin), so phase 2 picks, among the margin-maximal commands, the one
-of least actuator effort sum e, -e <= f_act(eta_af) <= e for the actuated
-force in the original coordinates: the exact lexicographic optimum
-(Isermann, Linear lexicographic optimization, OR Spektrum 4, 1982), which
-is deterministic and free of gratuitous force components.  effort_pass
+of least actuator effort sum |f_act(eta_af)| for the actuated force in the
+original coordinates, written as sum(p + q) with f_act = p - q, p, q >= 0:
+the exact lexicographic optimum (Isermann, Linear lexicographic
+optimization, OR Spektrum 4, 1982), which is deterministic and free of
+gratuitous force components.  effort_pass
 records whether phase 2 was skipped (n_af = 0), found the optimum unique
 (no LP), refined the command, or fell back to the phase-1 vertex.
 
@@ -58,11 +59,12 @@ improve the objective and Bland's rule cannot cycle, so degenerate vertices
 cannot cycle either, and every run takes the same pivots.  Neither phase
 needs artificial variables: phase 1 is shifted so that the slack basis is
 feasible, and its first pivot, the same degenerate one on every LP, is
-written down in closed form; phase 2 appends its effort rows to phase 1's
-final tableau and makes them feasible with one pivot per actuated
-coordinate.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
-pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
-phase 2.
+written down in closed form; phase 2 appends one effort row per actuated
+coordinate to phase 1's final tableau, signed so that p_j or q_j is basic
+and feasible, and zeroes the columns off the margin-optimal face, so it
+starts without a pivot.  An LP that fails (unbounded, or no optimum within
+MAX_PIVOTS pivots) raises SingularSystem in phase 1 and keeps the phase-1
+vertex in phase 2.
 """
 
 from __future__ import annotations
@@ -341,51 +343,47 @@ def _max_margin(G, h, f_max):
 
 
 def _least_effort(tab, basis, a0, A1, x_star, f_max):
-    """Phase 2: min sum e s.t. -e <= a0 + A1 eta_af <= e on the margin-optimal face.
+    """Phase 2: min sum(p + q) s.t. a0 + A1 eta_af = p - q on the margin-optimal face.
 
-    Every margin-optimal point has the nonbasic columns of positive phase-1
-    reduced cost at zero, so dropping them holds the margin exactly.  If no
-    nonbasic column is left, x_star is the only margin-optimal command.
-    Otherwise the effort rows are appended in canonical form for the basis,
-    e_j is pivoted into whichever of its rows has a negative right-hand
-    side, and the simplex minimizes sum e.  Returns (command, effort_pass):
-    x_star with "unique" or "fell_back", or the new command with "refined".
+    With p, q >= 0 the optimal sum(p + q) is the l1 effort |a0 + A1 eta_af|_1
+    (Bertsimas & Tsitsiklis 1997, 1.3).  Every margin-optimal point has the
+    nonbasic columns of positive phase-1 reduced cost at zero, so zeroing
+    those columns holds the margin exactly; if every nonbasic column is one
+    of them, x_star is the only margin-optimal command.  Otherwise the rows
+    A1 y - p + q = f_max A1 1 - a0 (eta_af = y - f_max) are appended in
+    canonical form for the phase-1 basis and negated where their right-hand
+    side is <= 0, so p_j (where a0_j + A1_j x_star >= 0) or q_j starts basic
+    at |a0_j + A1_j x_star|: a feasible start.  Returns (command,
+    effort_pass): x_star with "unique" or "fell_back", or the new command
+    with "refined".
     """
-    face = (tab[-1, :-1] <= OPT_TOL).nonzero()[0]
-    m, k = basis.size, face.size
-    if k == m:
+    off_face = (tab[-1, :-1] > OPT_TOL).nonzero()[0]
+    m, n_cols = basis.size, tab.shape[1] - 1
+    if m + off_face.size == n_cols:
         return x_star, "unique"
     n_act, n_af = A1.shape
-    # +-(a0 + A1 eta_af) - e <= 0 over the phase-1 columns with eta_af =
-    # y - f_max, minus the multiples of the tableau rows that clear the basis.
-    a = a0 - f_max * A1.sum(axis=1)
-    E = np.zeros((2 * n_act, tab.shape[1]))
-    E[:n_act, :n_af], E[:n_act, -1] = A1, -a
-    E[n_act:, :n_af], E[n_act:, -1] = -A1, a
-    E -= E[:, basis] @ tab[:-1]
-    rows = m + 2 * n_act
-    face_tab = np.zeros((rows + 1, k + 3 * n_act + 1))
-    face_tab[:m, :k], face_tab[:m, -1] = tab[:-1, face], tab[:-1, -1]
-    face_tab[m:rows, :k], face_tab[m:rows, -1] = E[:, face], E[:, -1]
-    # [-I; -I] under e (negative zeros, as in -I) and I under the effort rows' slacks.
-    face_tab[m:rows, k : k + n_act] = -0.0
-    _put_identity(face_tab, m, k, n_act, -1.0)
-    _put_identity(face_tab, m + n_act, k, n_act, -1.0)
-    _put_identity(face_tab, m, k + n_act, 2 * n_act)
-    face_tab[-1, k : k + n_act] = 1.0
-    face_basis = np.arange(k + n_act - m, k + 3 * n_act)
-    face_basis[:m] = face.searchsorted(basis)
-    for j in range(n_act):
-        row = m + j if face_tab[m + j, -1] < 0.0 else m + n_act + j
-        _pivot(face_tab, face_basis, row, k + j)
+    rows = m + n_act
+    eff = np.zeros((rows + 1, n_cols + 2 * n_act + 1))
+    eff[:m, :n_cols], eff[:m, -1] = tab[:-1, :-1], tab[:-1, -1]
+    E = eff[m:rows]
+    E[:, :n_af], E[:, -1] = A1, f_max * A1.sum(axis=1) - a0
+    _put_identity(eff, m, n_cols, n_act, -1.0)
+    _put_identity(eff, m, n_cols + n_act, n_act)
+    E -= E[:, basis] @ eff[:m]
+    flip = E[:, -1] <= 0.0
+    E[flip] *= -1.0
+    eff[-1, n_cols:-1] = 1.0
+    eff[-1] -= E.sum(axis=0)
+    eff[:, off_face] = 0.0
+    # The phase-1 basis, then p_j where the row was negated and q_j elsewhere.
+    face_basis = np.arange(n_cols - m, n_cols + n_act)
+    face_basis[:m] = basis
+    face_basis[m:][~flip] += n_act
     try:
-        z = _simplex(face_tab, face_basis)
+        z = _simplex(eff, face_basis)
     except SingularSystem:
         return x_star, "fell_back"
-    y = np.zeros(n_af)
-    on_face = face.searchsorted(n_af)
-    y[face[:on_face]] = z[:on_face]
-    return y - f_max, "refined"
+    return z[:n_af] - f_max, "refined"
 
 
 def check_f_max(f_max: float) -> None:

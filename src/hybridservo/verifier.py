@@ -60,8 +60,8 @@ class VelocityCheck:
     rank_nc: int
     rank_ng: int
     null_goal_residual: float
-    cross_residual_goal: float
-    cross_residual_command: float
+    cross_residual_goal: float | None  # None when the command system is inconsistent
+    cross_residual_command: float | None  # None when the goal system is inconsistent
     command_variation: float
     notes: list[str] = field(default_factory=list)
 
@@ -75,7 +75,7 @@ class ForceCheck:
     newton_residual: float
     unactuated_residual: float
     gamma_residual: float
-    min_guard_margin: float
+    min_guard_margin: float | None  # None without guard rows
     guard_margins: np.ndarray
     notes: list[str] = field(default_factory=list)
 
@@ -101,7 +101,7 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
 
     # Every velocity that satisfies constraints plus command must move the goal.
     null_goal_residual = float(np.max(np.abs(G @ cmd.null_space), initial=0.0))
-    cross_goal = cross_cmd = np.inf
+    cross_goal = cross_cmd = None
     if cmd.v is None:
         notes.append("command system inconsistent")
     else:
@@ -114,7 +114,7 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
     variation = float(np.max(np.abs(C @ goal.null_space), initial=0.0))
 
     residuals = (null_goal_residual, cross_goal, cross_cmd, variation)
-    ok = cmd.rank == goal.rank and all(r <= VELOCITY_TOL for r in residuals)
+    ok = cmd.rank == goal.rank and all(r is not None and r <= VELOCITY_TOL for r in residuals)
     return VelocityCheck(
         passed=bool(ok),
         rank_nc=cmd.rank,
@@ -153,13 +153,27 @@ def _force_equalities(instance: SystemInstance, guard: GuardConditions, T: np.nd
     return stacked[:, free], stacked[:, af], rhs
 
 
+def _matches(reported: np.ndarray, recomputed: np.ndarray) -> bool:
+    """Same shape, and every entry within 1e-9 max(1, |recomputed|)."""
+    reported = np.asarray(reported, dtype=float)
+    return reported.shape == recomputed.shape and bool(
+        (abs(reported - recomputed) <= 1e-9 * np.maximum(1.0, abs(recomputed))).all()
+    )
+
+
 def check_force_solution(
     instance: SystemInstance,
     guard: GuardConditions,
     T: np.ndarray,
     solution: ForceSolution,
 ) -> ForceCheck:
-    """Recompute force balance residuals and guard margins from raw data."""
+    """Recompute force balance residuals and guard margins from raw data.
+
+    The check also fails when a number the solution reports disagrees with
+    its recomputation: objective_margin with the smallest guard margin (when
+    guard rows exist), guard_margins with the margins, and eta_af with eta's
+    force-controlled block.
+    """
     T = np.asarray(T, dtype=float)
     lam, eta = solution.lam, solution.eta
     newton = T @ instance.N.T @ lam + eta + T @ instance.F
@@ -174,12 +188,21 @@ def check_force_solution(
         else 0.0
     )
     margins = guard.b_Lambda - guard.Lambda @ stacked_force
-    min_margin = float(np.min(margins)) if margins.size else np.inf
+    min_margin = float(np.min(margins)) if margins.size else None
+    n_u, n_af = instance.n_u, solution.eta_af.size
+    reported = {
+        "objective_margin": min_margin is None
+        or abs(solution.objective_margin - min_margin) <= 1e-9 * max(1.0, abs(min_margin)),
+        "guard_margins": _matches(solution.guard_margins, margins),
+        "eta_af": _matches(solution.eta_af, eta[n_u : n_u + n_af]),
+    }
+    notes = [f"reported {name} disagrees with its recomputation" for name, ok in reported.items() if not ok]
     ok = (
         newton_residual <= 1e-6 * scale
         and unactuated_residual <= 1e-8
         and gamma_residual <= 1e-6
-        and (not margins.size or min_margin >= -1e-8)
+        and (min_margin is None or min_margin >= -1e-8)
+        and not notes
     )
     return ForceCheck(
         passed=bool(ok),
@@ -188,4 +211,5 @@ def check_force_solution(
         gamma_residual=gamma_residual,
         min_guard_margin=min_margin,
         guard_margins=margins,
+        notes=notes,
     )

@@ -105,6 +105,22 @@ def test_raw_instance_roundtrip(tmp_path):
     assert step["verification"]["passed"] is True
 
 
+def test_verify_json_without_guard_rows_is_strict_json(tmp_path):
+    # README's raw example without its guard rows has no guard margin, so
+    # min_guard_margin is null, not the non-JSON constant Infinity.
+    params = {k: v for k, v in _supported_object_params().items() if k not in ("Lambda", "b_Lambda")}
+    scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(params))
+    out = tmp_path / "out.json"
+    assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["steps"][0]["verification"]["force"]["min_guard_margin"] is None
+    assert doc["all_verified"] is True
+
+
 def test_raw_instance_with_n_factored_as_j_phi_and_omega(tmp_path, capsys):
     # README's raw example with N given in factored form.
     factored = _factored_params()

@@ -490,6 +490,54 @@ def test_least_effort_pass_holds_the_margin_on_a_degenerate_face():
     assert refined == 7
 
 
+def test_least_effort_starts_feasible_without_a_pivot(monkeypatch):
+    # Phase 2 appends one row A1_j y - p_j + q_j = f_max A1_j 1 - a0_j per
+    # actuated coordinate and negates it where a0_j + A1_j x* >= 0, so p_j
+    # there and q_j elsewhere starts basic at |a0_j + A1_j x*|: the simplex
+    # gets a feasible tableau, and no pivot comes before it.
+    pivot, simplex, least_effort = force_solver._pivot, force_solver._simplex, force_solver._least_effort
+    events, values = [], []
+
+    def recorded_pivot(*args):
+        events.append(("pivot",))
+        return pivot(*args)
+
+    def recorded_simplex(tab, basis, *rest):
+        events.append(("simplex", tab.copy(), basis.copy()))
+        return simplex(tab, basis, *rest)
+
+    def checked_least_effort(tab, basis, a0, A1, x_star, f_max):
+        events.clear()
+        command, effort_pass = least_effort(tab, basis, a0, A1, x_star, f_max)
+        if effort_pass == "unique":
+            return command, effort_pass
+        assert effort_pass == "refined"
+        assert events[0][0] == "simplex"
+        _, start, start_basis = events[0]
+        (m,), n_cols, n_act = basis.shape, tab.shape[1] - 1, A1.shape[0]
+        assert start.shape[0] == m + n_act + 1
+        assert np.all(start[:-1, -1] >= 0.0)
+        v = a0 + A1 @ x_star
+        assert np.array_equal(start_basis[m:], n_cols + np.arange(n_act) + n_act * (v < 0.0))
+        values.append(v)
+        return command, effort_pass
+
+    monkeypatch.setattr(force_solver, "_pivot", recorded_pivot)
+    monkeypatch.setattr(force_solver, "_simplex", recorded_simplex)
+    monkeypatch.setattr(force_solver, "_least_effort", checked_least_effort)
+    inst, guard = _degenerate_margin_instance()
+    for case in [(inst, guard, np.eye(2), 0), *_default_plan_cases()]:
+        solve_force(*case)
+    assert len(values) == 7
+    # The degenerate instance's margin LP by hand, with a0 chosen so that its
+    # vertex x* = [-50, -50] leaves one actuated force exactly 0.
+    G, h = np.array([[-1.0, 10.0], [1.0, 10.0], [0.0, 1.0]]), np.array([0.0, 0.0, -1.0])
+    x_star, _, tab, basis = force_solver._max_margin(G, h, 50.0)
+    A1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    checked_least_effort(tab, basis, np.array([50.0, 0.0, 0.0]), A1, x_star, 50.0)
+    assert np.array_equal(values[-1], [0.0, -50.0, 50.0])
+
+
 def test_simplex_terminates_on_beales_cycling_example():
     # Beale (1955), Bertsimas & Tsitsiklis Example 3.6: with the largest
     # reduced cost entering, the pivots cycle through degenerate bases at
@@ -843,10 +891,10 @@ def test_max_margin_first_pivot_in_closed_form(monkeypatch):
         assert pivots == 1
 
 
-def test_default_plan_takes_at_most_88_pivots(monkeypatch):
-    # Counted over the 15 default steps, both phases and the effort rows'
-    # crash pivots, with each margin LP's closed-form first pivot as one.
-    # Bland's rule alone took 111.
+def test_default_plan_takes_at_most_70_pivots(monkeypatch):
+    # Counted over the 15 default steps and both phases, with each margin
+    # LP's closed-form first pivot as one.  Phase 2 starts feasible, so it
+    # takes only simplex pivots.
     pivot, max_margin, count = force_solver._pivot, force_solver._max_margin, [0]
 
     def counted_pivot(*args):
@@ -861,7 +909,7 @@ def test_default_plan_takes_at_most_88_pivots(monkeypatch):
     monkeypatch.setattr(force_solver, "_max_margin", counted_max_margin)
     for case in _default_plan_cases():
         solve_force(*case)
-    assert count[0] <= 88
+    assert count[0] <= 70
 
 
 def _svd_route_cases():

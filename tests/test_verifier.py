@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,19 @@ def test_velocity_check_fails_without_commands_the_goal_needs():
     report = check_velocity_solution(inst, none)
     assert not report.passed
     assert (report.rank_ng, report.rank_nc) == (2, 1)
+
+
+def test_velocity_check_reports_no_residual_for_an_inconsistent_system():
+    # A command row that repeats a constraint row with another value has no
+    # solution: its cross residual is None (JSON null), not inf.
+    inst, _, vel, _ = _solved_tilting_step()
+    C, b_C = vel.C.copy(), vel.b_C.copy()
+    C[0], b_C[0] = inst.N[0], 1.0
+    report = check_velocity_solution(inst, replace(vel, C=C, b_C=b_C))
+    assert not report.passed
+    assert report.cross_residual_goal is None
+    assert report.notes == ["command system inconsistent"]
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 def test_velocity_check_fails_on_wrong_magnitude():
@@ -149,6 +163,25 @@ def test_force_check_fails_on_unactuated_force():
     report = check_force_solution(inst, guard, vel.T, replace(force, eta=eta))
     assert not report.passed
     assert report.unactuated_residual > 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("objective_margin", lambda f: replace(f, objective_margin=f.objective_margin + 5.0)),
+        ("guard_margins", lambda f: replace(f, guard_margins=np.zeros_like(f.guard_margins))),
+        ("eta_af", lambda f: replace(f, eta_af=np.zeros_like(f.eta_af))),
+    ],
+    ids=["objective_margin", "guard_margins", "eta_af"],
+)
+def test_force_check_fails_on_a_reported_number_that_disagrees(name, corrupt):
+    # Default step 4: lam and eta still hold the solved command, so balance
+    # and margins pass; only the reported number is wrong.
+    inst, guard, vel, force = _solved_tilting_step(step=3)
+    assert check_force_solution(inst, guard, vel.T, force).passed
+    report = check_force_solution(inst, guard, vel.T, corrupt(force))
+    assert not report.passed
+    assert report.notes == [f"reported {name} disagrees with its recomputation"]
 
 
 def test_step_verification_aggregates_both_checks(monkeypatch):
