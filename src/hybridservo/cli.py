@@ -180,7 +180,7 @@ def _solve_step(instance, guard, f_max: float, verify: bool):
     """The step's JSON record and its CSV timings."""
     step = synthesize(instance, guard, f_max=f_max)
     vel, force = step.velocity, step.force
-    force_check = check_force_solution(instance, guard, vel.T, force)
+    force_check = check_force_solution(instance, guard, vel.T, force, f_max=f_max)
     record = {
         "n_av": int(vel.n_av),
         "n_af": int(instance.n_a - vel.n_av),

@@ -76,15 +76,21 @@ def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int) -> np.ndarray:
     commands are needed; that takes round-off, because in exact arithmetic
     there are at least r_NG + n_a - n >= n_av of them once r_N + n_a >= n.
     """
-    # Actuated part only, sigma_a^T c_a = 0; sigma_a's singular values are cosines (<= 1).
-    basis_a = sla.factor(null_ng[n_u:, :].T, scale=1.0).null_space()
-    n_c = basis_a.shape[1]
+    n, basis_a = null_ng.shape[0], None
+    n_c = n - n_u
+    if null_ng.shape[1]:
+        # Actuated part only, sigma_a^T c_a = 0; sigma_a's singular values are cosines (<= 1).
+        basis_a = sla.factor(null_ng[n_u:, :].T, scale=1.0).null_space()
+        n_c = basis_a.shape[1]
     if n_c < n_av:
         raise EmptyBasis(
             f"candidate space has {n_c} directions but {n_av} velocity commands are needed"
         )
-    B_c = np.zeros((null_ng.shape[0], n_c))
-    B_c[n_u:, :] = basis_a
+    B_c = np.zeros((n, n_c))
+    if basis_a is None:  # nothing to annihilate: the actuated unit vectors
+        B_c.ravel()[n_u * n_c :: n_c + 1] = 1.0
+    else:
+        B_c[n_u:, :] = basis_a
     return B_c
 
 

@@ -5,7 +5,11 @@ data with its own few lines of linear algebra on np.linalg, so no check
 shares code with the solver path it checks.  The velocity check scales
 every row of [N; G] and of [N; C] to unit norm and takes one full SVD of
 each stack for its rank, null space and minimum-norm solution.  It ranks
-at the solver's fixed RANK_TOL, by its own rule on the unit rows.
+at the solver's fixed RANK_TOL, by its own rule on the unit rows.  Norms
+and maxima take the reductions numpy's wrappers run, without the wrappers:
+a row norm is sqrt((M * M).sum(axis=1)) and a vector norm sqrt(r . r), as
+in np.linalg.norm, so each check costs its factorizations plus a few
+products and reports the same bits.
 _force_equalities rebuilds the force-balance equalities on their own, in
 the full layout [lambda; eta_u; eta_av], for the test oracles that resolve
 the free forces by pseudoinverse projection rather than the solver's
@@ -14,12 +18,13 @@ single-SVD map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .force_solver import ForceSolution
+from .force_solver import DEFAULT_F_MAX, ForceSolution
 from .model import GuardConditions, SystemInstance
 from .subspace_linalg import RANK_TOL, RESIDUAL_TOL
 from .velocity_solver import VelocitySolution
@@ -35,6 +40,11 @@ class _UnitRowSVD(NamedTuple):
     v: np.ndarray | None  # minimum-norm solution, None when inconsistent
 
 
+def _norm(r: np.ndarray) -> float:
+    """||r|| for a vector, by the reduction np.linalg.norm runs, without its wrapper."""
+    return math.sqrt(r.dot(r))
+
+
 def _unit_row_svd(M: np.ndarray, b: np.ndarray) -> _UnitRowSVD:
     """Rank, null space and minimum-norm solution of M v = b from one full SVD.
 
@@ -43,13 +53,13 @@ def _unit_row_svd(M: np.ndarray, b: np.ndarray) -> _UnitRowSVD:
     singular values above RANK_TOL times the largest; v is None when
     its residual exceeds RESIDUAL_TOL * (1 + ||b||) on the unit rows.
     """
-    norms = np.linalg.norm(M, axis=1)
+    norms = np.sqrt((M * M).sum(axis=1))
     norms[norms == 0.0] = 1.0
     M, b = M / norms[:, None], b / norms
     u, s, vh = np.linalg.svd(M)
     rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
     v = vh[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    if np.linalg.norm(M @ v - b) > RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
+    if _norm(M @ v - b) > RESIDUAL_TOL * (1.0 + _norm(b)):
         v = None
     return _UnitRowSVD(M, b, rank, vh[rank:].T, v)
 
@@ -93,25 +103,25 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
     """
     n_phi = instance.N.shape[0]
     zeros = np.zeros(n_phi)
-    goal = _unit_row_svd(np.vstack([instance.N, instance.G]), np.concatenate([zeros, instance.b_G]))
-    cmd = _unit_row_svd(np.vstack([instance.N, solution.C]), np.concatenate([zeros, solution.b_C]))
+    goal = _unit_row_svd(np.concatenate([instance.N, instance.G]), np.concatenate([zeros, instance.b_G]))
+    cmd = _unit_row_svd(np.concatenate([instance.N, solution.C]), np.concatenate([zeros, solution.b_C]))
     G, b_G = goal.M[n_phi:], goal.b[n_phi:]
     C, b_C = cmd.M[n_phi:], cmd.b[n_phi:]
     notes: list[str] = []
 
     # Every velocity that satisfies constraints plus command must move the goal.
-    null_goal_residual = float(np.max(np.abs(G @ cmd.null_space), initial=0.0))
+    null_goal_residual = float(abs(G @ cmd.null_space).max(initial=0.0))
     cross_goal = cross_cmd = None
     if cmd.v is None:
         notes.append("command system inconsistent")
     else:
-        cross_goal = float(np.linalg.norm(G @ cmd.v - b_G))
+        cross_goal = _norm(G @ cmd.v - b_G)
     if goal.v is None:
         notes.append("goal system inconsistent")
     else:
-        cross_cmd = float(np.linalg.norm(C @ goal.v - b_C))
+        cross_cmd = _norm(C @ goal.v - b_C)
     # C v must be the same for every velocity compatible with the goal.
-    variation = float(np.max(np.abs(C @ goal.null_space), initial=0.0))
+    variation = float(abs(C @ goal.null_space).max(initial=0.0))
 
     residuals = (null_goal_residual, cross_goal, cross_cmd, variation)
     ok = cmd.rank == goal.rank and all(r is not None and r <= VELOCITY_TOL for r in residuals)
@@ -166,29 +176,29 @@ def check_force_solution(
     guard: GuardConditions,
     T: np.ndarray,
     solution: ForceSolution,
+    *,
+    f_max: float = DEFAULT_F_MAX,
 ) -> ForceCheck:
     """Recompute force balance residuals and guard margins from raw data.
 
     The check also fails when a number the solution reports disagrees with
     its recomputation: objective_margin with the smallest guard margin (when
     guard rows exist), guard_margins with the margins, and eta_af with eta's
-    force-controlled block.
+    force-controlled block.  It fails, with a note, when max|eta_af| exceeds
+    f_max by more than 1e-9 max(1, f_max), and when effort_pass is not one
+    the solver reports for the command's size.
     """
     T = np.asarray(T, dtype=float)
     lam, eta = solution.lam, solution.eta
-    newton = T @ instance.N.T @ lam + eta + T @ instance.F
-    newton_residual = float(np.linalg.norm(newton))
-    scale = 1.0 + float(np.linalg.norm(T @ instance.F))
-    unactuated_residual = float(np.linalg.norm(eta[: instance.n_u]))
+    TF = T @ instance.F
+    newton_residual = _norm(T @ instance.N.T @ lam + eta + TF)
+    scale = 1.0 + _norm(TF)
+    unactuated_residual = _norm(eta[: instance.n_u])
     f_gen = np.linalg.solve(T, eta)
     stacked_force = np.concatenate([lam, f_gen])
-    gamma_residual = (
-        float(np.linalg.norm(guard.Gamma @ stacked_force - guard.b_Gamma))
-        if guard.n_eq
-        else 0.0
-    )
+    gamma_residual = _norm(guard.Gamma @ stacked_force - guard.b_Gamma) if guard.n_eq else 0.0
     margins = guard.b_Lambda - guard.Lambda @ stacked_force
-    min_margin = float(np.min(margins)) if margins.size else None
+    min_margin = float(margins.min()) if margins.size else None
     n_u, n_af = instance.n_u, solution.eta_af.size
     reported = {
         "objective_margin": min_margin is None
@@ -197,6 +207,13 @@ def check_force_solution(
         "eta_af": _matches(solution.eta_af, eta[n_u : n_u + n_af]),
     }
     notes = [f"reported {name} disagrees with its recomputation" for name, ok in reported.items() if not ok]
+    command = float(abs(solution.eta_af).max(initial=0.0))
+    if not command <= f_max + 1e-9 * max(1.0, f_max):
+        notes.append(f"force command max|eta_af| = {command:.6g} exceeds f_max = {f_max:g}")
+    # The least-effort pass is skipped exactly when there is no force command.
+    passes = ("unique", "refined", "fell_back") if n_af else ("skipped",)
+    if solution.effort_pass not in passes:
+        notes.append(f"effort_pass {solution.effort_pass!r} at n_af = {n_af} is not one of {passes}")
     ok = (
         newton_residual <= 1e-6 * scale
         and unactuated_residual <= 1e-8

@@ -277,6 +277,16 @@ def test_criterion_9_corrupted_solutions_fail_verification(default_run):
     outcomes.append(
         ("perturbed contact force", not check_force_solution(instance, guard, vel.T, bad).passed)
     )
+    # Step 6 commands two force directions, so its least-effort pass ran.
+    skipped = replace(force, effort_pass="skipped")
+    outcomes.append(
+        ("effort pass reported skipped", not check_force_solution(instance, guard, vel.T, skipped).passed)
+    )
+    # Balanced and inside every guard, but solved for a 500 N box.
+    wide = solve_force(instance, guard, vel.T, vel.n_av, 500.0)
+    outcomes.append(
+        ("command beyond f_max", not check_force_solution(instance, guard, vel.T, wide).passed)
+    )
     bad_eta = force.eta.copy()
     bad_eta[0] += 1e-3
     bad = replace(force, eta=bad_eta)
@@ -308,7 +318,7 @@ def test_criterion_9_corrupted_solutions_fail_verification(default_run):
         9,
         ok,
         "hardware outcomes out of scope; structural criteria 1-8 stand in and "
-        f"{len(outcomes) - 2}/{len(outcomes) - 2} corrupted solutions were rejected"
+        f"{sum(good for _, good in outcomes[2:])}/{len(outcomes) - 2} corrupted solutions were rejected"
         + (f" (failed: {failed})" if failed else ""),
     )
     assert ok, f"sabotage outcomes failed: {failed}"

@@ -339,7 +339,8 @@ def test_build_instance_does_no_cross_products_or_initial_state(monkeypatch):
 
 def test_a_default_step_takes_five_svds(monkeypatch):
     # Four in the velocity stage (N, G NullN, the directions, null(R_C); the
-    # candidate basis is empty-input here) and one in the force stage (M_free).
+    # candidate basis needs none, null([N; G]) being empty here) and one in
+    # the force stage (M_free).
     sc = TiltingScenario()
     st = rollout_states(sc)[3]
     svd, calls = np.linalg.svd, Counter()
@@ -360,10 +361,11 @@ def test_a_default_step_takes_five_svds(monkeypatch):
 
 @pytest.mark.parametrize("step", [1, 4, 15])
 def test_a_default_step_builds_no_scaffolding_arrays(monkeypatch, step):
-    # The force stage allocates each array at its final shape and fills it in
-    # place: no identity to slice or tile, and nothing to stack.  The
-    # velocity stage's two identities are the empty candidate-basis input's
-    # SVD factors; the build's one concatenate stacks the generalized force F.
+    # Both stages allocate each array at its final shape and fill it in
+    # place: no identity to slice or tile, and nothing to stack.  With
+    # null([N; G]) empty, the candidate basis writes its identity block as the
+    # diagonal of its zero fill.  The build's one concatenate stacks the
+    # generalized force F.
     sc = TiltingScenario()
     st = rollout_states(sc)[step - 1]
     calls, stage = Counter(), "build"
@@ -379,7 +381,7 @@ def test_a_default_step_builds_no_scaffolding_arrays(monkeypatch, step):
     vel = solve_velocity(instance)
     stage = "force"
     solve_force(instance, guard, vel.T, vel.n_av)
-    assert calls == {("build", "concatenate"): 1, ("velocity", "eye"): 2}
+    assert calls == {("build", "concatenate"): 1}
 
 
 def test_scenario_is_immutable_and_replace_rebuilds_its_blocks():

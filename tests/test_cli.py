@@ -150,6 +150,17 @@ def test_solver_overrides_reach_output(tmp_path):
     assert doc["solver"] == {"f_max": 10.0}
 
 
+def test_verify_checks_the_command_at_the_cli_bound(tmp_path):
+    # At --f-max 500 the default plan commands up to 500 N, so a check at
+    # the 50 N default would fail it.
+    scenario = _write_scenario(tmp_path / "scenario.json", _tilting_doc())
+    out = tmp_path / "out.json"
+    assert main(["--scenario", scenario, "--out", str(out), "--f-max", "500", "--verify"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["all_verified"] is True
+    assert max(abs(x) for step in doc["steps"] for x in step["eta_af"]) > 50.0
+
+
 @pytest.mark.parametrize(
     "solver, flags, message",
     [

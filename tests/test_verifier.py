@@ -184,6 +184,28 @@ def test_force_check_fails_on_a_reported_number_that_disagrees(name, corrupt):
     assert report.notes == [f"reported {name} disagrees with its recomputation"]
 
 
+def test_force_check_bounds_the_command_at_f_max():
+    # Default step 4 solved at f_max = 500 commands 500 N: in balance and
+    # inside every guard, but outside the 50 N box.
+    inst, guard, vel, _ = _solved_tilting_step(step=3)
+    force = solve_force(inst, guard, vel.T, vel.n_av, 500.0)
+    assert np.abs(force.eta_af).max() > DEFAULT_F_MAX
+    report = check_force_solution(inst, guard, vel.T, force)
+    assert not report.passed
+    assert report.notes == ["force command max|eta_af| = 500 exceeds f_max = 50"]
+    assert check_force_solution(inst, guard, vel.T, force, f_max=500.0).passed
+
+
+@pytest.mark.parametrize("effort_pass", ["skipped", "optimal"])
+def test_force_check_fails_on_an_effort_pass_the_solver_cannot_report(effort_pass):
+    # Default step 4 has n_af = 2, where the least-effort pass is never skipped.
+    inst, guard, vel, force = _solved_tilting_step(step=3)
+    assert force.eta_af.size == 2 and force.effort_pass != effort_pass
+    report = check_force_solution(inst, guard, vel.T, replace(force, effort_pass=effort_pass))
+    assert not report.passed
+    assert len(report.notes) == 1 and report.notes[0].startswith(f"effort_pass {effort_pass!r}")
+
+
 def test_step_verification_aggregates_both_checks(monkeypatch):
     inst, guard, _, _ = _solved_tilting_step()
     good, _ = cli._solve_step(inst, guard, DEFAULT_F_MAX, verify=True)
