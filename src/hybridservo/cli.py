@@ -78,8 +78,10 @@ def _load_scenario(path: Path) -> dict:
     unknown = set(doc) - SCENARIO_KEYS
     if unknown:
         raise ScenarioParseError(f"unknown scenario keys: {sorted(unknown)}")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ScenarioParseError(f"unsupported schema version {doc.get('schema')!r}")
+    # Only the JSON integer 1: true == 1 and 1.0 == 1 in Python.
+    schema = doc.get("schema")
+    if not isinstance(schema, int) or isinstance(schema, bool) or schema != SCHEMA_VERSION:
+        raise ScenarioParseError(f"unsupported schema version {schema!r}")
     if doc.get("scenario_type") not in ("block_tilting", "raw_instance"):
         raise ScenarioParseError(f"unknown scenario_type {doc.get('scenario_type')!r}")
     params = doc.get("params", {})

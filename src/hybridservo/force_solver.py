@@ -12,21 +12,20 @@ The unactuated block eta_u = f_u is zero (nothing actuates those
 coordinates), so it is no unknown, and any guard equalities
 Gamma [lambda; f] = b_Gamma are appended.  Everything except the force
 command eta_af is a "free" force the physics determines: f_free =
-[lambda; eta_av].  Given eta_af, the free forces are resolved as the
-minimum-norm solution of the stacked equality system M_free f_free =
-rhs - M_eta_f eta_af.  That solution is affine in the command, f_free =
-f0 + W eta_af, and one SVD M_free = U S V^T gives it for every
-command at once: [f0, W] = V S^-1 U^T [rhs, -M_eta_f] over the singular
-values kept by the package's rank rule (Golub & Van Loan, Matrix
-Computations, 5.5).  The same SVD gives the condition of the
-KKT system [[2I, M_free^T], [M_free, 0]] in closed form, so that system is
-never built.  Consistent redundant equality rows (for example
-a duplicated Gamma row) are harmless; each column's residual check raises
-SingularSystem when the rows are inconsistent or pin the command itself.
-The guard margins are affine as well: b_Lambda - Lambda [lambda; f] =
-h - G eta_af.  When f_max sum|G| + sum|h| leaves the float range, inputs
-so large that the margin LP would compute inf - inf, NumericOverflow is
-raised before any LP.
+[lambda; eta_av].  Given eta_af, the free forces are the minimum-norm
+solution of the stacked equality system M_free f_free = rhs - M_eta_f
+eta_af = B [1; eta_af], B = [rhs, -M_eta_f].  One SVD M_free = U S V^T
+gives it for every command at once: f_free = F [1; eta_af] with F =
+[f0, W] = V S^-1 U^T B over the singular values kept by the package's
+rank rule (Golub & Van Loan, Matrix Computations, 5.5).  The same SVD
+gives the condition of the KKT system [[2I, M_free^T], [M_free, 0]] in
+closed form, so that system is never built.  Consistent redundant
+equality rows (for example a duplicated Gamma row) are harmless; each
+column's residual check raises SingularSystem when the rows are
+inconsistent or pin the command itself.  The guard margins b_Lambda -
+Lambda [lambda; f] = h - G eta_af are affine as well.  When f_max sum|G|
++ sum|h| leaves the float range, inputs so large that the margin LP
+would compute inf - inf, NumericOverflow is raised before any LP.
 
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
@@ -61,10 +60,13 @@ needs artificial variables: phase 1 is shifted so that the slack basis is
 feasible, and its first pivot, the same degenerate one on every LP, is
 written down in closed form; phase 2 appends one effort row per actuated
 coordinate to phase 1's final tableau, signed so that p_j or q_j is basic
-and feasible, and zeroes the columns off the margin-optimal face, so it
-starts without a pivot.  An LP that fails (unbounded, or no optimum within
-MAX_PIVOTS pivots) raises SingularSystem in phase 1 and keeps the phase-1
-vertex in phase 2.
+and feasible, and gives the columns off the margin-optimal face an infinite
+reduced cost, so it starts without a pivot.  Each phase's vertex is refined
+once against the original rows in eta_af and s, not in the shifted
+coordinates, so the shift's round-off stays out of the command and the
+margin.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
+pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
+phase 2.
 """
 
 from __future__ import annotations
@@ -146,30 +148,30 @@ def assemble_newton(
     guard: GuardConditions,
     T: np.ndarray,
     n_av: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the force-balance and guard-equality rows: (M_free, M_eta_f, rhs).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the force-balance and guard-equality rows: (M_free, B).
 
     Over [lambda; eta] the rows read [T N^T, I] and [Gamma_lambda,
     Gamma_f T^T].  eta_u = 0 drops its columns; the actuated columns
     [eta_af; eta_av] are split, so M_free multiplies f_free = [lambda;
-    eta_av] and M_eta_f the command eta_af.  rhs is [-T F; b_Gamma].
+    eta_av] and M_eta_f the command eta_af.  B = [rhs | -M_eta_f], rhs =
+    [-T F; b_Gamma], so that M_free f_free = B [1; eta_af].
     """
-    n, n_u = instance.n, instance.n_u
-    n_phi = instance.n_phi
+    n, n_u, n_phi = instance.n, instance.n_u, instance.n_phi
     n_af = instance.n_a - n_av
     if not 0 <= n_av <= instance.n_a:
         raise ValueError(f"n_av = {n_av} must lie in [0, n_a] = [0, {instance.n_a}]")
     T = _check_transform(T, n, n_u)
 
     rows = n + guard.n_eq
-    M_free, M_eta_f, rhs = np.zeros((rows, n_phi + n_av)), np.zeros((rows, n_af)), np.empty(rows)
-    M_free[:n, :n_phi], rhs[:n] = T @ instance.N.T, -T @ instance.F
-    _put_identity(M_eta_f, n_u, 0, n_af)
+    M_free, B = np.zeros((rows, n_phi + n_av)), np.zeros((rows, 1 + n_af))
+    M_free[:n, :n_phi], B[:n, 0] = T @ instance.N.T, -T @ instance.F
+    _put_identity(B, n_u, 1, n_af, -1.0)
     _put_identity(M_free, n_u + n_af, n_phi, n_av)
     eta_rows = guard.Gamma[:, n_phi:] @ T[n_u:].T
     M_free[n:, :n_phi], M_free[n:, n_phi:] = guard.Gamma[:, :n_phi], eta_rows[:, n_af:]
-    M_eta_f[n:], rhs[n:] = eta_rows[:, :n_af], guard.b_Gamma
-    return M_free, M_eta_f, rhs
+    B[n:, 0], B[n:, 1:] = guard.b_Gamma, -eta_rows[:, :n_af]
+    return M_free, B
 
 
 def _kkt_condition(f_free: sla.Factorization) -> float:
@@ -196,14 +198,13 @@ def _kkt_condition(f_free: sla.Factorization) -> float:
     return float(largest / smallest) if smallest > 0.0 else np.inf
 
 
-def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
-    """(f0, W) with f_free = f0 + W @ eta_af, from one SVD of M_free.
+def _free_force_map(M_free: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """F = [f0 | W] with f_free = F @ [1; eta_af] = f0 + W eta_af, from one SVD of M_free.
 
-    f0 and W are the minimum-norm solutions V S^-1 U^T [rhs, -M_eta_f] over
-    the kept singular values, which is what the KKT system gives when it is
-    solvable.  Raises SingularSystem when that KKT system is too
-    ill-conditioned, or when a column leaves a residual: the equality rows
-    are then inconsistent or pin the force command.
+    F = V S^-1 U^T B over the kept singular values is the minimum-norm
+    solution, which the KKT system gives when it is solvable.  Raises
+    SingularSystem when that KKT system is too ill-conditioned, or when a
+    column leaves a residual: the rows are inconsistent or pin the command.
     """
     f_free = sla.factor(M_free)
     cond = _kkt_condition(f_free)
@@ -211,15 +212,12 @@ def _free_force_map(M_free: np.ndarray, M_eta_f: np.ndarray, rhs: np.ndarray):
         raise SingularSystem(
             f"force balance is singular or ill-conditioned (KKT cond {cond:.3e})"
         )
-    B = np.empty((rhs.size, 1 + M_eta_f.shape[1]))
-    B[:, 0], B[:, 1:] = rhs, -M_eta_f
     try:
-        F = f_free.min_norm(B)
+        return f_free.min_norm(B)
     except InconsistentSystem as exc:
         raise SingularSystem(
             f"equality rows are inconsistent or pin the force command ({exc})"
         ) from exc
-    return F[:, 0], F[:, 1:]
 
 
 # Simplex tolerances: a reduced cost below -OPT_TOL still improves the
@@ -296,6 +294,37 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, pivots: int = 0) -> np.ndarray:
         pivots += 1
 
 
+def _refine(tab, basis, z, G, h, f_max, s0, A1=None, a0=None):
+    """One step of iterative refinement of tab's vertex z, without the shift.
+
+    z is [y; t; slacks; p; q] in the tableau's y = eta_af + f_max and t =
+    s - s0, so a value near 0 comes back off by ulps of f_max and |s0|,
+    which a large guard or effort coefficient magnifies.  The residual of
+    the original rows G eta_af + s + slack = h, eta_af + slack = f_max and,
+    in phase 2, A1 eta_af - p + q = -a0 is taken in eta_af and s instead,
+    with h - s first so that a row the margin uses up cancels exactly, and
+    B^-1, read off the columns that start as the identity (the slacks, then
+    q), turns it into the step dz of the basic entries.  Returns (v, dz): v
+    is the vertex [eta_af; s; slacks; p; q] after the step.
+    """
+    n_rows, n_af = G.shape
+    m = n_rows + n_af
+    v = z.copy()
+    v[:n_af] -= f_max
+    v[n_af] += s0
+    x, s, slack = v[:n_af], v[n_af], v[n_af + 1 : n_af + 1 + m]
+    r = np.empty(m if A1 is None else m + A1.shape[0])
+    r[:n_rows] = (h - s) - slack[:n_rows] - G @ x
+    r[n_rows:m] = (f_max - x) - slack[n_rows:]
+    dz = tab[:-1, n_af + 1 : n_af + 1 + m] @ r[:m]
+    if A1 is not None:
+        q = n_af + 1 + m + A1.shape[0]
+        r[m:] = (v[n_af + 1 + m : q] - v[q:]) - a0 - A1 @ x
+        dz += tab[:-1, q:-1] @ r[m:]
+    v[basis] += dz
+    return v, dz
+
+
 def _max_margin(G, h, f_max):
     """Phase 1: max s over [eta_af; s] s.t. G eta_af + s <= h, |eta_af| <= f_max.
 
@@ -308,7 +337,8 @@ def _max_margin(G, h, f_max):
     0.  The tableau after that pivot is written down directly: the other
     guard rows lose row r, the right-hand sides stay, and the cost row
     becomes row r with a zero under t.  Returns (eta_af, s, tab, basis) with
-    the final tableau and basis.
+    the final tableau and basis; eta_af and s are the vertex after _refine,
+    whose step also corrects the tableau's right-hand sides.
     """
     if MAX_PIVOTS < 1:  # the closed-form first pivot is one of them
         raise _no_optimum()
@@ -319,7 +349,6 @@ def _max_margin(G, h, f_max):
     s0 = float(corner[r])
     tab = np.zeros((m + 1, n_af + m + 2))
     tab[:n_rows, -1], tab[n_rows:m, -1] = corner - s0, 2.0 * f_max
-    b = tab[:m, -1].copy()
     np.subtract(G, G[r], out=tab[:n_rows, :n_af])
     _put_identity(tab, n_rows, 0, n_af)
     _put_identity(tab, 0, n_af + 1, m)
@@ -330,32 +359,29 @@ def _max_margin(G, h, f_max):
     basis = np.arange(n_af + 1, n_af + 1 + m)
     basis[r] = n_af
     z = _simplex(tab, basis, 1)
-    # One step of iterative refinement against the original rows: the slack
-    # columns of the final tableau hold B^-1.
-    y, t = z[:n_af], z[n_af]
-    res = b - z[n_af + 1 :]
-    res[:n_rows] -= G @ y + t
-    res[n_rows:] -= y
+    v, dz = _refine(tab, basis, z, G, h, f_max, s0)
     rhs = tab[:-1, -1]
-    np.maximum(rhs + tab[:-1, n_af + 1 : -1] @ res, 0.0, out=rhs)
-    z[basis] = rhs
-    return z[:n_af] - f_max, s0 + float(z[n_af]), tab, basis
+    np.maximum(rhs + dz, 0.0, out=rhs)
+    return v[:n_af], float(v[n_af]), tab, basis
 
 
-def _least_effort(tab, basis, a0, A1, x_star, f_max):
+def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
     """Phase 2: min sum(p + q) s.t. a0 + A1 eta_af = p - q on the margin-optimal face.
 
     With p, q >= 0 the optimal sum(p + q) is the l1 effort |a0 + A1 eta_af|_1
     (Bertsimas & Tsitsiklis 1997, 1.3).  Every margin-optimal point has the
-    nonbasic columns of positive phase-1 reduced cost at zero, so zeroing
-    those columns holds the margin exactly; if every nonbasic column is one
-    of them, x_star is the only margin-optimal command.  Otherwise the rows
+    nonbasic columns of positive phase-1 reduced cost at zero, so an
+    infinite reduced cost, which keeps those columns out of the basis, holds
+    the margin exactly; the columns themselves stay, since their entries are
+    part of B^-1 for _refine.  If every nonbasic column is one of them,
+    x_star is the only margin-optimal command.  Otherwise the rows
     A1 y - p + q = f_max A1 1 - a0 (eta_af = y - f_max) are appended in
     canonical form for the phase-1 basis and negated where their right-hand
     side is <= 0, so p_j (where a0_j + A1_j x_star >= 0) or q_j starts basic
-    at |a0_j + A1_j x_star|: a feasible start.  Returns (command,
-    effort_pass): x_star with "unique" or "fell_back", or the new command
-    with "refined".
+    at |a0_j + A1_j x_star|: a feasible start.  The new command is the final
+    vertex after _refine against phase 1's rows G, h.  Returns
+    (command, effort_pass): x_star with "unique" or "fell_back", or the new
+    command with "refined".
     """
     off_face = (tab[-1, :-1] > OPT_TOL).nonzero()[0]
     m, n_cols = basis.size, tab.shape[1] - 1
@@ -374,7 +400,7 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
     E[flip] *= -1.0
     eff[-1, n_cols:-1] = 1.0
     eff[-1] -= E.sum(axis=0)
-    eff[:, off_face] = 0.0
+    eff[-1, off_face] = np.inf
     # The phase-1 basis, then p_j where the row was negated and q_j elsewhere.
     face_basis = np.arange(n_cols - m, n_cols + n_act)
     face_basis[:m] = basis
@@ -383,7 +409,8 @@ def _least_effort(tab, basis, a0, A1, x_star, f_max):
         z = _simplex(eff, face_basis)
     except SingularSystem:
         return x_star, "fell_back"
-    return z[:n_af] - f_max, "refined"
+    s0 = (h + f_max * G.sum(axis=1)).min()
+    return _refine(eff, face_basis, z, G, h, f_max, s0, A1, a0)[0][:n_af], "refined"
 
 
 def check_f_max(f_max: float) -> None:
@@ -399,22 +426,25 @@ def solve_force(
     n_av: int,
     f_max: float = DEFAULT_F_MAX,
 ) -> ForceSolution:
-    """Maximize the worst guard margin over the force command |eta_af| <= f_max."""
+    """Maximize the worst guard margin over the force command |eta_af| <= f_max.
+
+    Each affine map of the command is one array over u = [1; eta_af]: E for
+    eta, X for [lambda; f] and L = Lambda X, so each output is one product.
+    """
     check_f_max(f_max)
     T = np.asarray(T, dtype=float)
-    M_free, M_eta_f, rhs = assemble_newton(instance, guard, T, n_av)
-    n, n_phi, n_u, n_af = instance.n, instance.n_phi, instance.n_u, M_eta_f.shape[1]
-    f0, W = _free_force_map(M_free, M_eta_f, rhs)
-    # eta = [eta_u; eta_af; eta_av] = eta0 + eta_map @ eta_af, eta_u = 0, eta_av from f_free.
-    eta0, eta_map = np.zeros(n), np.zeros((n, n_af))
-    eta0[n_u + n_af :], eta_map[n_u + n_af :] = f0[n_phi:], W[n_phi:]
-    _put_identity(eta_map, n_u, 0, n_af)
-    # The stacked force [lambda; f], f = T^T eta, is x0 + X @ eta_af.
-    x0, X = np.empty(n_phi + n), np.empty((n_phi + n, n_af))
-    x0[:n_phi], x0[n_phi:] = f0[:n_phi], T.T @ eta0
-    X[:n_phi], X[n_phi:] = W[:n_phi], T.T @ eta_map
-    G = guard.Lambda @ X
-    h = guard.b_Lambda - guard.Lambda @ x0
+    M_free, B = assemble_newton(instance, guard, T, n_av)
+    n, n_phi, n_u, n_af = instance.n, instance.n_phi, instance.n_u, B.shape[1] - 1
+    F = _free_force_map(M_free, B)
+    # eta = [eta_u; eta_af; eta_av] = E [1; eta_af]: eta_u = 0, eta_av from F.
+    E = np.zeros((n, 1 + n_af))
+    E[n_u + n_af :] = F[n_phi:]
+    _put_identity(E, n_u, 1, n_af)
+    # The stacked force [lambda; f], f = T^T eta, is X [1; eta_af].
+    X = np.empty((n_phi + n, 1 + n_af))
+    X[:n_phi], X[n_phi:] = F[:n_phi], T.T @ E
+    L = guard.Lambda @ X
+    G, h = L[:, 1:], guard.b_Lambda - L[:, 0]
     # The margin LP starts from h + f_max G 1 (see _max_margin); past the
     # float range its inf - inf would make the margin nan.
     if not math.isfinite(f_max * float(np.abs(G).sum()) + float(np.abs(h).sum())):
@@ -435,12 +465,15 @@ def solve_force(
             raise InfeasibleLP(f"best achievable guard margin is {s:.6e}", margin=s)
         if n_af:
             act = slice(n_phi + n_u, None)
-            eta_af, effort_pass = _least_effort(tab, basis, x0[act], X[act], eta_af, f_max)
+            a0, A1 = X[act, 0], X[act, 1:]
+            eta_af, effort_pass = _least_effort(G, h, tab, basis, a0, A1, eta_af, f_max)
+    u = np.empty(1 + n_af)
+    u[0], u[1:] = 1.0, eta_af
     return ForceSolution(
         eta_af=eta_af,
-        lam=x0[:n_phi] + X[:n_phi] @ eta_af,
-        eta=eta0 + eta_map @ eta_af,
-        guard_margins=h - G @ eta_af,
+        lam=X[:n_phi] @ u,
+        eta=E @ u,
+        guard_margins=guard.b_Lambda - L @ u,
         objective_margin=s,
         effort_pass=effort_pass,
     )

@@ -112,11 +112,11 @@ def validate(instance: SystemInstance, guard: GuardConditions) -> list[str]:
     for name in ("N", "G", "b_G", "F"):
         _finite(name, getattr(instance, name), problems)
     w = instance.n_phi + n
-    if guard.Lambda.ndim != 2 or (guard.Lambda.size and guard.Lambda.shape[1] != w):
+    if guard.Lambda.ndim != 2 or guard.Lambda.shape[1] != w:
         problems.append(f"Lambda must have {w} columns")
     if guard.b_Lambda.shape != (guard.Lambda.shape[0],):
         problems.append("b_Lambda length must match Lambda rows")
-    if guard.Gamma.ndim != 2 or (guard.Gamma.size and guard.Gamma.shape[1] != w):
+    if guard.Gamma.ndim != 2 or guard.Gamma.shape[1] != w:
         problems.append(f"Gamma must have {w} columns")
     if guard.b_Gamma.shape != (guard.Gamma.shape[0],):
         problems.append("b_Gamma length must match Gamma rows")

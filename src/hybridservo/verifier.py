@@ -5,7 +5,9 @@ data with its own few lines of linear algebra on np.linalg, so no check
 shares code with the solver path it checks.  The velocity check scales
 every row of [N; G] and of [N; C] to unit norm and takes one full SVD of
 each stack for its rank, null space and minimum-norm solution.  It ranks
-at the solver's fixed RANK_TOL, by its own rule on the unit rows.  Norms
+at the solver's fixed RANK_TOL, by its own rule on the unit rows, and it
+checks that T is the action frame diag(I, R_a) whose last rows are C,
+which the force stage and the force check take on trust.  Norms
 and maxima take the reductions numpy's wrappers run, without the wrappers:
 a row norm is sqrt((M * M).sum(axis=1)) and a vector norm sqrt(r . r), as
 in np.linalg.norm, so each check costs its factorizations plus a few
@@ -93,13 +95,43 @@ class ForceCheck:
         return {**asdict(self), "guard_margins": self.guard_margins.tolist()}
 
 
+def _frame_notes(T: np.ndarray, C: np.ndarray, n_u: int) -> list[str]:
+    """Notes on T unless it is the action frame diag(I, R_a) that ends in C.
+
+    The first n_u rows and columns must be those of the identity exactly,
+    max|R_a R_a^T - I| at most 1e-9, and the last n_av rows of T must
+    equal C, its zero prefix included, within 1e-9 max(1, |C|).
+    """
+    n_av, n = C.shape
+    T = np.asarray(T, dtype=float)
+    if T.shape != (n, n):
+        return [f"T has shape {T.shape}, not ({n}, {n})"]
+    notes = []
+    # T - diag(I, R_a) must be exactly zero (nan is nonzero).
+    off_frame = T.copy()
+    off_frame[n_u:, n_u:] = 0.0
+    off_frame.ravel()[: n_u * (n + 1) : n + 1] -= 1.0
+    if off_frame.any():
+        notes.append("T is not block diagonal diag(I, R_a)")
+    R_a = T[n_u:, n_u:]
+    gram = R_a @ R_a.T
+    gram.ravel()[:: n - n_u + 1] -= 1.0
+    error = float(abs(gram).max(initial=0.0))
+    if not error <= 1e-9:
+        notes.append(f"R_a is not orthonormal (max |R_a R_a^T - I| = {error:.3e})")
+    if not _matches(T[n - n_av :], C):
+        notes.append("the last n_av rows of T are not C")
+    return notes
+
+
 def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution) -> VelocityCheck:
-    """Confirm that commanding C v = b_C pins exactly the goal down.
+    """Confirm that commanding C v = b_C pins exactly the goal down in the frame T.
 
     On unit rows of [N; G] and [N; C], one SVD each: the two stacks have
     the same rank, every velocity that keeps the constraints and the command
     keeps the goal, each system's minimum-norm solution satisfies the other's
-    rows, and C v is constant over the whole null space of [N; G].
+    rows, and C v is constant over the whole null space of [N; G].  T must
+    be the action frame that the force stage reads (see _frame_notes).
     """
     n_phi = instance.N.shape[0]
     zeros = np.zeros(n_phi)
@@ -123,8 +155,15 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
     # C v must be the same for every velocity compatible with the goal.
     variation = float(abs(C @ goal.null_space).max(initial=0.0))
 
+    frame_notes = _frame_notes(solution.T, solution.C, instance.n_u)
+    notes += frame_notes
+
     residuals = (null_goal_residual, cross_goal, cross_cmd, variation)
-    ok = cmd.rank == goal.rank and all(r is not None and r <= VELOCITY_TOL for r in residuals)
+    ok = (
+        cmd.rank == goal.rank
+        and all(r is not None and r <= VELOCITY_TOL for r in residuals)
+        and not frame_notes
+    )
     return VelocityCheck(
         passed=bool(ok),
         rank_nc=cmd.rank,

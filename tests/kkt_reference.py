@@ -6,8 +6,9 @@ M_eta_f eta_af.  This module builds that system and solves it with
 np.linalg.solve, a route that shares no factorization with the solver, so
 tests can check the SVD route (and its closed-form condition number)
 against it.  Both take the rows (M_free, M_eta_f, rhs): the solver's over
-[lambda; eta_av] or the verifier's full layout over [lambda; eta_u; eta_av],
-which force_lp_oracle.py carries as equality rows.
+[lambda; eta_av], given as (M_free, -B[:, 1:], B[:, 0]) from its (M_free, B),
+or the verifier's full layout over [lambda; eta_u; eta_av], which
+force_lp_oracle.py carries as equality rows.
 """
 
 from __future__ import annotations

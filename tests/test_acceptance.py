@@ -160,8 +160,8 @@ def test_criterion_5_kkt_matches_projection_oracle():
         # The free forces [lambda; eta_av] solve_force uses: affine in the
         # command, one SVD.  The oracle solves over the full layout
         # [lambda; eta_u; eta_av], so its eta_u must come out 0.
-        f0, W = _free_force_map(*assemble_newton(instance, guard, T, n_av))
-        f_free = f0 + W @ eta_af
+        F = _free_force_map(*assemble_newton(instance, guard, T, n_av))
+        f_free = F[:, 0] + F[:, 1:] @ eta_af
         n_phi = instance.n_phi
         direct = np.concatenate([f_free[:n_phi], np.zeros(instance.n_u), f_free[n_phi:]])
         oracle = np.linalg.pinv(M_free) @ (rhs - M_eta_f @ eta_af)
@@ -269,6 +269,14 @@ def test_criterion_9_corrupted_solutions_fail_verification(default_run):
     bad = replace(vel, b_C=vel.b_C + 0.1)
     outcomes.append(
         ("shifted command value", not check_velocity_solution(instance, bad).passed)
+    )
+    # A valid frame, but its last row is a force row, not the command C.
+    n = instance.n
+    swapped = vel.T.copy()
+    swapped[[instance.n_u, n - 1]] = swapped[[n - 1, instance.n_u]]
+    outcomes.append(
+        ("frame T with a force row as command row",
+         not check_velocity_solution(instance, replace(vel, T=swapped)).passed)
     )
 
     bad_lam = force.lam.copy()

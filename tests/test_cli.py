@@ -442,6 +442,10 @@ def test_step_records_report_effort_pass(tmp_path):
         _tilting_doc(params={"tilt_rate": 1e308, "step_duration": 10}),
         _raw_doc({**_factored_params(), "J_phi": [[2.0, 1.0, 0.0]]}),
         _raw_doc({**_supported_object_params(), "J_phi": [[1.0, -1.0]]}),
+        _raw_doc({**_supported_object_params(), "Lambda": [[]], "b_Lambda": [1.0]}),
+        _raw_doc({**_supported_object_params(), "Gamma": [[]], "b_Gamma": [1.0]}),
+        {**_raw_doc(_supported_object_params()), "schema": True},
+        {**_raw_doc(_supported_object_params()), "schema": 1.0},
     ],
     ids=[
         "num-steps-float", "num-steps-0", "num-steps-true", "axis-vertical", "axis-zero",
@@ -450,6 +454,7 @@ def test_step_records_report_effort_pass(tmp_path):
         "n-min-negative", "mu-negative", "n-strings", "g-bool", "b-g-null", "f-matrix",
         "b-g-scalar", "b-lambda-scalar", "b-gamma-scalar", "n-int-overflow",
         "angle-overflow-duration", "angle-overflow-rate", "factor-shapes", "factor-alone",
+        "lambda-row-without-columns", "gamma-row-without-columns", "schema-true", "schema-float",
     ],
 )
 def test_bad_scenario_params_return_4(tmp_path, capsys, doc):

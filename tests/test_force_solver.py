@@ -58,10 +58,33 @@ def test_assemble_newton_structure():
     # the balance T N^T lambda + eta = -T F, then Gamma with Gamma_f T^T.
     inst, guard = _supported_object()
     guard = GuardConditions(guard.Lambda, guard.b_Lambda, np.array([[0.5, 0.0, 2.0]]), np.ones(1))
-    M_free, M_eta_f, rhs = assemble_newton(inst, guard, np.diag([1.0, -1.0]), n_av=1)
+    M_free, B = assemble_newton(inst, guard, np.diag([1.0, -1.0]), n_av=1)
     assert np.array_equal(M_free, [[1.0, 0.0], [1.0, 1.0], [0.5, -2.0]])
-    assert M_eta_f.shape == (3, 0)
-    assert np.array_equal(rhs, [2.45, 0.0, 1.0])
+    assert B.shape == (3, 1)
+    assert np.array_equal(B[:, 0], [2.45, 0.0, 1.0])
+
+
+def test_assemble_newton_command_columns():
+    # n_af = 1 and a Gamma row: B = [rhs | -M_eta_f] with rhs = [-T F;
+    # b_Gamma], -I in the command's rows n_u .. n_u + n_af of the balance,
+    # and -Gamma_f T^T's command columns in the Gamma rows.
+    N = np.array([[1.0, -1.0, 0.5]])
+    inst = make_instance(1, N, np.array([[1.0, 0.0, 0.0]]), [0.1], [-2.45, 0.3, 0.7])
+    Gamma, b_Gamma = np.array([[0.5, 0.0, 2.0, 3.0]]), np.array([1.5])
+    guard = GuardConditions(np.zeros((0, 4)), np.zeros(0), Gamma, b_Gamma)
+    c, s = 0.6, 0.8
+    T = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    M_free, B = assemble_newton(inst, guard, T, n_av=1)
+    n_u, n_af = 1, 1
+    assert M_free.shape == (4, 2) and B.shape == (4, 1 + n_af)
+    assert np.array_equal(B[:, 0], np.concatenate([-T @ inst.F, b_Gamma]))
+    assert np.array_equal(B[:3, 1:], [[0.0], [-1.0], [0.0]])
+    gamma_f = Gamma[:, 1:] @ T.T
+    assert np.allclose(B[3:, 1:], -gamma_f[:, n_u : n_u + n_af], rtol=0, atol=1e-15)
+    assert B[3, 1] == pytest.approx(1.2, abs=1e-15)
+    # The free columns [lambda; eta_av] of the same rows.
+    assert np.allclose(M_free[:3], np.column_stack([T @ N.T, [0.0, 0.0, 1.0]]), rtol=0, atol=1e-15)
+    assert np.allclose(M_free[3], [0.5, gamma_f[0, 2]], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_av", [-1, 2])
@@ -506,9 +529,9 @@ def test_least_effort_starts_feasible_without_a_pivot(monkeypatch):
         events.append(("simplex", tab.copy(), basis.copy()))
         return simplex(tab, basis, *rest)
 
-    def checked_least_effort(tab, basis, a0, A1, x_star, f_max):
+    def checked_least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
         events.clear()
-        command, effort_pass = least_effort(tab, basis, a0, A1, x_star, f_max)
+        command, effort_pass = least_effort(G, h, tab, basis, a0, A1, x_star, f_max)
         if effort_pass == "unique":
             return command, effort_pass
         assert effort_pass == "refined"
@@ -534,7 +557,7 @@ def test_least_effort_starts_feasible_without_a_pivot(monkeypatch):
     G, h = np.array([[-1.0, 10.0], [1.0, 10.0], [0.0, 1.0]]), np.array([0.0, 0.0, -1.0])
     x_star, _, tab, basis = force_solver._max_margin(G, h, 50.0)
     A1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    checked_least_effort(tab, basis, np.array([50.0, 0.0, 0.0]), A1, x_star, 50.0)
+    checked_least_effort(G, h, tab, basis, np.array([50.0, 0.0, 0.0]), A1, x_star, 50.0)
     assert np.array_equal(values[-1], [0.0, -50.0, 50.0])
 
 
@@ -646,6 +669,7 @@ _ENTRIES = st.one_of(
 # The reference runs HiGHS with tight tolerances so that its optimum is good
 # to the 1e-9 the comparison asks for.
 _HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_Z3 = [0.0, 0.0, 0.0]
 
 
 @st.composite
@@ -679,6 +703,34 @@ def _boxed_lps(draw):
     np.array([[0, 0, 1.5], [1.953125e-3, -243, -487], [-997, 0, 0]]),
     np.array([0, 0, 61.0]), np.zeros(1), np.array([[-5.0, 0, 0]]), 5.0,
 ))
+# The next six need each phase's vertex refined in eta_af and s, not in the
+# tableau's y = eta_af + f_max and t = s - s0: without that, two phase-1
+# vertices break a row with a large entry by 1.26e-7 and 2.24e-9, and four
+# least-effort commands read an effort 1.0e-9 to 1.5e-9 off the exact one.
+@example((
+    np.array([_Z3, [-1.0, 0, 0], [0, -1e-3, 0], _Z3, [0, -1e3, 0]]),
+    np.array([0.25, 0, 0, 0, 0]), np.zeros(1), np.zeros((1, 3)), 5.0,
+))
+@example((
+    np.array([[0, 0], [0, 0], [0, 0], [-885, 1.0], [-1, 0], [0, 0.25]]),
+    np.zeros(6), np.zeros(1), np.zeros((1, 2)), 50.0,
+))
+@example((
+    np.array([[0.0], [0], [0], [0], [0.25], [0], [0], [-999]]),
+    np.array([0, 0, 0, 0, 0, 0, 0, 0.25]), np.zeros(1), np.array([[275.0]]), 50.0,
+))
+@example((
+    np.array([[0.0], [0], [1e-3]]),
+    np.array([0, -129.0, -129]), np.zeros(1), np.array([[85.0]]), 0.5,
+))
+@example((
+    np.array([_Z3, _Z3, [0, -1e-3, 0], _Z3, [0, 0, -656]]),
+    np.zeros(5), np.zeros(2), np.array([[0, 0, 0], [0, 0.5, 0]]), 50.0,
+))
+@example((
+    np.array([[0, 0], [0, 0.25], [0, 0], [0, 0], [0, 1.0], [-656, 0]]),
+    np.array([1e-3, 0, 0.25, 0.25, 0, 0]), np.zeros(1), np.array([[0, 73.0]]), 50.0,
+))
 @settings(max_examples=300, deadline=None)
 @given(_boxed_lps())
 def test_simplex_matches_linprog_on_random_boxed_lps(lp):
@@ -687,7 +739,7 @@ def test_simplex_matches_linprog_on_random_boxed_lps(lp):
     x, s, tab, basis = force_solver._max_margin(G, h, f_max)
     assert np.all(G @ x + s <= h + 1e-9 * (1.0 + np.abs(h)))
     assert np.all(np.abs(x) <= f_max * (1.0 + 1e-12))
-    command, effort_pass = force_solver._least_effort(tab, basis, a0, A1, x, f_max)
+    command, effort_pass = force_solver._least_effort(G, h, tab, basis, a0, A1, x, f_max)
     assert effort_pass != "fell_back"
     assert np.all(G @ command + s <= h + 1e-9 * (1.0 + np.abs(h)))
     assert np.all(np.abs(command) <= f_max * (1.0 + 1e-12))
@@ -715,9 +767,6 @@ def test_simplex_matches_linprog_on_random_boxed_lps(lp):
 # Inputs on which the simplex misses the exact answer by more than the
 # boxed-LP test's 1e-9 (ROADMAP item 4), pinned so that a change of pivot
 # rule cannot hide them.
-_Z3 = [0.0, 0.0, 0.0]
-
-
 def _assert_exact_margin(G, h, a0, A1, f_max):
     x, s, tab, basis = force_solver._max_margin(G, h, f_max)
     s_exact, least = exact_lexicographic(G, h, a0, A1, f_max)
@@ -727,7 +776,7 @@ def _assert_exact_margin(G, h, a0, A1, f_max):
 
 def _assert_exact_effort(G, h, a0, A1, f_max):
     x, tab, basis, least = _assert_exact_margin(G, h, a0, A1, f_max)
-    command, _ = force_solver._least_effort(tab, basis, a0, A1, x, f_max)
+    command, _ = force_solver._least_effort(G, h, tab, basis, a0, A1, x, f_max)
     effort = np.abs(a0 + A1 @ command).sum()
     assert effort == pytest.approx(float(least), rel=1e-9, abs=1e-9)
 
@@ -781,51 +830,6 @@ def test_least_effort_face_test_drops_a_small_effort():
     )
     h = np.array([0.0, -0.25, 0.0, 0.0, 0.0, 0.0, 0.0])
     _assert_exact_effort(G, h, np.zeros(1), np.array([[0.25, 0.0, 0.0]]), 0.5)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="round-off of the shifted command")
-def test_least_effort_shift_round_off_leaves_a_small_effort():
-    # The exact command is 0, but it comes back as y - f_max with y near
-    # f_max = 50 and a row entry of -999, so it is off by 3.6e-12 and the
-    # effort 275 |x| reads 1.0e-9 against the exact 0.
-    G = np.array([[0.0], [0.0], [0.0], [0.0], [0.25], [0.0], [0.0], [-999.0]])
-    h = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25])
-    _assert_exact_effort(G, h, np.zeros(1), np.array([[275.0]]), 50.0)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="round-off of the shifted command")
-def test_least_effort_shift_round_off_through_a_small_entry():
-    # The margin is -129 and the row 1e-3 x <= 0 leaves the exact command
-    # 0, but y comes back 1.18e-11 below f_max = 0.5, so the effort 85 |x|
-    # reads 1.005e-9 against the exact 0.
-    G = np.array([[0.0], [0.0], [1e-3]])
-    h = np.array([0.0, -129.0, -129.0])
-    _assert_exact_effort(G, h, np.zeros(1), np.array([[85.0]]), 0.5)
-
-
-def _assert_feasible_vertex(G, h, f_max):
-    """The boxed-LP test's first check: the phase-1 vertex keeps every row."""
-    x, s, _, _ = force_solver._max_margin(G, h, f_max)
-    assert np.all(G @ x + s <= h + 1e-9 * (1.0 + np.abs(h)))
-
-
-# On the next two the margin matches the exact 0, so _assert_exact_margin
-# passes, but the vertex breaks a row with a large entry.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="phase-1 vertex breaks a row")
-def test_margin_vertex_breaks_a_row_scaled_by_a_thousand():
-    # x = [0, -1.26e-10, -5] with s = 0: the row -1e3 x_1 <= 0 is off by 1.26e-7.
-    G = np.array([_Z3, [-1.0, 0.0, 0.0], [0.0, -1e-3, 0.0], _Z3, [0.0, -1e3, 0.0]])
-    h = np.array([0.25, 0.0, 0.0, 0.0, 0.0])
-    _assert_feasible_vertex(G, h, 5.0)
-
-
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ratio test skips entries at most PIVOT_TOL"
-)
-def test_margin_vertex_breaks_a_row_through_a_small_entry():
-    # x = [-2.54e-12, 0] with s = 0: the row -885 x_0 + x_1 <= 0 is off by 2.24e-9.
-    G = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-885.0, 1.0], [-1.0, 0.0], [0.0, 0.25]])
-    _assert_feasible_vertex(G, np.zeros(6), 50.0)
 
 
 def _phase1_lps():
@@ -928,14 +932,14 @@ def test_svd_route_matches_kkt_reference():
     # full-layout KKT system over [lambda; eta_u; eta_av], whose rows pin
     # eta_u = 0 on their own.
     for inst, guard, T, n_av, eta_af in _svd_route_cases():
-        assembly = assemble_newton(inst, guard, T, n_av)
-        f_free = sla.factor(assembly[0])
+        M_free, B = assemble_newton(inst, guard, T, n_av)
+        f_free = sla.factor(M_free)
         closed_form = force_solver._kkt_condition(f_free)
-        reference = np.linalg.cond(build_kkt(*assembly)[0])
+        reference = np.linalg.cond(build_kkt(M_free, -B[:, 1:], B[:, 0])[0])
         assert closed_form == pytest.approx(reference, rel=1e-9)
-        f0, W = force_solver._free_force_map(*assembly)
+        F = force_solver._free_force_map(M_free, B)
         reference = solve_kkt(*_force_equalities(inst, guard, T, n_av), eta_af)
-        lam, eta_av = np.split(f0 + W @ eta_af, [inst.n_phi])
+        lam, eta_av = np.split(F[:, 0] + F[:, 1:] @ eta_af, [inst.n_phi])
         full = np.concatenate([lam, np.zeros(inst.n_u), eta_av])
         scale = max(1.0, np.max(np.abs(reference)))
         assert np.max(np.abs(full - reference)) < 1e-9 * scale
@@ -988,7 +992,7 @@ def test_simplex_keeps_entries_below_pivot_tolerance():
     a0, A1 = np.zeros(1), np.array([[1.0, 0.0]])
     x, s, tab, basis = force_solver._max_margin(G, h, f_max)
     assert s == pytest.approx(5.00005e-6, rel=1e-12)
-    command, effort_pass = force_solver._least_effort(tab, basis, a0, A1, x, f_max)
+    command, effort_pass = force_solver._least_effort(G, h, tab, basis, a0, A1, x, f_max)
     assert effort_pass == "unique"
     assert np.array_equal(command, [-0.5, -0.5])
     assert exact_lexicographic(G, h, a0, A1, f_max) == (

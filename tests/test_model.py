@@ -53,6 +53,20 @@ def test_validate_catches_shape_and_finiteness():
     assert any("non-finite" in p for p in problems)
 
 
+@pytest.mark.parametrize("shape", [(1, 0), (0, 0)], ids=["row-without-columns", "no-rows-no-columns"])
+def test_validate_checks_guard_width_with_or_without_rows(shape):
+    # The force stage multiplies Lambda and Gamma into [lambda; f] even
+    # without rows, so a wrong width is a problem either way.
+    inst = _small_instance()
+    w = inst.n_phi + inst.n
+    for name in ("Lambda", "Gamma"):
+        guard = dataclasses.replace(
+            GuardConditions.empty(inst.n_phi, inst.n),
+            **{name: np.zeros(shape), f"b_{name}": np.ones(shape[0])},
+        )
+        assert validate(inst, guard) == [f"{name} must have {w} columns"]
+
+
 def test_guard_conditions_empty_counts():
     guard = GuardConditions.empty(2, 3)
     assert guard.n_ineq == 0

@@ -71,16 +71,65 @@ def test_velocity_check_fails_without_commands_the_goal_needs():
 
 
 def test_velocity_check_reports_no_residual_for_an_inconsistent_system():
-    # A command row that repeats a constraint row with another value has no
-    # solution: its cross residual is None (JSON null), not inf.
+    # A force row of the frame is orthogonal to every motion the constraints
+    # allow, so commanding it to 1 has no solution: its cross residual is
+    # None (JSON null), not inf.  T swaps it in as its command row, so the
+    # frame itself stays valid and ends in C.
     inst, _, vel, _ = _solved_tilting_step()
-    C, b_C = vel.C.copy(), vel.b_C.copy()
-    C[0], b_C[0] = inst.N[0], 1.0
-    report = check_velocity_solution(inst, replace(vel, C=C, b_C=b_C))
+    T = vel.T.copy()
+    T[[6, 8]] = T[[8, 6]]
+    report = check_velocity_solution(inst, replace(vel, T=T, C=T[8:], b_C=np.ones(1)))
     assert not report.passed
     assert report.cross_residual_goal is None
     assert report.notes == ["command system inconsistent"]
     json.dumps(report.to_dict(), allow_nan=False)
+
+
+def _scaled_frame(vel):
+    T = vel.T.copy()
+    T[6:, 6:] *= 1.001
+    return replace(vel, T=T, C=T[8:], b_C=1.001 * vel.b_C)
+
+
+def _frame_entry(vel, row, col, value):
+    T = vel.T.copy()
+    T[row, col] = value
+    return replace(vel, T=T)
+
+
+def _swapped_command_row(vel):
+    T = vel.T.copy()
+    T[[6, 8]] = T[[8, 6]]
+    return replace(vel, T=T)
+
+
+def _rotated_force_rows(vel):
+    # A rotation of the two force rows within their plane: still a frame.
+    T = vel.T.copy()
+    c, s = np.cos(0.3), np.sin(0.3)
+    T[6:8] = np.array([[c, -s], [s, c]]) @ T[6:8]
+    return replace(vel, T=T)
+
+
+@pytest.mark.parametrize(
+    "corrupt, note",
+    [
+        (_scaled_frame, "R_a is not orthonormal (max |R_a R_a^T - I| = 2.001e-03)"),
+        (lambda vel: _frame_entry(vel, 0, 0, 1.0 + 2.0**-52), "T is not block diagonal diag(I, R_a)"),
+        (lambda vel: _frame_entry(vel, 7, 2, 1e-300), "T is not block diagonal diag(I, R_a)"),
+        (_swapped_command_row, "the last n_av rows of T are not C"),
+        (_rotated_force_rows, None),
+    ],
+    ids=["scaled-r-a", "identity-ulp", "lower-block-1e-300", "swapped-command-row", "rotated-force-rows"],
+)
+def test_velocity_check_reads_the_action_frame(corrupt, note):
+    # The force check trusts T to be diag(I, R_a) with R_a orthonormal and
+    # C as its last rows; a scaled C with its b_C states the same command,
+    # so only the frame check sees it.
+    inst, _, vel, _ = _solved_tilting_step()
+    report = check_velocity_solution(inst, corrupt(vel))
+    assert report.passed is (note is None)
+    assert report.notes == ([] if note is None else [note])
 
 
 def test_velocity_check_fails_on_wrong_magnitude():
