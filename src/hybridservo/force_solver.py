@@ -30,13 +30,19 @@ would compute inf - inf, NumericOverflow is raised before any LP.
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
 [eta_af; s] subject to G eta_af + s <= h and |eta_af| <= f_max, which is
-bounded because eta_af is boxed.  Two cases need no LP.  With no
+bounded because eta_af is boxed.  Three cases need no LP.  With no
 force-controlled direction (n_af = 0) there is nothing to choose and the
 margin is min(h).  With no guard rows the margin is the box's own slack,
 max s subject to +-eta_i + s <= f_max: adding the two rows of any i gives
 s <= f_max, with equality only at eta_i = 0, so eta_af = 0 and s = f_max
 is the unique optimum and the margin LP only ever sees real guard rows.
-f_max itself must be finite and > 0 (check_f_max).
+With one force-controlled direction (n_af = 1) both LPs have one variable,
+and _one_axis solves them in closed form: a basic dual optimum has at most
+two nonzero multipliers, so at most two rows fix the margin (Bertsimas &
+Tsitsiklis 1997, ch. 4), and the effort is least at an end or a kink of
+the margin-optimal interval.  effort_pass is then "unique" when that
+interval is a point up to round-off and "refined" otherwise.  f_max
+itself must be finite and > 0 (check_f_max).
 
 The margin optimum can be degenerate (several commands achieve the same
 worst margin), so phase 2 picks, among the margin-maximal commands, the one
@@ -360,6 +366,8 @@ def _max_margin(G, h, f_max):
     basis[r] = n_af
     z = _simplex(tab, basis, 1)
     v, dz = _refine(tab, basis, z, G, h, f_max, s0)
+    if not np.isfinite(v[: n_af + 1]).all():
+        raise NumericOverflow("force stage: overflow in the margin LP")
     rhs = tab[:-1, -1]
     np.maximum(rhs + dz, 0.0, out=rhs)
     return v[:n_af], float(v[n_af]), tab, basis
@@ -410,7 +418,40 @@ def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
     except SingularSystem:
         return x_star, "fell_back"
     s0 = (h + f_max * G.sum(axis=1)).min()
-    return _refine(eff, face_basis, z, G, h, f_max, s0, A1, a0)[0][:n_af], "refined"
+    command = _refine(eff, face_basis, z, G, h, f_max, s0, A1, a0)[0][:n_af]
+    if not np.isfinite(command).all():
+        raise NumericOverflow("force stage: overflow in the least-effort LP")
+    return command, "refined"
+
+
+def _one_axis(g, h, a0, a1, f_max):
+    """Both LPs for one command axis, in closed form: (eta_af, s, effort_pass).
+
+    The margin min(h - g x) is best at +-f_max or where a falling row
+    (g_i > 0) crosses a rising one (g_j < 0), at (h_i - h_j) / (|g_i| +
+    |g_j|).  Only crossings and face ends inside the box are divided, so
+    nothing overflows.  The optimal face [lo, hi] is a point when hi - lo <=
+    1e-12 f_max; otherwise the effort sum|a0 + a1 x| is least at lo, hi or a
+    kink -a0_k / a1_k between them, the first in that order on ties.
+    """
+    dec, inc = g > 0.0, g < 0.0
+    num, den = h[dec][:, None] - h[inc], g[dec][:, None] - g[inc]
+    inside = np.abs(num) <= f_max * den
+    x = np.concatenate(([-f_max, f_max], num[inside] / den[inside]))
+    worst = (h - x[:, None] * g).min(axis=1)
+    best = worst.argmax()
+    s = worst[best]
+    box = f_max * np.abs(g)
+    bound = np.minimum(np.maximum(h - s, -box), box)
+    np.divide(bound, g, out=bound, where=dec | inc)
+    lo, hi = bound.max(where=inc, initial=-f_max), bound.min(where=dec, initial=f_max)
+    if hi - lo <= 1e-12 * f_max:
+        return x[best : best + 1], float(s), "unique"
+    box = f_max * np.abs(a1)
+    kinks = np.divide(np.clip(-a0, -box, box), a1, out=np.full(a0.size, lo), where=a1 != 0.0)
+    points = np.clip(np.concatenate(([lo, hi], kinks)), lo, hi)
+    x = points[np.abs(a0 + points[:, None] * a1).sum(axis=1).argmin()]
+    return np.array([x]), float((h - g * x).min()), "refined"
 
 
 def check_f_max(f_max: float) -> None:
@@ -457,15 +498,17 @@ def solve_force(
     eta_af, s = np.zeros(n_af), f_max
     effort_pass = "unique" if n_af else "skipped"
     if guard.n_ineq:
-        if n_af:
+        act = slice(n_phi + n_u, None)
+        a0, A1 = X[act, 0], X[act, 1:]
+        if n_af == 1:
+            eta_af, s, effort_pass = _one_axis(G[:, 0], h, a0, A1[:, 0], f_max)
+        elif n_af:
             eta_af, s, tab, basis = _max_margin(G, h, f_max)
         else:
             s = float(h[h.argmin()])
         if s < -FEASIBILITY_TOL:
             raise InfeasibleLP(f"best achievable guard margin is {s:.6e}", margin=s)
-        if n_af:
-            act = slice(n_phi + n_u, None)
-            a0, A1 = X[act, 0], X[act, 1:]
+        if n_af > 1:
             eta_af, effort_pass = _least_effort(G, h, tab, basis, a0, A1, eta_af, f_max)
     u = np.empty(1 + n_af)
     u[0], u[1:] = 1.0, eta_af

@@ -20,7 +20,7 @@ from hybridservo.errors import InfeasibleLP, NumericOverflow, SingularSystem, Si
 from hybridservo.force_solver import assemble_newton, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
-from hybridservo.verifier import _force_equalities
+from hybridservo.verifier import _force_equalities, check_force_solution
 from kkt_reference import build_kkt, solve_kkt
 
 
@@ -762,6 +762,106 @@ def test_simplex_matches_linprog_on_random_boxed_lps(lp):
     # rows that span six decades; such a draw has no reference to match.
     assume(margin_ref.status == 0)
     assert s == pytest.approx(-margin_ref.fun, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _one_axis_lps(draw):
+    """(G, h, a0, A1, f_max) as _boxed_lps draws them, with one command axis."""
+    n_rows = draw(st.integers(1, 8))
+    n_act = draw(st.integers(1, 3))
+    G = draw(hnp.arrays(float, (n_rows, 1), elements=_ENTRIES))
+    h = draw(hnp.arrays(float, n_rows, elements=_ENTRIES))
+    a0 = draw(hnp.arrays(float, n_act, elements=_ENTRIES))
+    A1 = draw(hnp.arrays(float, (n_act, 1), elements=_ENTRIES))
+    f_max = draw(st.sampled_from([0.5, 5.0, 50.0]))
+    return G, h, a0, A1, f_max
+
+
+# The boxed-LP test's one-column examples.
+@example((
+    np.array([[0.0], [0], [0], [0], [0.25], [0], [0], [-999]]),
+    np.array([0, 0, 0, 0, 0, 0, 0, 0.25]), np.zeros(1), np.array([[275.0]]), 50.0,
+))
+@example((
+    np.array([[0.0], [0], [1e-3]]),
+    np.array([0, -129.0, -129]), np.zeros(1), np.array([[85.0]]), 0.5,
+))
+@settings(max_examples=300, deadline=None)
+@given(_one_axis_lps())
+def test_one_axis_closed_form_matches_exact_lexicographic(lp):
+    G, h, a0, A1, f_max = lp
+    x, s, effort_pass = force_solver._one_axis(G[:, 0], h, a0, A1[:, 0], f_max)
+    assert x.shape == (1,) and effort_pass in ("unique", "refined")
+    assert np.all(np.abs(x) <= f_max * (1.0 + 1e-12))
+    assert np.all(G @ x + s <= h + 1e-9 * (1.0 + np.abs(h)))
+    s_exact, least = exact_lexicographic(G, h, a0, A1, f_max)
+    assert s == pytest.approx(float(s_exact), rel=1e-9, abs=1e-9)
+    effort = np.abs(a0 + A1 @ x).sum()
+    assert effort == pytest.approx(float(least), rel=1e-9, abs=1e-9)
+
+
+def test_one_force_direction_solves_without_the_simplex(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a tableau was built with n_af = 1")
+
+    monkeypatch.setattr(force_solver, "_max_margin", no_lp)
+    monkeypatch.setattr(force_solver, "_simplex", no_lp)
+    rng = np.random.default_rng(11)
+    outcomes = []
+    while len(outcomes) < 40:
+        n_rows = int(rng.integers(1, 9))
+        inst, guard, T, n_av = random_guarded_assembly(rng, n_rows, infeasible=len(outcomes) % 3 == 2)
+        if inst.n_a - n_av != 1:
+            continue
+        kind, result = _outcome(lambda: solve_force(inst, guard, T, n_av))
+        if kind == "solved":
+            assert result.effort_pass in ("unique", "refined")
+            assert check_force_solution(inst, guard, T, result).passed
+        outcomes.append(kind)
+    assert set(outcomes) == {"solved", "infeasible"}
+
+
+def test_one_axis_closed_form_does_not_overflow():
+    # The rows' crossing lies at (1e10 - 0) / 2e-300 = 5e309, far outside the
+    # box; the optimum is the box end x = 50, with margin 50e-300.  In the
+    # second LP one flat row leaves the whole box optimal, and the first
+    # actuated force's kink lies at -1e10 / 1e-300.
+    cases = [
+        (np.array([1e-300, -1e-300]), np.array([1e10, 0.0]), np.zeros(1), np.ones(1)),
+        (np.zeros(1), np.ones(1), np.array([1e10, -3.0]), np.array([1e-300, 1.0])),
+    ]
+    for g, h, a0, a1 in cases:
+        with np.errstate(all="raise"):
+            x, s, _ = force_solver._one_axis(g, h, a0, a1, 50.0)
+        s_exact, least = exact_lexicographic(g[:, None], h, a0, a1[:, None], 50.0)
+        assert s == float(s_exact)
+        assert np.abs(a0 + a1 * x).sum() == pytest.approx(float(least), rel=1e-15)
+    assert x[0] == 3.0
+
+
+def test_lp_vertex_that_is_not_finite_raises_numeric_overflow():
+    # Outside synthesize's errstate this margin LP overflows to inf and then
+    # nan (eta_af = [nan, nan, -50]); it passes the guard before the LP.
+    G = np.array(
+        [
+            [0, 1e290, 1.5e-9],
+            [1e-8, 1e290, 3e-9],
+            [0, -1, 1e-8],
+            [-1e290, 0, 1e290],
+            [1, 1, 1],
+            [1, 1.5e-9, 1e290],
+        ]
+    )
+    h = np.array([1e-9, 0, 1e290, 1e290, 1e290, 1e290])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericOverflow, match="force stage: overflow in the margin LP"):
+            force_solver._max_margin(G, h, 50.0)
+        # A least-effort LP whose effort rows overflow, on a degenerate face.
+        G, h = np.array([[-1.0, 10.0], [1.0, 10.0], [0.0, 1.0]]), np.array([0.0, 0.0, -1.0])
+        x, _, tab, basis = force_solver._max_margin(G, h, 50.0)
+        a0, A1 = np.array([1e308]), np.array([[1e308, 1e308]])
+        with pytest.raises(NumericOverflow, match="force stage: overflow in the least-effort LP"):
+            force_solver._least_effort(G, h, tab, basis, a0, A1, x, 50.0)
 
 
 # Inputs on which the simplex misses the exact answer by more than the
