@@ -72,7 +72,8 @@ once against the original rows in eta_af and s, not in the shifted
 coordinates, so the shift's round-off stays out of the command and the
 margin.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
 pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
-phase 2.
+phase 2.  A phase whose vertex is not finite, an overflow in its pivots,
+raises NumericOverflow.
 """
 
 from __future__ import annotations

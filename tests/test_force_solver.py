@@ -809,8 +809,8 @@ def test_one_force_direction_solves_without_the_simplex(monkeypatch):
     rng = np.random.default_rng(11)
     outcomes = []
     while len(outcomes) < 40:
-        n_rows = int(rng.integers(1, 9))
-        inst, guard, T, n_av = random_guarded_assembly(rng, n_rows, infeasible=len(outcomes) % 3 == 2)
+        infeasible = len(outcomes) % 3 == 2
+        inst, guard, T, n_av = random_guarded_assembly(rng, int(rng.integers(1, 9)), infeasible)
         if inst.n_a - n_av != 1:
             continue
         kind, result = _outcome(lambda: solve_force(inst, guard, T, n_av))
@@ -827,16 +827,15 @@ def test_one_axis_closed_form_does_not_overflow():
     # second LP one flat row leaves the whole box optimal, and the first
     # actuated force's kink lies at -1e10 / 1e-300.
     cases = [
-        (np.array([1e-300, -1e-300]), np.array([1e10, 0.0]), np.zeros(1), np.ones(1)),
-        (np.zeros(1), np.ones(1), np.array([1e10, -3.0]), np.array([1e-300, 1.0])),
+        (np.array([1e-300, -1e-300]), np.array([1e10, 0.0]), np.zeros(1), np.ones(1), 50.0),
+        (np.zeros(1), np.ones(1), np.array([1e10, -3.0]), np.array([1e-300, 1.0]), 3.0),
     ]
-    for g, h, a0, a1 in cases:
+    for g, h, a0, a1, x_want in cases:
         with np.errstate(all="raise"):
             x, s, _ = force_solver._one_axis(g, h, a0, a1, 50.0)
         s_exact, least = exact_lexicographic(g[:, None], h, a0, a1[:, None], 50.0)
-        assert s == float(s_exact)
+        assert x[0] == x_want and s == float(s_exact)
         assert np.abs(a0 + a1 * x).sum() == pytest.approx(float(least), rel=1e-15)
-    assert x[0] == 3.0
 
 
 def test_lp_vertex_that_is_not_finite_raises_numeric_overflow():
