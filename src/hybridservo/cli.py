@@ -10,8 +10,9 @@ overridden by --f-max.
 Exit codes: 0 success; a failed step returns its error's exit_code (see
 errors.py): 2 for InfeasibleDimensions, InconsistentGoal, EmptyBasis and
 SingularTransform, 3 for InfeasibleLP and SingularSystem, 4 for
-NumericOverflow.  Unreadable or invalid input, command-line usage errors and
-an out-of-range solver setting also exit 4.
+NumericOverflow.  Unreadable or invalid input, command-line usage errors,
+an out-of-range solver setting and outputs that cannot be written also
+exit 4.
 """
 
 from __future__ import annotations
@@ -261,7 +262,11 @@ def run_scenario(args: argparse.Namespace) -> int:
             all(r["verification"]["passed"] for r in records) if args.verify else None
         ),
     }
-    _write_outputs(doc_out, timings, args)
+    try:
+        _write_outputs(doc_out, timings, args)
+    except OSError as exc:  # for example --out naming a directory
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

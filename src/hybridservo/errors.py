@@ -10,8 +10,8 @@ class InconsistentSystem(SolverError):
 
 
 class SingularSystem(SolverError):
-    """The force stage's equality rows are too ill-conditioned, inconsistent
-    or pin the force command, or its margin LP fails.  exit_code 3."""
+    """The force stage's equality rows are inconsistent or pin the force
+    command, or its margin LP fails.  exit_code 3."""
     exit_code = 3
 
 

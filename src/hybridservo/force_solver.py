@@ -17,15 +17,15 @@ solution of the stacked equality system M_free f_free = rhs - M_eta_f
 eta_af = B [1; eta_af], B = [rhs, -M_eta_f].  One SVD M_free = U S V^T
 gives it for every command at once: f_free = F [1; eta_af] with F =
 [f0, W] = V S^-1 U^T B over the singular values kept by the package's
-rank rule (Golub & Van Loan, Matrix Computations, 5.5).  The same SVD
-gives the condition of the KKT system [[2I, M_free^T], [M_free, 0]] in
-closed form, so that system is never built.  Consistent redundant
-equality rows (for example a duplicated Gamma row) are harmless; each
-column's residual check raises SingularSystem when the rows are
-inconsistent or pin the command itself.  The guard margins b_Lambda -
-Lambda [lambda; f] = h - G eta_af are affine as well.  When f_max sum|G|
-+ sum|h| leaves the float range, inputs so large that the margin LP
-would compute inf - inf, NumericOverflow is raised before any LP.
+rank rule (Golub & Van Loan, Matrix Computations, 5.5), so the map
+applied has condition at most 1 / RANK_TOL whatever the units of N.
+Consistent redundant equality rows (for example a duplicated Gamma row)
+are harmless; each column's residual check raises SingularSystem when
+the rows are inconsistent or pin the command itself.  The guard margins
+b_Lambda - Lambda [lambda; f] = h - G eta_af are affine as well.  When
+f_max sum|G| + sum|h| leaves the float range, inputs so large that the
+margin LP would compute inf - inf, NumericOverflow is raised before any
+LP.
 
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
@@ -181,46 +181,15 @@ def assemble_newton(
     return M_free, B
 
 
-def _kkt_condition(f_free: sla.Factorization) -> float:
-    """cond(K) of the KKT system of min ||x||^2 s.t. M x = b, from M's SVD.
-
-    K = [[2I, M^T], [M, 0]] over the kept rank has the eigenvalues
-    1 +- sqrt(1 + sigma_i^2) for each kept singular value and 2 once for
-    each column of M beyond the rank, so no factorization of K is needed.
-    Both moduli 1 + sqrt(1 + sigma^2) and sqrt(1 + sigma^2) - 1 grow with
-    sigma, so the largest eigenvalue modulus comes from the largest kept
-    singular value and the smallest from the smallest (or is 2).
-    sqrt(1 + sigma^2) - 1 is evaluated as sigma^2 / (1 + sqrt(1 + sigma^2))
-    so that it does not cancel.  The arithmetic is on numpy scalars, so an
-    overflow raises under np.errstate(over="raise").
-    """
-    rank = f_free.rank
-    if rank == 0:
-        return 1.0
-    top, low = f_free.s[0] ** 2, f_free.s[rank - 1] ** 2
-    largest = 1.0 + np.sqrt(1.0 + top)
-    smallest = low / (1.0 + np.sqrt(1.0 + low))
-    if f_free.vh.shape[1] > rank:
-        smallest = min(smallest, 2.0)
-    return float(largest / smallest) if smallest > 0.0 else np.inf
-
-
 def _free_force_map(M_free: np.ndarray, B: np.ndarray) -> np.ndarray:
     """F = [f0 | W] with f_free = F @ [1; eta_af] = f0 + W eta_af, from one SVD of M_free.
 
     F = V S^-1 U^T B over the kept singular values is the minimum-norm
-    solution, which the KKT system gives when it is solvable.  Raises
-    SingularSystem when that KKT system is too ill-conditioned, or when a
-    column leaves a residual: the rows are inconsistent or pin the command.
+    solution.  Raises SingularSystem when a column leaves a residual: the
+    rows are inconsistent or pin the command.
     """
-    f_free = sla.factor(M_free)
-    cond = _kkt_condition(f_free)
-    if not math.isfinite(cond) or cond >= sla.MAX_CONDITION:
-        raise SingularSystem(
-            f"force balance is singular or ill-conditioned (KKT cond {cond:.3e})"
-        )
     try:
-        return f_free.min_norm(B)
+        return sla.factor(M_free).min_norm(B)
     except InconsistentSystem as exc:
         raise SingularSystem(
             f"equality rows are inconsistent or pin the force command ({exc})"

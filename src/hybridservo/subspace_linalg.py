@@ -24,9 +24,6 @@ RANK_TOL = 1e-8
 # Residual acceptance for linear solves, relative to 1 + ||b||.
 RESIDUAL_TOL = 1e-8
 
-# Condition-number ceiling for the force stage's KKT system.
-MAX_CONDITION = 1e12
-
 
 def _as_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)

@@ -249,8 +249,9 @@ def check_force_solution(
     command = float(abs(solution.eta_af).max(initial=0.0))
     if not command <= f_max + 1e-9 * max(1.0, f_max):
         notes.append(f"force command max|eta_af| = {command:.6g} exceeds f_max = {f_max:g}")
-    # The least-effort pass is skipped exactly when there is no force command.
-    passes = ("unique", "refined", "fell_back") if n_af else ("skipped",)
+    # The least-effort pass is skipped exactly when there is no force
+    # command, and cannot fall back in the closed form at n_af = 1.
+    passes = (("skipped",), ("unique", "refined"), ("unique", "refined", "fell_back"))[min(n_af, 2)]
     if solution.effort_pass not in passes:
         notes.append(f"effort_pass {solution.effort_pass!r} at n_af = {n_af} is not one of {passes}")
     ok = (

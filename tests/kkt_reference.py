@@ -4,11 +4,11 @@ force_solver resolves the free forces from one thin SVD of M_free and never
 builds the KKT system of min ||f_free||^2 s.t. M_free f_free = rhs -
 M_eta_f eta_af.  This module builds that system and solves it with
 np.linalg.solve, a route that shares no factorization with the solver, so
-tests can check the SVD route (and its closed-form condition number)
-against it.  Both take the rows (M_free, M_eta_f, rhs): the solver's over
-[lambda; eta_av], given as (M_free, -B[:, 1:], B[:, 0]) from its (M_free, B),
-or the verifier's full layout over [lambda; eta_u; eta_av], which
-force_lp_oracle.py carries as equality rows.
+tests can check the SVD route against it.  Both take the rows (M_free,
+M_eta_f, rhs): the solver's over [lambda; eta_av], given as (M_free,
+-B[:, 1:], B[:, 0]) from its (M_free, B), or the verifier's full layout
+over [lambda; eta_u; eta_av], which force_lp_oracle.py carries as
+equality rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from hybridservo.errors import SingularSystem
-from hybridservo.subspace_linalg import MAX_CONDITION, RESIDUAL_TOL
+from hybridservo.subspace_linalg import RESIDUAL_TOL
+
+# Condition-number ceiling of the LU reference solve.
+MAX_CONDITION = 1e12
 
 
 def solve_square(A, b) -> np.ndarray:

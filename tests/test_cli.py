@@ -204,6 +204,18 @@ def test_missing_scenario_file_is_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked", ["out.json", "out.csv"])
+def test_unwritable_output_returns_4(tmp_path, capsys, blocked):
+    # A directory where the JSON or, under --csv, the CSV would go.
+    (tmp_path / blocked).mkdir()
+    scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(_supported_object_params()))
+    code = main(["--scenario", scenario, "--out", str(tmp_path / "out.json"), "--csv"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
+    assert (tmp_path / blocked).is_dir()
+
+
 def test_module_entry_point_reports_missing_scenario(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridservo
@@ -106,6 +107,39 @@ def test_goal_row_scale_and_a_repeated_goal_row_do_not_change_the_step(
         (got.force.objective_margin, ref.force.objective_margin),
     ]:
         assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
+
+
+@functools.cache
+def _plan_steps(lateral):
+    """Every step of the default or the lateral-load plan, with its outcome."""
+    scenario = tilting.TiltingScenario(gravity_object=LATERAL_LOAD if lateral else None)
+    steps = [tilting.build_instance(s, scenario) for s in tilting.rollout_states(scenario)]
+    return [(instance, guard, _outcome(instance, guard)) for instance, guard in steps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(-6.0, 6.0))
+@example(k=-6.0)
+@example(k=6.0)
+def test_uniform_unit_scaling_of_the_contact_forces_does_not_change_the_step(k):
+    # N, and the lambda columns of Lambda and Gamma, times 10^k: the same
+    # contacts with lambda in other units, so lambda scales by 10^-k and
+    # nothing else moves.
+    c = 10.0**k
+    for lateral in (False, True):
+        for instance, guard, (n_av, margin, verdicts) in _plan_steps(lateral):
+            n_phi = instance.n_phi
+            Lambda, Gamma = guard.Lambda.copy(), guard.Gamma.copy()
+            Lambda[:, :n_phi] *= c
+            Gamma[:, :n_phi] *= c
+            scaled = (
+                dataclasses.replace(instance, N=c * instance.N),
+                dataclasses.replace(guard, Lambda=Lambda, Gamma=Gamma),
+            )
+            n_av_s, margin_s, verdicts_s = _outcome(*scaled)
+            assert verdicts == (True, True)
+            assert (n_av_s, verdicts_s) == (n_av, verdicts)
+            assert abs(margin_s - margin) <= 1e-8 * max(1.0, abs(margin))
 
 
 def test_ninety_step_sweep_solves_or_reports_a_negative_margin():

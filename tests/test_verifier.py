@@ -245,11 +245,27 @@ def test_force_check_bounds_the_command_at_f_max():
     assert check_force_solution(inst, guard, vel.T, force, f_max=500.0).passed
 
 
-@pytest.mark.parametrize("effort_pass", ["skipped", "optimal"])
-def test_force_check_fails_on_an_effort_pass_the_solver_cannot_report(effort_pass):
-    # Default step 4 has n_af = 2, where the least-effort pass is never skipped.
-    inst, guard, vel, force = _solved_tilting_step(step=3)
-    assert force.eta_af.size == 2 and force.effort_pass != effort_pass
+def _two_contact_squeeze():
+    """README's raw example with a second contact: one force-controlled direction."""
+    N = np.array([[1.0, -1.0], [1.0, 0.0]])
+    inst = make_instance(1, N, np.array([[1.0, 0.0]]), [0.0], [-2.45, 0.0])
+    Lam = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+    guard = GuardConditions(Lam, np.array([-0.5, -0.5]), np.zeros((0, 4)), np.zeros(0))
+    step = synthesize(inst, guard)
+    return inst, guard, step.velocity, step.force
+
+
+@pytest.mark.parametrize(
+    "n_af, effort_pass",
+    [(2, "skipped"), (2, "optimal"), (1, "fell_back")],
+    ids=["skipped", "optimal", "fell_back"],
+)
+def test_force_check_fails_on_an_effort_pass_the_solver_cannot_report(n_af, effort_pass):
+    # Default step 4 has n_af = 2, where the least-effort pass is never
+    # skipped; the squeeze has n_af = 1, where the closed form never falls back.
+    inst, guard, vel, force = _solved_tilting_step(step=3) if n_af == 2 else _two_contact_squeeze()
+    assert force.eta_af.size == n_af and force.effort_pass != effort_pass
+    assert check_force_solution(inst, guard, vel.T, force).passed
     report = check_force_solution(inst, guard, vel.T, replace(force, effort_pass=effort_pass))
     assert not report.passed
     assert len(report.notes) == 1 and report.notes[0].startswith(f"effort_pass {effort_pass!r}")
