@@ -30,9 +30,10 @@ LP.
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
 [eta_af; s] subject to G eta_af + s <= h and |eta_af| <= f_max, which is
-bounded because eta_af is boxed.  Three cases need no LP.  With no
-force-controlled direction (n_af = 0) there is nothing to choose and the
-margin is min(h).  With no guard rows the margin is the box's own slack,
+bounded because eta_af is boxed.  Three cases need no LP and a fourth no
+second one.  With no force-controlled direction (n_af = 0) there is
+nothing to choose and the margin is min(h).  With no guard rows the
+margin is the box's own slack,
 max s subject to +-eta_i + s <= f_max: adding the two rows of any i gives
 s <= f_max, with equality only at eta_i = 0, so eta_af = 0 and s = f_max
 is the unique optimum and the margin LP only ever sees real guard rows.
@@ -41,7 +42,9 @@ and _one_axis solves them in closed form: a basic dual optimum has at most
 two nonzero multipliers, so at most two rows fix the margin (Bertsimas &
 Tsitsiklis 1997, ch. 4), and the effort is least at an end or a kink of
 the margin-optimal interval.  effort_pass is then "unique" when that
-interval is a point up to round-off and "refined" otherwise.  f_max
+interval is a point up to round-off and "refined" otherwise.  The same
+closed form (_least_on_segment) gives phase 2 on an edge: a phase-1
+optimal face with one nonbasic column of zero reduced cost.  f_max
 itself must be finite and > 0 (check_f_max).
 
 The margin optimum can be degenerate (several commands achieve the same
@@ -50,9 +53,10 @@ of least actuator effort sum |f_act(eta_af)| for the actuated force in the
 original coordinates, written as sum(p + q) with f_act = p - q, p, q >= 0:
 the exact lexicographic optimum (Isermann, Linear lexicographic
 optimization, OR Spektrum 4, 1982), which is deterministic and free of
-gratuitous force components.  effort_pass
-records whether phase 2 was skipped (n_af = 0), found the optimum unique
-(no LP), refined the command, or fell back to the phase-1 vertex.
+gratuitous force components.  effort_pass records whether phase 2 was
+skipped (n_af = 0), found the optimum unique (no LP), refined the command
+(in closed form on an edge, by an LP on a larger face) or fell back to the
+phase-1 vertex.
 
 Both LPs are tiny (on tilting, 3 variables besides the slacks in phase 1),
 so they are solved on one dense tableau in numpy (Bertsimas & Tsitsiklis,
@@ -352,7 +356,10 @@ def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
     infinite reduced cost, which keeps those columns out of the basis, holds
     the margin exactly; the columns themselves stay, since their entries are
     part of B^-1 for _refine.  If every nonbasic column is one of them,
-    x_star is the only margin-optimal command.  Otherwise the rows
+    x_star is the only margin-optimal command.  If all but one, j, are, the
+    face is the edge x_star + tau d, 0 <= tau <= tau_max, with d read off
+    column j and tau_max its ratio test, and _least_on_segment takes the
+    effort's minimum on it without an LP.  Otherwise the rows
     A1 y - p + q = f_max A1 1 - a0 (eta_af = y - f_max) are appended in
     canonical form for the phase-1 basis and negated where their right-hand
     side is <= 0, so p_j (where a0_j + A1_j x_star >= 0) or q_j starts basic
@@ -361,37 +368,72 @@ def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
     (command, effort_pass): x_star with "unique" or "fell_back", or the new
     command with "refined".
     """
-    off_face = (tab[-1, :-1] > OPT_TOL).nonzero()[0]
+    off = tab[-1, :-1] > OPT_TOL
+    off_face = off.nonzero()[0]
     m, n_cols = basis.size, tab.shape[1] - 1
     if m + off_face.size == n_cols:
         return x_star, "unique"
     n_act, n_af = A1.shape
-    rows = m + n_act
-    eff = np.zeros((rows + 1, n_cols + 2 * n_act + 1))
-    eff[:m, :n_cols], eff[:m, -1] = tab[:-1, :-1], tab[:-1, -1]
-    E = eff[m:rows]
-    E[:, :n_af], E[:, -1] = A1, f_max * A1.sum(axis=1) - a0
-    _put_identity(eff, m, n_cols, n_act, -1.0)
-    _put_identity(eff, m, n_cols + n_act, n_act)
-    E -= E[:, basis] @ eff[:m]
-    flip = E[:, -1] <= 0.0
-    E[flip] *= -1.0
-    eff[-1, n_cols:-1] = 1.0
-    eff[-1] -= E.sum(axis=0)
-    eff[-1, off_face] = np.inf
-    # The phase-1 basis, then p_j where the row was negated and q_j elsewhere.
-    face_basis = np.arange(n_cols - m, n_cols + n_act)
-    face_basis[:m] = basis
-    face_basis[m:][~flip] += n_act
-    try:
-        z = _simplex(eff, face_basis)
-    except SingularSystem:
-        return x_star, "fell_back"
-    s0 = (h + f_max * G.sum(axis=1)).min()
-    command = _refine(eff, face_basis, z, G, h, f_max, s0, A1, a0)[0][:n_af]
+    command = None
+    if m + off_face.size == n_cols - 1:
+        off[basis] = True
+        j = off.argmin()
+        column = tab[:-1, j]
+        if column[column.argmax()] > PIVOT_TOL:
+            ratios = np.full(m, np.inf)
+            np.divide(tab[:-1, -1], column, out=ratios, where=column > PIVOT_TOL)
+            tau_max = ratios[ratios.argmin()]
+            # Raising z_j by tau moves the basic variables by -tau column.
+            dz = np.zeros(n_cols)
+            dz[basis], dz[j] = -column, 1.0
+            d = dz[:n_af]
+            tau = _least_on_segment(a0 + A1 @ x_star, A1 @ d, 0.0, tau_max, tau_max)
+            command = x_star + tau * d
+    if command is None:
+        rows = m + n_act
+        eff = np.zeros((rows + 1, n_cols + 2 * n_act + 1))
+        eff[:m, :n_cols], eff[:m, -1] = tab[:-1, :-1], tab[:-1, -1]
+        E = eff[m:rows]
+        E[:, :n_af], E[:, -1] = A1, f_max * A1.sum(axis=1) - a0
+        _put_identity(eff, m, n_cols, n_act, -1.0)
+        _put_identity(eff, m, n_cols + n_act, n_act)
+        E -= E[:, basis] @ eff[:m]
+        flip = E[:, -1] <= 0.0
+        E[flip] *= -1.0
+        eff[-1, n_cols:-1] = 1.0
+        eff[-1] -= E.sum(axis=0)
+        eff[-1, off_face] = np.inf
+        # The phase-1 basis, then p_j where the row was negated and q_j elsewhere.
+        face_basis = np.arange(n_cols - m, n_cols + n_act)
+        face_basis[:m] = basis
+        face_basis[m:][~flip] += n_act
+        try:
+            z = _simplex(eff, face_basis)
+        except SingularSystem:
+            return x_star, "fell_back"
+        s0 = (h + f_max * G.sum(axis=1)).min()
+        command = _refine(eff, face_basis, z, G, h, f_max, s0, A1, a0)[0][:n_af]
     if not np.isfinite(command).all():
         raise NumericOverflow("force stage: overflow in the least-effort LP")
     return command, "refined"
+
+
+def _least_on_segment(a, b, lo, hi, reach):
+    """The t in [lo, hi] of least effort sum|a + t b|: lo, hi or a kink -a_k / b_k.
+
+    Only kinks with |a_k| <= reach |b_k|, reach >= |lo|, |hi|, are divided;
+    the others are clipped first, so nothing overflows.  Ties go to the first
+    in that order; an effort that is not finite raises NumericOverflow.
+    """
+    t = np.full(a.size + 2, lo)
+    t[1] = hi
+    box = reach * np.abs(b)
+    np.divide(np.minimum(np.maximum(-a, -box), box), b, out=t[2:], where=b != 0.0)
+    np.minimum(np.maximum(t, lo, out=t), hi, out=t)
+    effort = np.abs(a + t[:, None] * b).sum(axis=1)
+    if not np.isfinite(effort).all():
+        raise NumericOverflow("force stage: overflow in the least-effort LP")
+    return t[effort.argmin()]
 
 
 def _one_axis(g, h, a0, a1, f_max):
@@ -407,7 +449,8 @@ def _one_axis(g, h, a0, a1, f_max):
     dec, inc = g > 0.0, g < 0.0
     num, den = h[dec][:, None] - h[inc], g[dec][:, None] - g[inc]
     inside = np.abs(num) <= f_max * den
-    x = np.concatenate(([-f_max, f_max], num[inside] / den[inside]))
+    x = np.empty(2 + np.count_nonzero(inside))
+    x[0], x[1], x[2:] = -f_max, f_max, num[inside] / den[inside]
     worst = (h - x[:, None] * g).min(axis=1)
     best = worst.argmax()
     s = worst[best]
@@ -417,10 +460,7 @@ def _one_axis(g, h, a0, a1, f_max):
     lo, hi = bound.max(where=inc, initial=-f_max), bound.min(where=dec, initial=f_max)
     if hi - lo <= 1e-12 * f_max:
         return x[best : best + 1], float(s), "unique"
-    box = f_max * np.abs(a1)
-    kinks = np.divide(np.clip(-a0, -box, box), a1, out=np.full(a0.size, lo), where=a1 != 0.0)
-    points = np.clip(np.concatenate(([lo, hi], kinks)), lo, hi)
-    x = points[np.abs(a0 + points[:, None] * a1).sum(axis=1).argmin()]
+    x = _least_on_segment(a0, a1, lo, hi, f_max)
     return np.array([x]), float((h - g * x).min()), "refined"
 
 

@@ -436,9 +436,21 @@ def _degenerate_margin_instance():
     return inst, guard
 
 
+def _square_face_instance():
+    # n_af = 3 and the one guard margin -f_3: it is best at f_3 = -f_max, and
+    # f_1, f_2 span a square face, where the least effort is f_1 = f_2 = 0.
+    inst = make_instance(0, np.eye(3), np.zeros((0, 3)), [], [0.0, 0.0, 0.0])
+    Lam = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    guard = GuardConditions(Lam, np.zeros(1), np.zeros((0, 6)), np.zeros(0))
+    return inst, guard, np.eye(3), 0
+
+
 def test_effort_pass_reports_refinement_and_fallback(monkeypatch):
     inst, guard = _degenerate_margin_instance()
     assert solve_force(inst, guard, np.eye(2), n_av=0).effort_pass == "refined"
+    sol = solve_force(*_square_face_instance())
+    assert sol.effort_pass == "refined"
+    assert np.array_equal(sol.eta_af, [0.0, 0.0, -50.0])
 
     # A least-effort LP that does not succeed keeps the phase-1 vertex.
     simplex, max_margin = force_solver._simplex, force_solver._max_margin
@@ -456,10 +468,10 @@ def test_effort_pass_reports_refinement_and_fallback(monkeypatch):
 
     monkeypatch.setattr(force_solver, "_simplex", failing_effort_pass)
     monkeypatch.setattr(force_solver, "_max_margin", recorded_max_margin)
-    sol = solve_force(inst, guard, np.eye(2), n_av=0)
+    sol = solve_force(*_square_face_instance())
     assert len(calls) == 2
     assert sol.effort_pass == "fell_back"
-    assert sol.objective_margin == pytest.approx(49.0, abs=1e-6)
+    assert sol.objective_margin == pytest.approx(50.0, abs=1e-6)
     assert np.array_equal(sol.eta_af, vertices[0][0])
 
 
@@ -473,8 +485,10 @@ def _default_plan_cases():
 
 
 def test_unique_margin_optimum_solves_one_lp(monkeypatch):
-    # Phase 2 runs only when a nonbasic column has a zero phase-1 reduced
-    # cost; otherwise the phase-1 vertex is the only margin-optimal command.
+    # Phase 2 solves an LP only when two or more nonbasic columns have a zero
+    # phase-1 reduced cost.  With none, the phase-1 vertex is the only
+    # margin-optimal command; with one, the face is an edge and phase 2 takes
+    # its least effort in closed form, as on default steps 3-8.
     simplex, calls = force_solver._simplex, []
 
     def counted(*args):
@@ -486,9 +500,13 @@ def test_unique_margin_optimum_solves_one_lp(monkeypatch):
     for case in _default_plan_cases():
         calls.clear()
         sol = solve_force(*case)
-        assert len(calls) == {"unique": 1, "refined": 2}[sol.effort_pass]
+        assert len(calls) == 1
         passes.append(sol.effort_pass)
     assert passes.count("unique") == 9
+    assert passes.count("refined") == 6
+    calls.clear()
+    assert solve_force(*_square_face_instance()).effort_pass == "refined"
+    assert len(calls) == 2
 
 
 def test_least_effort_pass_holds_the_margin_on_a_degenerate_face():
@@ -540,15 +558,14 @@ def test_least_effort_starts_feasible_without_a_pivot(monkeypatch):
     monkeypatch.setattr(force_solver, "_pivot", recorded_pivot)
     monkeypatch.setattr(force_solver, "_simplex", recorded_simplex)
     monkeypatch.setattr(force_solver, "_least_effort", checked_least_effort)
-    inst, guard = _degenerate_margin_instance()
-    for case in [(inst, guard, np.eye(2), 0), *_default_plan_cases()]:
-        solve_force(*case)
-    assert len(values) == 7
-    # The degenerate instance's margin LP by hand, with a0 chosen so that its
-    # vertex x* = [-50, -50] leaves one actuated force exactly 0.
-    G, h = np.array([[-1.0, 10.0], [1.0, 10.0], [0.0, 1.0]]), np.array([0.0, 0.0, -1.0])
+    for f_max in (0.5, 50.0):
+        solve_force(*_square_face_instance(), f_max=f_max)
+    assert len(values) == 2
+    # The square face's margin LP by hand, with a0 chosen so that its vertex
+    # x* = [-50, -50, -50] leaves one actuated force exactly 0.
+    G, h = np.array([[0.0, 0.0, 1.0]]), np.zeros(1)
     x_star, _, tab, basis = force_solver._max_margin(G, h, 50.0)
-    A1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    A1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
     checked_least_effort(G, h, tab, basis, np.array([50.0, 0.0, 0.0]), A1, x_star, 50.0)
     assert np.array_equal(values[-1], [0.0, -50.0, 50.0])
 
@@ -830,6 +847,61 @@ def test_one_axis_closed_form_does_not_overflow():
         assert np.abs(a0 + a1 * x).sum() == pytest.approx(float(least), rel=1e-15)
 
 
+def _edge_column(tab, basis):
+    """The one nonbasic column with a zero phase-1 reduced cost, or None.
+
+    The column must have an entry above PIVOT_TOL, so that its ratio test
+    bounds the edge.
+    """
+    on_face = ~(tab[-1, :-1] > force_solver.OPT_TOL)
+    on_face[basis] = False
+    (cols,) = on_face.nonzero()
+    if cols.size == 1 and tab[:-1, cols[0]].max() > force_solver.PIVOT_TOL:
+        return cols[0]
+    return None
+
+
+def _no_tableau(*args):
+    raise AssertionError("the least-effort pass built a tableau on an edge")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boxed_lps())
+def test_least_effort_on_a_one_dimensional_face_matches_exact_lexicographic(lp):
+    # On an edge of the margin-optimal face phase 2 is a closed form: no
+    # tableau, and the exact lexicographic optimum.
+    G, h, a0, A1, f_max = lp
+    x, s, tab, basis = force_solver._max_margin(G, h, f_max)
+    assume(_edge_column(tab, basis) is not None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(force_solver, "_simplex", _no_tableau)
+        command, effort_pass = force_solver._least_effort(G, h, tab, basis, a0, A1, x, f_max)
+    assert effort_pass == "refined"
+    assert np.all(G @ command + s <= h + 1e-9 * (1.0 + np.abs(h)))
+    assert np.all(np.abs(command) <= f_max + 1e-9 * (1.0 + f_max))
+    s_exact, least = exact_lexicographic(G, h, a0, A1, f_max)
+    assert s == pytest.approx(float(s_exact), rel=1e-9, abs=1e-9)
+    effort = np.abs(a0 + A1 @ command).sum()
+    assert effort == pytest.approx(float(least), rel=1e-9, abs=1e-9)
+
+
+def test_least_effort_on_a_one_dimensional_face_does_not_overflow(monkeypatch):
+    # The face is the edge x2 = -50, -50 <= x1 <= 50 (margin 49), and the
+    # first actuated force's kink lies at -1e10 / 1e-300 = -1e310, past the
+    # float range; the second's is at x1 = 3.
+    G, h = np.array([[-1.0, 10.0], [1.0, 10.0], [0.0, 1.0]]), np.array([0.0, 0.0, -1.0])
+    a0, A1 = np.array([1e10, -3.0]), np.array([[1e-300, 0.0], [1.0, 0.0]])
+    with np.errstate(all="raise"):
+        x, s, tab, basis = force_solver._max_margin(G, h, 50.0)
+        assert _edge_column(tab, basis) is not None
+        monkeypatch.setattr(force_solver, "_simplex", _no_tableau)
+        command, effort_pass = force_solver._least_effort(G, h, tab, basis, a0, A1, x, 50.0)
+    s_exact, least = exact_lexicographic(G, h, a0, A1, 50.0)
+    assert effort_pass == "refined" and s == float(s_exact) == 49.0
+    assert np.array_equal(command, [3.0, -50.0])
+    assert np.abs(a0 + A1 @ command).sum() == pytest.approx(float(least), rel=1e-15)
+
+
 def test_lp_vertex_that_is_not_finite_raises_numeric_overflow():
     # Outside synthesize's errstate this margin LP overflows to inf and then
     # nan (eta_af = [nan, nan, -50]); it passes the guard before the LP.
@@ -923,6 +995,77 @@ def test_least_effort_face_test_drops_a_small_effort():
     _assert_exact_effort(G, h, np.zeros(1), np.array([[0.25, 0.0, 0.0]]), 0.5)
 
 
+# Seed 23 of the boxed-LP test and seed 27 of the edge test draw these
+# inputs, each with an edge for its margin-optimal face.  The tableau pass
+# and the closed form return the same command on each up to round-off, and
+# with OPT_TOL at 1e-15 both margin and effort come out exact.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL face test")
+def test_least_effort_face_test_breaks_a_row_for_effort():
+    # Effort 0.246875 against the exact 0.25; a zero row breaks by 1.25e-8.
+    G = np.array(
+        [[0.0, -250.0, 0.0], _Z3, [1e-3, 0.0, 0.0], [0.0, 0.25, 100.0], [-250.0, 0.0, -0.25]]
+    )
+    _assert_exact_effort(G, np.zeros(5), np.array([0.25]), np.array([[0.0, 0.0, 0.25]]), 5.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL face test")
+def test_least_effort_face_test_trades_a_small_margin_for_effort():
+    # Effort 0.2498979 against the exact 0.25.
+    G = np.array(
+        [[0.0, -143.0, 0.0], _Z3, [1e-3, 0.0, 0.0], [0.0, 0.25, 306.0], [-143.0, 0.0, -0.25]]
+    )
+    _assert_exact_effort(G, np.zeros(5), np.array([0.25]), np.array([[0.0, 0.0, 0.25]]), 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL face test")
+def test_least_effort_face_test_drops_effort_on_an_edge():
+    # Effort 0.2497374 against the exact 0.25.
+    G = np.array(
+        [
+            [-0.25, -662.0, 0.0],
+            [119.0, 0.0, -0.25],
+            _Z3,
+            [0.0, 0.0, 155.0],
+            _Z3,
+            [0.0, 1.953125e-3, 0.0],
+        ]
+    )
+    _assert_exact_effort(G, np.zeros(6), np.array([0.25]), np.array([[0.25, 0.0, 0.0]]), 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL face test")
+def test_least_effort_face_test_breaks_a_row_on_an_edge():
+    # Effort 0.24921875 against the exact 0.25; a zero row breaks by 2.3e-9.
+    G = np.array(
+        [
+            [-0.25, -657.0, 0.0],
+            [40.0, 0.0, -0.25],
+            _Z3,
+            [0.0, 0.0, 465.0],
+            _Z3,
+            [0.0, 1.953125e-3, 0.0],
+        ]
+    )
+    _assert_exact_effort(G, np.zeros(6), np.array([0.25]), np.array([[0.25, 0.0, 0.0]]), 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL optimality test")
+def test_margin_optimality_test_stops_short_of_the_exact_margin():
+    # Phase 1 stops at a reduced cost within OPT_TOL: margin 4.65e-9 short.
+    G = np.array(
+        [
+            [-0.25, -657.0, 0.0],
+            [40.0, 0.0, -0.25],
+            _Z3,
+            [0.0, 0.0, -929.0],
+            _Z3,
+            [0.0, 3.90625e-3, 0.0],
+        ]
+    )
+    h = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.25])
+    _assert_exact_margin(G, h, np.zeros(1), np.zeros((1, 3)), 0.5)
+
+
 def _phase1_lps():
     """(G, h, f_max) of every default-plan margin LP and 200 seeded boxed LPs."""
     lps = []
@@ -986,10 +1129,10 @@ def test_max_margin_first_pivot_in_closed_form(monkeypatch):
         assert pivots == 1
 
 
-def test_default_plan_takes_at_most_70_pivots(monkeypatch):
+def test_default_plan_takes_at_most_64_pivots(monkeypatch):
     # Counted over the 15 default steps and both phases, with each margin
-    # LP's closed-form first pivot as one.  Phase 2 starts feasible, so it
-    # takes only simplex pivots.
+    # LP's closed-form first pivot as one.  Every default margin-optimal face
+    # is a point or an edge, so phase 2 takes no pivot.
     pivot, max_margin, count = force_solver._pivot, force_solver._max_margin, [0]
 
     def counted_pivot(*args):
@@ -1004,7 +1147,7 @@ def test_default_plan_takes_at_most_70_pivots(monkeypatch):
     monkeypatch.setattr(force_solver, "_max_margin", counted_max_margin)
     for case in _default_plan_cases():
         solve_force(*case)
-    assert count[0] <= 70
+    assert count[0] <= 64
 
 
 def _svd_route_cases():
