@@ -22,10 +22,16 @@ basis and the minimum-norm velocity v_star = NullN (G NullN)^+ b_G that
 fixes the command magnitudes b_C = C v_star.  The only other
 factorizations are the candidate basis, the direction SVD (whose singular
 values also decide that the rows pin the goal down) and null(R_C) for the
-action frame.  Every cutoff is the fixed relative tolerance sla.RANK_TOL,
-the one the verifier ranks at.  No rank cutoff compares N's units with
-G's: G NullN is ranked against ||G||_F (a goal repeating a constraint adds
-no rank), the candidate basis's and the direction SVD's cosines against 1.
+action frame.  When null(N) is one free motion z, as on every tilting
+step, G NullN is the column G z and, at n_av = 1, A the row z_a (B_c is
+the actuated identity): the SVD of a vector is its norm and direction
+(Golub & Van Loan, Matrix Computations, 2.4), so only N and R_C are
+factored there.  Every cutoff is the fixed relative tolerance
+sla.RANK_TOL, the one the verifier ranks at.  No rank cutoff compares N's
+units with G's, or one goal row's with another's: each row of G is scaled
+to unit norm with its b_G entry, as the verifier does, and G NullN is
+ranked against ||G||_F (a goal repeating a constraint adds no rank), the
+candidate basis's and the direction SVD's cosines against 1.
 """
 
 from __future__ import annotations
@@ -171,8 +177,8 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     row with b_C_i == 0 gets a positive first nonzero entry.  Raises
     SingularTransform when the rows do not pin the goal down:
     rank [N; C] = r_N + rank(A k) must equal rank [N; G] = r_N + n_av.
-    Raises NumericOverflow when ||G||_F or ||b_G|| overflows, which would
-    otherwise rank G NullN at 0 and report a conflicting goal.
+    Raises NumericOverflow when ||G||_F, or ||b_G|| on the unit goal rows,
+    overflows.
     """
     n, n_u, n_a = instance.n, instance.n_u, instance.n_a
     f_N = sla.factor(instance.N)
@@ -182,30 +188,55 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
             f"rank(N) = {r_N} with n_a = {n_a} cannot determine all {n} velocities"
         )
     NullN = f_N.null_space()
-    # np.linalg.norm(b_G) is the square root of b_G @ b_G: inf exactly when that is.
-    g_scale = float(np.linalg.norm(instance.G))
-    if not math.isfinite(g_scale + float(instance.b_G @ instance.b_G)):
+    # Goal rows to unit norm with their b_G entries, so each is ranked in its
+    # own units; np.hypot's reduction neither overflows nor underflows.
+    norms = np.hypot.reduce(instance.G, axis=1)
+    g_scale = math.sqrt(np.count_nonzero(norms))  # ||G||_F of the unit rows
+    norms[norms == 0.0] = 1.0
+    G, b_G = instance.G / norms[:, None], instance.b_G / norms
+    if not math.isfinite(float(np.linalg.norm(instance.G)) + float(b_G @ b_G)):
         raise NumericOverflow(
             "velocity stage: overflow in the goal scale; the input is out of range"
         )
-    f_GN = sla.factor(instance.G @ NullN, scale=g_scale)
-    n_av = f_GN.rank
-    try:
-        v_star = NullN @ f_GN.min_norm(instance.b_G)
-    except InconsistentSystem as exc:
-        raise InconsistentGoal(
-            "goal velocity conflicts with the holonomic constraints"
-        ) from exc
+    if NullN.shape[1] == 1:
+        # One free motion z: the SVD of the column g = G z is ||g|| and g / ||g||;
+        # x = (g / ||g||) . b_G / ||g|| in that order, so nothing overflows.
+        z = NullN[:, 0]
+        g = G @ z
+        g_norm = math.sqrt(g @ g)
+        n_av = int(g_norm > sla.RANK_TOL * g_scale)
+        x = (g / g_norm) @ b_G / g_norm if n_av else 0.0
+        r = g * x - b_G
+        consistent = math.sqrt(r @ r) <= sla.RESIDUAL_TOL * (1.0 + math.sqrt(b_G @ b_G))
+        v_star = z * x
+    else:
+        f_GN = sla.factor(G @ NullN, scale=g_scale)
+        n_av = f_GN.rank
+        try:
+            v_star, consistent = NullN @ f_GN.min_norm(b_G), True
+        except InconsistentSystem:
+            consistent = False
+    if not consistent:
+        raise InconsistentGoal("goal velocity conflicts with the holonomic constraints")
 
     if n_av == 0:
         return VelocitySolution(C=np.zeros((0, n)), b_C=np.zeros(0), T=np.eye(n), cost=0.0)
 
-    B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av)
-    A = NullN.T @ B_c
-    k, sigma = optimal_directions(A, n_av)
+    if NullN.shape[1] == 1:
+        # null([N; G]) is empty, so B_c is the actuated identity and A is the
+        # row a = z_a, whose SVD is ||a|| and a / ||a||.
+        A = NullN[n_u:].T
+        sigma = [math.sqrt(A[0] @ A[0])]
+        k = A.T / (sigma[0] or 1.0)  # a zero a stays zero and fails the check below
+        C = np.zeros((1, n))
+        C[0, n_u:] = k[:, 0]
+    else:
+        B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av)
+        A = NullN.T @ B_c
+        k, sigma = optimal_directions(A, n_av)
+        C = (B_c @ k).T
     if not sigma[n_av - 1] > sla.RANK_TOL:
         raise SingularTransform("command rows are not independent modulo the constraints")
-    C = (B_c @ k).T
     b_C = C @ v_star
     for i in range(n_av):
         lead = b_C[i] if b_C[i] != 0.0 else C[i, np.flatnonzero(C[i])[0]]

@@ -132,6 +132,8 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
     keeps the goal, each system's minimum-norm solution satisfies the other's
     rows, and C v is constant over the whole null space of [N; G].  T must
     be the action frame that the force stage reads (see _frame_notes).
+    Each failed condition adds a note, so the check passes exactly when
+    there is none.
     """
     n_phi = instance.N.shape[0]
     zeros = np.zeros(n_phi)
@@ -155,17 +157,15 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
     # C v must be the same for every velocity compatible with the goal.
     variation = float(abs(C @ goal.null_space).max(initial=0.0))
 
-    frame_notes = _frame_notes(solution.T, solution.C, instance.n_u)
-    notes += frame_notes
-
-    residuals = (null_goal_residual, cross_goal, cross_cmd, variation)
-    ok = (
-        cmd.rank == goal.rank
-        and all(r is not None and r <= VELOCITY_TOL for r in residuals)
-        and not frame_notes
-    )
+    if cmd.rank != goal.rank:
+        notes.append(f"rank [N; C] = {cmd.rank} != rank [N; G] = {goal.rank}")
+    names = ("null_goal_residual", "cross_residual_goal", "cross_residual_command", "command_variation")
+    for name, r in zip(names, (null_goal_residual, cross_goal, cross_cmd, variation)):
+        if r is not None and not r <= VELOCITY_TOL:
+            notes.append(f"{name} = {r:.3e} exceeds {VELOCITY_TOL:g}")
+    notes += _frame_notes(solution.T, solution.C, instance.n_u)
     return VelocityCheck(
-        passed=bool(ok),
+        passed=not notes,
         rank_nc=cmd.rank,
         rank_ng=goal.rank,
         null_goal_residual=null_goal_residual,

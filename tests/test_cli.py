@@ -105,6 +105,28 @@ def test_raw_instance_roundtrip(tmp_path):
     assert step["verification"]["passed"] is True
 
 
+def test_goal_rows_in_small_units_solve_and_verify(tmp_path):
+    # A third coordinate with a goal row in units 1e9 smaller: both goal rows
+    # are commanded (n_av = 2), and the step is README's raw example again.
+    params = {
+        "n_u": 1,
+        "N": [[1.0, -1.0, 0.0]],
+        "G": [[1.0, 0.0, 0.0], [0.0, 0.0, 1e-9]],
+        "b_G": [0.3, 7e-10],
+        "F": [-2.45, 0.0, 0.0],
+        "Lambda": [[-1.0, 0.0, 0.0, 0.0]],
+        "b_Lambda": [-0.5],
+    }
+    scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(params))
+    out = tmp_path / "out.json"
+    assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == 0
+    doc = json.loads(out.read_text())
+    step = doc["steps"][0]
+    assert doc["all_verified"] is True
+    assert step["n_av"] == 2
+    assert step["lp_margin"] == pytest.approx(1.95, abs=1e-9)
+
+
 def test_verify_json_without_guard_rows_is_strict_json(tmp_path):
     # README's raw example without its guard rows has no guard margin, so
     # min_guard_margin is null, not the non-JSON constant Infinity.

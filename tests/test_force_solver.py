@@ -1049,6 +1049,32 @@ def test_least_effort_face_test_breaks_a_row_on_an_edge():
     _assert_exact_effort(G, np.zeros(6), np.array([0.25]), np.array([[0.25, 0.0, 0.0]]), 0.5)
 
 
+# HiGHS's optimum of default step 12's margin LP, the same at f_max 50 and
+# 1e3. The LP's value is concave and nondecreasing in f_max, so it is the
+# optimum at every larger bound too.
+STEP_12_MARGIN = 0.6160652424908972
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, InfeasibleLP),
+    reason="the margin LP's shift to the -f_max corner, h + f_max G 1, cancels h",
+)
+def test_margin_lp_keeps_the_optimum_at_a_large_f_max():
+    # At 1e15 and 1e18 the reported margin is not the command's; at 1e32 a
+    # feasible step is reported infeasible, or its command breaks guard rows.
+    scenario = tilting.TiltingScenario()
+    inst, guard = tilting.build_instance(tilting.rollout_states(scenario)[11], scenario)
+    vel = solve_velocity(inst)
+    assert solve_force(inst, guard, vel.T, vel.n_av, 50.0).objective_margin == pytest.approx(
+        STEP_12_MARGIN, abs=1e-12
+    )
+    for f_max in (1e15, 1e18, 1e32):
+        force = solve_force(inst, guard, vel.T, vel.n_av, f_max)
+        assert abs(force.objective_margin - STEP_12_MARGIN) <= 1e-9, f_max
+        assert check_force_solution(inst, guard, vel.T, force, f_max=f_max).passed, f_max
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute OPT_TOL optimality test")
 def test_margin_optimality_test_stops_short_of_the_exact_margin():
     # Phase 1 stops at a reduced cost within OPT_TOL: margin 4.65e-9 short.

@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from helpers import direction_problem, random_feasible_instance
 from hybridservo import subspace_linalg as sla
-from hybridservo import velocity_solver
+from hybridservo import synthesize, velocity_solver
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
 from hybridservo.errors import (
     EmptyBasis,
     InconsistentGoal,
+    InconsistentSystem,
     InfeasibleDimensions,
+    NumericOverflow,
     SingularTransform,
 )
-from hybridservo.model import make_instance
+from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import VelocitySolution, candidate_basis, solve_velocity
 from hybridservo.verifier import check_velocity_solution
 from pgd_oracle import (
@@ -373,3 +376,175 @@ def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
         assert not any(a.shape == stack.shape and np.array_equal(a, stack) for a in seen)
     # Besides N: G NullN, null(sigma_a), the direction SVD and null(R_C).
     assert len(seen) == 5
+
+
+def _svd_route(inst):
+    """(C, b_C, T, cost) by the stage's SVD route, from sla.factor and
+    optimal_directions, on the unit goal rows; or the error it raises."""
+    n, n_u = inst.n, inst.n_u
+    null_n = sla.factor(inst.N).null_space()
+    norms = np.linalg.norm(inst.G, axis=1)
+    norms[norms == 0.0] = 1.0
+    G, b_G = inst.G / norms[:, None], inst.b_G / norms
+    f_gn = sla.factor(G @ null_n, scale=np.linalg.norm(G))
+    try:
+        v_star = null_n @ f_gn.min_norm(b_G)
+    except InconsistentSystem:
+        raise InconsistentGoal("SVD route") from None
+    n_av = f_gn.rank
+    if n_av == 0:
+        return np.zeros((0, n)), np.zeros(0), np.eye(n), 0.0
+    B_c = candidate_basis(null_n @ f_gn.null_space(), n_u, n_av)
+    A = null_n.T @ B_c
+    k, sigma = velocity_solver.optimal_directions(A, n_av)
+    if not sigma[n_av - 1] > sla.RANK_TOL:
+        raise SingularTransform("SVD route")
+    C = (B_c @ k).T
+    b_C = C @ v_star
+    for i in range(n_av):
+        lead = b_C[i] if b_C[i] != 0.0 else C[i, np.flatnonzero(C[i])[0]]
+        if lead < 0.0:
+            C[i], b_C[i] = -C[i], -b_C[i]
+    T = np.eye(n)
+    T[n_u:, n_u:] = np.vstack([sla.factor(C[:, n_u:]).null_space().T, C[:, n_u:]])
+    return C, b_C, T, velocity_solver.direction_cost(k, A)
+
+
+def _one_motion_instance(rng, kind):
+    """A random instance whose constraints leave one free motion z.
+
+    kind: "commanded" (n_av = 1), "implied" (the goal rows lie in N's row
+    space, n_av = 0), "inconsistent" (b_G that no velocity meets) or
+    "unactuated" (z has a zero actuated part, so no row can command it).
+    Goal rows are scaled by up to 1e6 either way.
+    """
+    n = int(rng.integers(2, 7))
+    n_u = int(rng.integers(1 if kind == "unactuated" else 0, n))
+    z = rng.standard_normal(n)
+    if kind == "unactuated":
+        z[n_u:] = 0.0
+    z /= np.linalg.norm(z)
+    N = rng.standard_normal((n - 1 + int(rng.integers(0, 2)), n)) @ (np.eye(n) - np.outer(z, z))
+    m = int(rng.integers(1, 4))
+    if kind == "implied":
+        G = rng.standard_normal((m, N.shape[0])) @ N
+    else:
+        G = rng.standard_normal((m, n))
+    if kind == "inconsistent":
+        if m == 1:
+            G = rng.standard_normal((1, N.shape[0])) @ N
+        b_G = rng.standard_normal(m)
+    else:
+        b_G = G @ (z * rng.uniform(-2.0, 2.0))
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, m)
+    return make_instance(n_u, N, scales[:, None] * G, scales * b_G, np.zeros(n))
+
+
+def _one_motion_instances():
+    plans = [TiltingScenario(), TiltingScenario(gravity_object=[0.0, 0.6, -2.45])]
+    plans += [
+        TiltingScenario(mu_hand=mu, mu_table=mu, num_steps=90, tilt_rate=math.pi / 180.0)
+        for mu in (0.3, 0.5, 0.8, 1.2, 1.5)
+    ]
+    tilting = [build_instance(state, sc)[0] for sc in plans for state in rollout_states(sc)]
+    rng = np.random.default_rng(32)
+    kinds = ["commanded", "implied", "inconsistent", "unactuated"]
+    return tilting + [_one_motion_instance(rng, kind) for kind in kinds for _ in range(50)]
+
+
+def _outcome(route, inst):
+    try:
+        return route(inst)
+    except (InconsistentGoal, SingularTransform) as exc:
+        return type(exc)
+
+
+def test_one_free_motion_matches_the_svd_route():
+    # The closed form against the SVD route on every step of the default,
+    # lateral-load and 90-step plans (all with dim null(N) = 1), and on
+    # random instances of each kind.
+    outcomes, worst = {}, 0.0
+    for inst in _one_motion_instances():
+        assert sla.factor(inst.N).null_space().shape[1] == 1
+        ref = _outcome(_svd_route, inst)
+        got = _outcome(solve_velocity, inst)
+        if isinstance(ref, type):
+            assert got is ref
+            outcomes[ref.__name__] = outcomes.get(ref.__name__, 0) + 1
+            continue
+        got = (got.C, got.b_C, got.T, got.cost)
+        assert got[0].shape == ref[0].shape
+        worst = max(worst, *(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(got, ref)))
+        key = f"n_av = {ref[0].shape[0]}"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    print(f"one free motion: {outcomes}, largest difference {worst:.2e}")
+    assert worst <= 1e-12
+    assert set(outcomes) == {"n_av = 0", "n_av = 1", "InconsistentGoal", "SingularTransform"}
+
+
+def test_one_free_motion_takes_two_svds(monkeypatch):
+    # README's raw example: null(N) is one free motion, so only N and R_C
+    # are factored; G NullN and the directions are a column and a row.
+    inst = make_instance(1, [[1.0, -1.0]], [[1.0, 0.0]], [0.1], [-2.45, 0.0])
+    svd, seen = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    sol = solve_velocity(inst)
+    assert sol.n_av == 1
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], inst.N) and np.array_equal(seen[1], sol.C[:, 1:])
+
+
+def test_goal_rows_are_ranked_in_their_own_units():
+    # Two goal rows 1e9 apart in scale each add rank; ranked against ||G||_F
+    # the small one fell below RANK_TOL and was neither commanded nor met.
+    G = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-9]])
+    inst = make_instance(1, [[1.0, -1.0, 0.0]], G, G @ [0.3, 0.3, 0.7], [-2.45, 0.0, 0.0])
+    sol = solve_velocity(inst)
+    assert sol.n_av == 2
+    assert check_velocity_solution(inst, sol).passed
+
+
+def test_goal_row_scaling_changes_no_rank():
+    # Each goal row and its b_G entry times 10^k, k up to +-12: the same goal.
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        inst = random_feasible_instance(rng)
+        s = 10.0 ** rng.integers(-12, 13, inst.G.shape[0]).astype(float)
+        scaled = dataclasses.replace(inst, G=s[:, None] * inst.G, b_G=s * inst.b_G)
+        base, sol = solve_velocity(inst), solve_velocity(scaled)
+        assert sol.n_av == base.n_av
+        assert abs(sol.cost - base.cost) <= 1e-9
+        assert check_velocity_solution(scaled, sol).passed
+
+
+@pytest.mark.parametrize(
+    "G, b_G, b_C",
+    [
+        ([[1e150, 0.0]], [1e150], 1.0),
+        ([[1e-300, 0.0]], [1e-301], 0.1),
+        ([[1.0, 0.0], [1e150, 0.0]], [0.1, 1e149], 0.1),
+        ([[1.7e308, 0.0]], [1.7e308], None),
+        ([[1.7e308, 1.7e308]], [1.0], None),
+        ([[1.0, 0.0]], [1.7e308], None),
+        ([[1e-300, 0.0]], [1e10], None),
+    ],
+    ids=["large-row", "tiny-row", "mixed-rows", "huge-entry", "huge-norm", "huge-goal", "goal-over-tiny-row"],
+)
+def test_one_free_motion_near_the_float_maximum_solves_or_overflows(G, b_G, b_C):
+    # b_C None: NumericOverflow, as ||G||_F, or ||b_G|| on the unit rows,
+    # overflows.  Otherwise the step solves with every number finite.
+    inst = make_instance(1, [[1.0, -1.0]], G, b_G, [-2.45, 0.0])
+    guard = GuardConditions.empty(1, 2)
+    if b_C is None:
+        with pytest.raises(NumericOverflow, match="velocity stage: overflow"):
+            synthesize(inst, guard)
+        return
+    vel = synthesize(inst, guard).velocity
+    assert vel.n_av == 1
+    assert all(np.isfinite(x).all() for x in (vel.C, vel.b_C, vel.T, vel.cost))
+    assert vel.b_C[0] == pytest.approx(b_C, rel=1e-12)

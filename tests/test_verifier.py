@@ -81,8 +81,51 @@ def test_velocity_check_reports_no_residual_for_an_inconsistent_system():
     report = check_velocity_solution(inst, replace(vel, T=T, C=T[8:], b_C=np.ones(1)))
     assert not report.passed
     assert report.cross_residual_goal is None
-    assert report.notes == ["command system inconsistent"]
+    assert report.notes[0] == "command system inconsistent"
+    assert [note.split(" = ")[0] for note in report.notes[1:]] == [
+        "rank [N; C]", "null_goal_residual", "cross_residual_command"
+    ]
     json.dumps(report.to_dict(), allow_nan=False)
+
+
+def _two_command_step():
+    # Two goal rows 1e9 apart in scale: both are commanded (n_av = 2).
+    G = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-9]])
+    inst = make_instance(1, [[1.0, -1.0, 0.0]], G, G @ [0.3, 0.3, 0.7], [-2.45, 0.0, 0.0])
+    vel = solve_velocity(inst)
+    assert vel.n_av == 2
+    return inst, vel
+
+
+@pytest.mark.parametrize(
+    "corrupt, names",
+    [
+        (
+            lambda vel: replace(vel, C=vel.C[1:], b_C=vel.b_C[1:]),
+            ["rank [N; C]", "null_goal_residual", "cross_residual_goal"],
+        ),
+        (
+            lambda vel: replace(vel, C=vel.C[[1, 1]], b_C=vel.b_C[[1, 1]]),
+            ["rank [N; C]", "null_goal_residual", "cross_residual_goal", "the last n_av rows of T are not C"],
+        ),
+        (
+            lambda vel: replace(vel, b_C=vel.b_C + [0.0, 1e-3]),
+            ["cross_residual_goal", "cross_residual_command"],
+        ),
+    ],
+    ids=["dropped-row", "duplicated-row", "perturbed-b-c"],
+)
+def test_velocity_check_notes_each_failed_condition(corrupt, names):
+    inst, vel = _two_command_step()
+    assert check_velocity_solution(inst, vel).notes == []
+    report = check_velocity_solution(inst, corrupt(vel))
+    assert not report.passed
+    assert [note.split(" = ")[0] for note in report.notes] == names
+    if "rank [N; C]" in names:
+        assert report.notes[0] == "rank [N; C] = 2 != rank [N; G] = 3"
+    for note in report.notes:
+        if note.split(" = ")[0] in ("null_goal_residual", "cross_residual_goal", "cross_residual_command"):
+            assert note.endswith(" exceeds 1e-06")
 
 
 def _scaled_frame(vel):
