@@ -22,10 +22,11 @@ applied has condition at most 1 / RANK_TOL whatever the units of N.
 Consistent redundant equality rows (for example a duplicated Gamma row)
 are harmless; each column's residual check raises SingularSystem when
 the rows are inconsistent or pin the command itself.  The guard margins
-b_Lambda - Lambda [lambda; f] = h - G eta_af are affine as well.  When
-f_max sum|G| + sum|h| leaves the float range, inputs so large that the
-margin LP would compute inf - inf, NumericOverflow is raised before any
-LP.
+b_Lambda - Lambda [lambda; f] = h - G eta_af are affine as well.  Every
+margin the LP forms is bounded by f_max sum|G| + sum|h|; when that leaves
+the float range, inputs so large that the LP's sums would overflow and
+its inf - inf would give a wrong or nan margin, NumericOverflow is raised
+before any LP.
 
 The command therefore comes from two small LPs over the real decision
 variables only.  Phase 1 maximizes the worst guard margin s over
@@ -44,8 +45,8 @@ Tsitsiklis 1997, ch. 4), and the effort is least at an end or a kink of
 the margin-optimal interval.  effort_pass is then "unique" when that
 interval is a point up to round-off and "refined" otherwise.  The same
 closed form (_least_on_segment) gives phase 2 on an edge: a phase-1
-optimal face with one nonbasic column of zero reduced cost.  f_max
-itself must be finite and > 0 (check_f_max).
+optimal face with one direction (see _least_effort).  f_max itself must
+be finite and > 0 (check_f_max).
 
 The margin optimum can be degenerate (several commands achieve the same
 worst margin), so phase 2 picks, among the margin-maximal commands, the one
@@ -58,7 +59,7 @@ skipped (n_af = 0), found the optimum unique (no LP), refined the command
 (in closed form on an edge, by an LP on a larger face) or fell back to the
 phase-1 vertex.
 
-Both LPs are tiny (on tilting, 3 variables besides the slacks in phase 1),
+Both LPs are tiny (on tilting, 5 variables besides the slacks in phase 1),
 so they are solved on one dense tableau in numpy (Bertsimas & Tsitsiklis,
 Introduction to Linear Optimization, 1997, ch. 3).  The most negative
 reduced cost enters until the first degenerate pivot, and the lowest-index
@@ -66,18 +67,20 @@ improving one from then on (Bland, New finite pivoting rules for the simplex
 method, Math. Oper. Res. 2, 1977).  The pivots before the switch strictly
 improve the objective and Bland's rule cannot cycle, so degenerate vertices
 cannot cycle either, and every run takes the same pivots.  Neither phase
-needs artificial variables: phase 1 is shifted so that the slack basis is
-feasible, and its first pivot, the same degenerate one on every LP, is
-written down in closed form; phase 2 appends one effort row per actuated
-coordinate to phase 1's final tableau, signed so that p_j or q_j is basic
-and feasible, and gives the columns off the margin-optimal face an infinite
-reduced cost, so it starts without a pivot.  Each phase's vertex is refined
-once against the original rows in eta_af and s, not in the shifted
-coordinates, so the shift's round-off stays out of the command and the
-margin.  An LP that fails (unbounded, or no optimum within MAX_PIVOTS
-pivots) raises SingularSystem in phase 1 and keeps the phase-1 vertex in
-phase 2.  A phase whose vertex is not finite, an overflow in its pivots,
-raises NumericOverflow.
+needs artificial variables.  Phase 1 splits the free command as eta_af =
+x+ - x- (Bertsimas & Tsitsiklis 1997, 1.3) with two box rows per
+coordinate, so the slack basis at the box centre eta_af = 0 is feasible
+with nothing shifted, and its first pivot, the same degenerate one on every
+LP, is written down in closed form.  Its final tableau takes one step of
+iterative refinement against that start: at the centre every guard row
+with h_i = min(h) is tight, and the degenerate pivots there can divide by
+small entries.  Phase 2 appends one effort row per actuated coordinate to
+phase 1's final tableau, signed so that p_j or q_j is basic and feasible,
+and gives the columns off the margin-optimal face an infinite reduced cost,
+so it starts without a pivot.  An LP that fails (unbounded, or no optimum
+within MAX_PIVOTS pivots) raises SingularSystem in phase 1 and keeps the
+phase-1 vertex in phase 2.  A phase whose vertex is not finite, an overflow
+in its pivots, raises NumericOverflow.
 """
 
 from __future__ import annotations
@@ -274,127 +277,122 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, pivots: int = 0) -> np.ndarray:
         pivots += 1
 
 
-def _refine(tab, basis, z, G, h, f_max, s0, A1=None, a0=None):
-    """One step of iterative refinement of tab's vertex z, without the shift.
-
-    z is [y; t; slacks; p; q] in the tableau's y = eta_af + f_max and t =
-    s - s0, so a value near 0 comes back off by ulps of f_max and |s0|,
-    which a large guard or effort coefficient magnifies.  The residual of
-    the original rows G eta_af + s + slack = h, eta_af + slack = f_max and,
-    in phase 2, A1 eta_af - p + q = -a0 is taken in eta_af and s instead,
-    with h - s first so that a row the margin uses up cancels exactly, and
-    B^-1, read off the columns that start as the identity (the slacks, then
-    q), turns it into the step dz of the basic entries.  Returns (v, dz): v
-    is the vertex [eta_af; s; slacks; p; q] after the step.
-    """
-    n_rows, n_af = G.shape
-    m = n_rows + n_af
-    v = z.copy()
-    v[:n_af] -= f_max
-    v[n_af] += s0
-    x, s, slack = v[:n_af], v[n_af], v[n_af + 1 : n_af + 1 + m]
-    r = np.empty(m if A1 is None else m + A1.shape[0])
-    r[:n_rows] = (h - s) - slack[:n_rows] - G @ x
-    r[n_rows:m] = (f_max - x) - slack[n_rows:]
-    dz = tab[:-1, n_af + 1 : n_af + 1 + m] @ r[:m]
-    if A1 is not None:
-        q = n_af + 1 + m + A1.shape[0]
-        r[m:] = (v[n_af + 1 + m : q] - v[q:]) - a0 - A1 @ x
-        dz += tab[:-1, q:-1] @ r[m:]
-    v[basis] += dz
-    return v, dz
-
-
 def _max_margin(G, h, f_max):
     """Phase 1: max s over [eta_af; s] s.t. G eta_af + s <= h, |eta_af| <= f_max.
 
-    Shifting to eta_af = y - f_max and s = s0 + t, where s0 is the worst
-    margin at the corner eta_af = -f_max, gives max t over y, t >= 0 subject
-    to G y + t <= h + f_max G 1 - s0 and y <= 2 f_max.  Every right-hand
-    side is non-negative, so the slack basis is feasible.  Its first pivot
-    is forced and degenerate: t is the only improving variable, and it
-    enters in the row r of the worst corner margin, whose right-hand side is
-    0.  The tableau after that pivot is written down directly: the other
-    guard rows lose row r, the right-hand sides stay, and the cost row
-    becomes row r with a zero under t.  Returns (eta_af, s, tab, basis) with
-    the final tableau and basis; eta_af and s are the vertex after _refine,
-    whose step also corrects the tableau's right-hand sides.
+    The free command is split as eta_af = x+ - x- with x+, x- >= 0
+    (Bertsimas & Tsitsiklis 1997, 1.3), each coordinate boxed by the two rows
+    +-(x+_j - x-_j) <= f_max, and s = min(h) + t with t >= 0.  That gives
+    max t subject to G (x+ - x-) + t <= h - min(h) and the box rows, whose
+    right-hand sides are h - min(h) and f_max, so the slack basis is feasible
+    at the box centre eta_af = 0 and nothing is shifted.  Its first pivot is
+    forced and degenerate: t is the only improving variable, and it enters in
+    the row r = argmin h, whose right-hand side is 0.  The tableau after that
+    pivot is written down directly: the other guard rows lose row r, the box
+    rows and the right-hand sides stay, and the cost row becomes row r with a
+    zero under t.  Columns are [x+, x-, t, slacks]; x-_j's column stays the
+    exact negative of x+_j's through every pivot.  At the centre every row
+    with h_i = min(h) is tight, and degenerate pivots there may divide by
+    small entries, so the final tableau, right-hand sides and reduced costs
+    alike, takes one step of iterative refinement against the start.
+    Returns (eta_af, s, tab, basis) with the final tableau and basis.
     """
     if MAX_PIVOTS < 1:  # the closed-form first pivot is one of them
         raise _no_optimum()
     n_rows, n_af = G.shape
-    m = n_rows + n_af
-    corner = h + f_max * G.sum(axis=1)
-    r = int(corner.argmin())
-    s0 = float(corner[r])
-    tab = np.zeros((m + 1, n_af + m + 2))
-    tab[:n_rows, -1], tab[n_rows:m, -1] = corner - s0, 2.0 * f_max
+    k = 2 * n_af
+    m = n_rows + k
+    r = int(h.argmin())
+    tab = np.zeros((m + 1, k + m + 2))
+    # + 0.0 turns -0.0 into 0.0 here, as the clip does, and below, as the pivot does.
+    tab[:n_rows, -1], tab[n_rows:m, -1] = h - h[r] + 0.0, f_max
     np.subtract(G, G[r], out=tab[:n_rows, :n_af])
-    _put_identity(tab, n_rows, 0, n_af)
-    _put_identity(tab, 0, n_af + 1, m)
-    tab[:n_rows, n_af + 1 + r] = -1.0
-    # Row r and the cost row; + 0.0 turns -0.0 into 0.0, as the pivot does.
+    np.subtract(-G, -G[r], out=tab[:n_rows, n_af:k])
+    _put_identity(tab, n_rows, 0, k)
+    _put_identity(tab, n_rows, n_af, n_af, -1.0)
+    _put_identity(tab, n_rows + n_af, 0, n_af, -1.0)
+    _put_identity(tab, 0, k + 1, m)
+    tab[:n_rows, k + 1 + r] = -1.0
+    # Row r and the cost row.
     tab[r, :n_af] = tab[m, :n_af] = G[r] + 0.0
-    tab[r, n_af + 1 + r] = tab[m, n_af + 1 + r] = tab[r, n_af] = 1.0
-    basis = np.arange(n_af + 1, n_af + 1 + m)
-    basis[r] = n_af
+    tab[r, n_af:k] = tab[m, n_af:k] = -G[r] + 0.0
+    tab[r, k + 1 + r] = tab[m, k + 1 + r] = tab[r, k] = 1.0
+    basis = np.arange(k + 1, k + 1 + m)
+    basis[r] = k
+    start, start_basis = tab.copy(), basis.copy()
     z = _simplex(tab, basis, 1)
-    v, dz = _refine(tab, basis, z, G, h, f_max, s0)
-    if not np.isfinite(v[: n_af + 1]).all():
+    # start is canonical for start_basis, so tab[:-1, start_basis] is the
+    # inverse of the final basis in start's columns.
+    tab[:-1] += tab[:-1, start_basis] @ (start[:-1] - start[:-1, basis] @ tab[:-1])
+    tab[-1] = start[-1] - start[-1, basis] @ tab[:-1]
+    z[basis] = np.maximum(tab[:-1, -1], 0.0, out=tab[:-1, -1])
+    eta_af, s = z[:n_af] - z[n_af:k], h[r] + z[k]
+    if not (np.isfinite(eta_af).all() and math.isfinite(s)):
         raise NumericOverflow("force stage: overflow in the margin LP")
-    rhs = tab[:-1, -1]
-    np.maximum(rhs + dz, 0.0, out=rhs)
-    return v[:n_af], float(v[n_af]), tab, basis
+    return eta_af, float(s), tab, basis
 
 
-def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
+def _least_effort(tab, basis, a0, A1, x_star):
     """Phase 2: min sum(p + q) s.t. a0 + A1 eta_af = p - q on the margin-optimal face.
 
     With p, q >= 0 the optimal sum(p + q) is the l1 effort |a0 + A1 eta_af|_1
     (Bertsimas & Tsitsiklis 1997, 1.3).  Every margin-optimal point has the
     nonbasic columns of positive phase-1 reduced cost at zero, so an
     infinite reduced cost, which keeps those columns out of the basis, holds
-    the margin exactly; the columns themselves stay, since their entries are
-    part of B^-1 for _refine.  If every nonbasic column is one of them,
-    x_star is the only margin-optimal command.  If all but one, j, are, the
-    face is the edge x_star + tau d, 0 <= tau <= tau_max, with d read off
-    column j and tau_max its ratio test, and _least_on_segment takes the
-    effort's minimum on it without an LP.  Otherwise the rows
-    A1 y - p + q = f_max A1 1 - a0 (eta_af = y - f_max) are appended in
-    canonical form for the phase-1 basis and negated where their right-hand
-    side is <= 0, so p_j (where a0_j + A1_j x_star >= 0) or q_j starts basic
-    at |a0_j + A1_j x_star|: a feasible start.  The new command is the final
-    vertex after _refine against phase 1's rows G, h.  Returns
-    (command, effort_pass): x_star with "unique" or "fell_back", or the new
-    command with "refined".
+    the margin exactly.  The face's directions are the other nonbasic
+    columns, with two exceptions from the split eta_af = x+ - x-: the
+    partner of a basic x+_j or x-_j moves both by the same amount and the
+    command not at all, so it is no direction; and a nonbasic pair (x+_j,
+    x-_j), whose reduced costs are opposite and so at an optimum both within
+    OPT_TOL of 0, is one two-sided direction, eta_j up or down.  With no direction x_star is the
+    only margin-optimal command.  With one, the face is the edge x_star +
+    tau d, lo <= tau <= hi (lo = 0 unless the direction is a pair), with d
+    read off the direction's column and lo, hi from its ratio test, and
+    _least_on_segment takes the effort's minimum on it without an LP.  That
+    ratio test skips rows whose basic variable is an x+_j or x-_j: eta_j is
+    free, and only its box rows bound it.  Otherwise the rows A1 (x+ - x-) -
+    p + q = -a0 are appended in canonical form for the phase-1 basis and
+    negated where their right-hand side is <= 0, so p_j (where a0_j + A1_j
+    x_star >= 0) or q_j starts basic at |a0_j + A1_j x_star|: a feasible
+    start.  Returns (command, effort_pass): x_star with "unique" or
+    "fell_back", or the new command with "refined".
     """
-    off = tab[-1, :-1] > OPT_TOL
-    off_face = off.nonzero()[0]
-    m, n_cols = basis.size, tab.shape[1] - 1
-    if m + off_face.size == n_cols:
-        return x_star, "unique"
     n_act, n_af = A1.shape
+    k = 2 * n_af
+    m, n_cols = basis.size, tab.shape[1] - 1
+    face = tab[-1, :-1] <= OPT_TOL
+    face[basis] = False
+    # x+_j and x-_j are one direction when both are nonbasic, none otherwise.
+    pairs = face[:n_af] & face[n_af:k]
+    n_dirs = np.count_nonzero(face[k:]) + np.count_nonzero(pairs)
+    if n_dirs == 0:
+        return x_star, "unique"
     command = None
-    if m + off_face.size == n_cols - 1:
-        off[basis] = True
-        j = off.argmin()
-        column = tab[:-1, j]
-        if column[column.argmax()] > PIVOT_TOL:
-            ratios = np.full(m, np.inf)
-            np.divide(tab[:-1, -1], column, out=ratios, where=column > PIVOT_TOL)
-            tau_max = ratios[ratios.argmin()]
+    if n_dirs == 1:
+        two_sided = pairs.any()
+        j = pairs.argmax() if two_sided else k + face[k:].argmax()
+        column, rhs = tab[:-1, j], tab[:-1, -1]
+        bounded = basis >= k
+        ratios = np.full(m, np.inf)
+        np.divide(rhs, column, out=ratios, where=(column > PIVOT_TOL) & bounded)
+        hi, lo = ratios.min(), 0.0
+        if two_sided:
+            ratios.fill(np.inf)
+            np.divide(rhs, -column, out=ratios, where=(column < -PIVOT_TOL) & bounded)
+            lo = -ratios.min()
+        if math.isfinite(hi - lo):
             # Raising z_j by tau moves the basic variables by -tau column.
             dz = np.zeros(n_cols)
             dz[basis], dz[j] = -column, 1.0
-            d = dz[:n_af]
-            tau = _least_on_segment(a0 + A1 @ x_star, A1 @ d, 0.0, tau_max, tau_max)
+            d = dz[:n_af] - dz[n_af:k]
+            tau = _least_on_segment(a0 + A1 @ x_star, A1 @ d, lo, hi, max(hi, -lo))
             command = x_star + tau * d
     if command is None:
         rows = m + n_act
         eff = np.zeros((rows + 1, n_cols + 2 * n_act + 1))
         eff[:m, :n_cols], eff[:m, -1] = tab[:-1, :-1], tab[:-1, -1]
         E = eff[m:rows]
-        E[:, :n_af], E[:, -1] = A1, f_max * A1.sum(axis=1) - a0
+        E[:, :n_af], E[:, n_af:k], E[:, -1] = A1, -A1, -a0
         _put_identity(eff, m, n_cols, n_act, -1.0)
         _put_identity(eff, m, n_cols + n_act, n_act)
         E -= E[:, basis] @ eff[:m]
@@ -402,7 +400,7 @@ def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
         E[flip] *= -1.0
         eff[-1, n_cols:-1] = 1.0
         eff[-1] -= E.sum(axis=0)
-        eff[-1, off_face] = np.inf
+        eff[-1, : n_cols][tab[-1, :-1] > OPT_TOL] = np.inf
         # The phase-1 basis, then p_j where the row was negated and q_j elsewhere.
         face_basis = np.arange(n_cols - m, n_cols + n_act)
         face_basis[:m] = basis
@@ -411,8 +409,7 @@ def _least_effort(G, h, tab, basis, a0, A1, x_star, f_max):
             z = _simplex(eff, face_basis)
         except SingularSystem:
             return x_star, "fell_back"
-        s0 = (h + f_max * G.sum(axis=1)).min()
-        command = _refine(eff, face_basis, z, G, h, f_max, s0, A1, a0)[0][:n_af]
+        command = z[:n_af] - z[n_af:k]
     if not np.isfinite(command).all():
         raise NumericOverflow("force stage: overflow in the least-effort LP")
     return command, "refined"
@@ -496,8 +493,9 @@ def solve_force(
     X[:n_phi], X[n_phi:] = F[:n_phi], T.T @ E
     L = guard.Lambda @ X
     G, h = L[:, 1:], guard.b_Lambda - L[:, 0]
-    # The margin LP starts from h + f_max G 1 (see _max_margin); past the
-    # float range its inf - inf would make the margin nan.
+    # Every margin the LP forms is bounded by this sum; past the float range
+    # its sums overflow, and inf - inf gives a wrong or nan margin (at
+    # mu = 1e308 a margin of 0 for a command that breaks a row by 0.5).
     if not math.isfinite(f_max * float(np.abs(G).sum()) + float(np.abs(h).sum())):
         raise NumericOverflow(
             "force stage: overflow in the guard margin map; the input is out of range"
@@ -519,7 +517,7 @@ def solve_force(
         if s < -FEASIBILITY_TOL:
             raise InfeasibleLP(f"best achievable guard margin is {s:.6e}", margin=s)
         if n_af > 1:
-            eta_af, effort_pass = _least_effort(G, h, tab, basis, a0, A1, eta_af, f_max)
+            eta_af, effort_pass = _least_effort(tab, basis, a0, A1, eta_af)
     u = np.empty(1 + n_af)
     u[0], u[1:] = 1.0, eta_af
     return ForceSolution(

@@ -147,9 +147,19 @@ def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray
     hence cost >= -sqrt(nS) + x (1 - sqrt(n) / 4) >= -sqrt(nS) for n <= 16.
     Ties between repeated singular values are broken by the SVD itself,
     which is deterministic for a given A.
+
+    The rotations mix the columns, so each column's sign must be fixed
+    first, and not by LAPACK: v_i is signed so that the largest-magnitude
+    entry of u_i = A v_i / sigma_i is positive, the first on ties.  u_i is
+    the direction c_i = B_c v_i seen through NullN^T, a basis that depends on
+    N alone, so another orthonormal basis B_c Q of the same candidate space,
+    as a rescaled or reordered goal gives, yields the same rows wherever the
+    top n_av singular values are distinct.
     """
-    _, sigma, vh = np.linalg.svd(A, full_matrices=False)
-    K = vh[:n_av].T.copy()
+    u, sigma, vh = np.linalg.svd(A, full_matrices=False)
+    u = u[:, :n_av]
+    lead = u[np.abs(u).argmax(axis=0), np.arange(n_av)]
+    K = vh[:n_av].T * np.where(lead < 0.0, -1.0, 1.0)
     d = sigma[:n_av] ** 2
     mean = float(d.sum()) / n_av
     # Column `carry` holds the surplus; the other untouched columns keep

@@ -17,6 +17,7 @@ from hybridservo.errors import (
     InfeasibleDimensions,
     NumericOverflow,
     SingularTransform,
+    SolverError,
 )
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import VelocitySolution, candidate_basis, solve_velocity
@@ -548,3 +549,28 @@ def test_one_free_motion_near_the_float_maximum_solves_or_overflows(G, b_G, b_C)
     assert vel.n_av == 1
     assert all(np.isfinite(x).all() for x in (vel.C, vel.b_C, vel.T, vel.cost))
     assert vel.b_C[0] == pytest.approx(b_C, rel=1e-12)
+
+
+def test_goal_row_scaling_and_permutation_leave_the_command_rows():
+    # The goal rows with their b_G entries scaled by 10^k, k in [-3, 3], and
+    # permuted state the same goal, so C must not move.  At n_av = 2 the
+    # rotation mixes the two right singular vectors, so the rows depend on
+    # each vector's sign, which must come from the goal and not from LAPACK.
+    # (At n_av = 3 two singular values of 1 are common; the rows may then
+    # turn within their span, which is the SVD's tie rule, not a sign.)
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 300:
+        inst = random_feasible_instance(rng)
+        try:
+            sol = solve_velocity(inst)
+        except SolverError:
+            continue
+        if sol.n_av != 2:
+            continue
+        k = inst.G.shape[0]
+        scale, order = 10.0 ** rng.integers(-3, 4, k), rng.permutation(k)
+        G, b_G = (scale[:, None] * inst.G)[order], (scale * inst.b_G)[order]
+        other = solve_velocity(make_instance(inst.n_u, inst.N, G, b_G, inst.F))
+        assert np.max(np.abs(other.C - sol.C)) <= 1e-12
+        checked += 1
