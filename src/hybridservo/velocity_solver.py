@@ -11,27 +11,22 @@ them fights the constraints as little as possible:
 
     cost(C) = sum_{i != j} |c_i . c_j| - sum_i ||NullN^T c_i||
 
-The minimum has a closed form (see optimal_directions), so the rows come
-from one SVD and at most n_av - 1 plane rotations, with no search.
+The minimum has a closed form (see optimal_directions and, at n_av = 1,
+solve_velocity): at most one SVD and n_av - 1 plane rotations, no search.
 
 Each matrix is factored once per solve, by the null-space method (Nocedal
 & Wright, Numerical Optimization, 2nd ed., 16.2).  One SVD of N gives
-rank(N) and the orthonormal NullN, so one SVD of the small G NullN gives
+rank(N) and the orthonormal NullN; one SVD of the small G NullN gives
 n_av = rank(G NullN), null([N; G]) = NullN null(G NullN) for the candidate
-basis and the minimum-norm velocity v_star = NullN (G NullN)^+ b_G that
-fixes the command magnitudes b_C = C v_star.  The only other
-factorizations are the candidate basis, the direction SVD (whose singular
-values also decide that the rows pin the goal down) and null(R_C) for the
-action frame.  When null(N) is one free motion z, as on every tilting
-step, G NullN is the column G z and, at n_av = 1, A the row z_a (B_c is
-the actuated identity): the SVD of a vector is its norm and direction
-(Golub & Van Loan, Matrix Computations, 2.4), so only N and R_C are
-factored there.  Every cutoff is the fixed relative tolerance
-sla.RANK_TOL, the one the verifier ranks at.  No rank cutoff compares N's
+basis and the minimum-norm v_star = NullN (G NullN)^+ b_G that fixes the
+magnitudes b_C = C v_star.  The others are the candidate basis, the
+direction SVD at n_av >= 2 and null(R_C).  With one free motion z in
+null(N), as on every tilting step, G NullN is the column G z and B_c the
+actuated identity: only N and R_C are factored.  Every cutoff is the
+verifier's relative tolerance sla.RANK_TOL.  No rank cutoff compares N's
 units with G's, or one goal row's with another's: each row of G is scaled
-to unit norm with its b_G entry, as the verifier does, and G NullN is
-ranked against ||G||_F (a goal repeating a constraint adds no rank), the
-candidate basis's and the direction SVD's cosines against 1.
+to unit norm with its b_G entry, and G NullN is ranked against ||G||_F (a
+goal repeating a constraint adds no rank), the other SVDs' cosines against 1.
 """
 
 from __future__ import annotations
@@ -124,8 +119,8 @@ def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray
     The columns are the top n_av right singular vectors of A, rotated by
     n_av - 1 Givens rotations (the Schur-Horn construction) so that every
     ||A k_i||^2 equals their mean S / n_av, S = sum_{i <= n_av} sigma_i^2.
-    They stay orthonormal, so x = 0 and cost = -sqrt(n_av * S); for
-    n_av = 1 that is -sigma_1 at the top right singular vector.
+    They stay orthonormal, so x = 0 and cost = -sqrt(n_av * S).  (At
+    n_av = 1 that is -sigma_1, which solve_velocity takes in closed form.)
 
     No set of unit rows does better when n_av <= 16.  Write n = n_av and
     let lambda_1 >= ... >= lambda_n be the eigenvalues of H.  Cauchy-Schwarz
@@ -183,6 +178,10 @@ def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray
 def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     """Pick velocity-controlled directions and magnitudes for one instance.
 
+    At n_av = 1, null(N) = null([N; G]) + span(NullN vh_0), vh_0 the top right
+    singular vector of G NullN.  B_c is orthogonal to null([N; G]), so A =
+    vh_0 a^T, a = A^T vh_0: sigma_1 = ||a|| and k = a / ||a|| (Golub & Van Loan, 2.4).
+
     Each row of C is signed so that its command value b_C_i is >= 0; a
     row with b_C_i == 0 gets a positive first nonzero entry.  Raises
     SingularTransform when the rows do not pin the goal down:
@@ -232,19 +231,20 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     if n_av == 0:
         return VelocitySolution(C=np.zeros((0, n)), b_C=np.zeros(0), T=np.eye(n), cost=0.0)
 
-    if NullN.shape[1] == 1:
-        # null([N; G]) is empty, so B_c is the actuated identity and A is the
-        # row a = z_a, whose SVD is ||a|| and a / ||a||.
-        A = NullN[n_u:].T
-        sigma = [math.sqrt(A[0] @ A[0])]
-        k = A.T / (sigma[0] or 1.0)  # a zero a stays zero and fails the check below
-        C = np.zeros((1, n))
-        C[0, n_u:] = k[:, 0]
+    if NullN.shape[1] == 1:  # B_c is the actuated identity (not formed) and vh_0 = [1]
+        B_c, A, a = None, NullN[n_u:].T, NullN[n_u:, 0]
     else:
         B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av)
         A = NullN.T @ B_c
+        a = f_GN.vh[0] @ A if n_av == 1 else None
+    if n_av > 1:
         k, sigma = optimal_directions(A, n_av)
-        C = (B_c @ k).T
+    else:  # A = vh_0 a^T has rank one (see above)
+        sigma = [math.sqrt(a @ a)]
+        k = a[:, None] / (sigma[0] or 1.0)  # a zero a stays zero and fails the check below
+    C = np.zeros((1, n)) if B_c is None else (B_c @ k).T
+    if B_c is None:
+        C[0, n_u:] = k[:, 0]
     if not sigma[n_av - 1] > sla.RANK_TOL:
         raise SingularTransform("command rows are not independent modulo the constraints")
     b_C = C @ v_star

@@ -48,25 +48,28 @@ class PgdResult:
 
 
 def _column_norms(M):
-    """np.linalg.norm(M, axis=0), with the same arithmetic and less overhead."""
-    return np.sqrt((M * M).sum(axis=0))
+    """np.linalg.norm(M, axis=-2), with the same arithmetic and less overhead."""
+    return np.sqrt((M * M).sum(axis=-2))
 
 
 def _cost_and_grad(k, B_c, null_basis):
+    """Cost and gradient at k, shape (n_c, n_av), or at each k of a stack
+    of them, shape (m, n_c, n_av)."""
     C = B_c @ k
-    gram = C.T @ C
+    gram = np.swapaxes(C, -1, -2) @ C
     abs_gram = np.abs(gram)
-    cross = float(abs_gram.sum() - abs_gram.diagonal().sum())
+    cross = abs_gram.sum(axis=(-2, -1)) - np.trace(abs_gram, axis1=-2, axis2=-1)
     proj = null_basis.T @ C
     norms = _column_norms(proj)
-    cost = cross - float(norms.sum())
+    cost = cross - norms.sum(axis=-1)
     sign = np.sign(gram)
-    np.fill_diagonal(sign, 0.0)
+    diagonal = np.arange(k.shape[-1])
+    sign[..., diagonal, diagonal] = 0.0
     grad_c = 2.0 * (C @ sign)
     # Direct gradient of the 2-norm term, zeroed at the kink.
     safe = np.where(norms > KINK_EPS, norms, 1.0)
     scale = np.where(norms > KINK_EPS, 1.0 / safe, 0.0)
-    grad_c -= null_basis @ (proj * scale)
+    grad_c -= null_basis @ (proj * scale[..., None, :])
     return cost, B_c.T @ grad_c
 
 
@@ -84,19 +87,27 @@ def _project(k, B_c):
 
 
 def _batch_costs(trials, B_c, null_basis):
-    """Direction cost of a stack of unprojected iterates, shape (m, n_c, n_av).
+    """Direction cost of a stack of unprojected iterates, shape (..., n_c, n_av).
 
     Returns the costs after unit-norm projection, with +inf where _project
     would refuse the iterate.
     """
     C = B_c @ trials
-    norms = np.linalg.norm(C, axis=1)
-    valid = np.all(norms >= KINK_EPS, axis=1)
-    C = C / np.where(norms >= KINK_EPS, norms, 1.0)[:, None, :]
-    gram = np.abs(np.swapaxes(C, 1, 2) @ C)
-    cross = gram.sum(axis=(1, 2)) - np.trace(gram, axis1=1, axis2=2)
-    costs = cross - np.linalg.norm(null_basis.T @ C, axis=1).sum(axis=1)
+    norms = np.linalg.norm(C, axis=-2)
+    valid = np.all(norms >= KINK_EPS, axis=-1)
+    C = C / np.where(norms >= KINK_EPS, norms, 1.0)[..., None, :]
+    gram = np.abs(np.swapaxes(C, -1, -2) @ C)
+    cross = gram.sum(axis=(-2, -1)) - np.trace(gram, axis1=-2, axis2=-1)
+    costs = cross - np.linalg.norm(null_basis.T @ C, axis=-2).sum(axis=-1)
     return np.where(valid, costs, np.inf)
+
+
+def _start(B_c, n_av, rng):
+    """The projected random start k of one PGD run."""
+    k = _project(rng.standard_normal((B_c.shape[1], n_av)), B_c)
+    while k is None:  # vanishing draw, essentially measure zero
+        k = _project(rng.standard_normal((B_c.shape[1], n_av)), B_c)
+    return k
 
 
 def _line_search(k, cost, grad, B_c, null_basis, step_length):
@@ -148,11 +159,7 @@ def projected_gradient_descent(
     less than convergence_tol or no descent step can be found.
     """
     cfg = config or PgdConfig()
-    rng = np.random.default_rng(seed + start)
-    n_c = B_c.shape[1]
-    k = _project(rng.standard_normal((n_c, n_av)), B_c)
-    while k is None:  # vanishing draw, essentially measure zero
-        k = _project(rng.standard_normal((n_c, n_av)), B_c)
+    k = _start(B_c, n_av, np.random.default_rng(seed + start))
     cost, grad = _cost_and_grad(k, B_c, NullN)
     converged = False
     iterations = 0
@@ -169,9 +176,43 @@ def projected_gradient_descent(
     return PgdResult(k=k, cost=cost, iterations=iterations, converged=converged)
 
 
+def pgd_costs(
+    B_c: np.ndarray,
+    NullN: np.ndarray,
+    n_av: int,
+    starts: int,
+    seed: int = 0,
+    config: PgdConfig | None = None,
+) -> np.ndarray:
+    """Final direction cost of PGD from each of starts 0 .. starts - 1.
+
+    The starts descend together as one stack, each from the start and with
+    the stopping tests of projected_gradient_descent.  A line search costs
+    all 40 halvings of every live start at once and takes the first that
+    passes the descent test, so a step is the serial one up to the round-off
+    of the stacked arithmetic.
+    """
+    cfg = config or PgdConfig()
+    k = np.stack([_start(B_c, n_av, np.random.default_rng(seed + s)) for s in range(starts)])
+    cost, grad = _cost_and_grad(k, B_c, NullN)
+    steps = cfg.step_length * 0.5 ** np.arange(40)
+    live = np.arange(starts)
+    for _ in range(cfg.max_iters):
+        if not live.size:
+            break
+        trials = k[live, None] - steps[:, None, None] * grad[live, None]
+        ok = _batch_costs(trials, B_c, NullN) <= cost[live, None] + TIE_EPS
+        found = ok.any(axis=1)  # a start with no descent step has converged
+        live, trials, ok = live[found], trials[found], ok[found]
+        new = trials[np.arange(live.size), ok.argmax(axis=1)]
+        new /= _column_norms(B_c @ new)[:, None, :]
+        moved = np.sqrt(((new - k[live]) ** 2).sum(axis=(1, 2)))
+        k[live] = new
+        cost[live], grad[live] = _cost_and_grad(new, B_c, NullN)
+        live = live[moved >= cfg.convergence_tol]
+    return cost
+
+
 def best_pgd_cost(B_c: np.ndarray, NullN: np.ndarray, n_av: int, starts: int, seed: int = 0) -> float:
     """Lowest direction cost reached by PGD over starts 0 .. starts - 1."""
-    return min(
-        projected_gradient_descent(B_c, NullN, n_av, seed, start).cost
-        for start in range(starts)
-    )
+    return float(pgd_costs(B_c, NullN, n_av, starts, seed).min())

@@ -28,6 +28,7 @@ from pgd_oracle import (
     _cost_and_grad,
     _project,
     direction_cost,
+    pgd_costs,
     projected_gradient_descent,
 )
 
@@ -217,6 +218,17 @@ def test_pgd_line_search_matches_sequential_halving(seed, expected_n_av, max_ite
         assert result.converged == converged
 
 
+def test_stacked_pgd_costs_match_the_serial_runs():
+    # pgd_costs descends all starts as one stack; each start must end where
+    # its own projected_gradient_descent run ends.
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        B_c, null_n, n_av = direction_problem(random_feasible_instance(rng))
+        stacked = pgd_costs(B_c, null_n, n_av, starts=5, seed=1)
+        serial = [projected_gradient_descent(B_c, null_n, n_av, 1, s).cost for s in range(5)]
+        assert np.max(np.abs(stacked - serial)) <= 1e-12
+
+
 def test_solve_velocity_rows_independent_modulo_constraints():
     # Three-start PGD's lowest-cost start ends here with rows that are
     # independent in the actuated coordinates but dependent modulo N.
@@ -356,9 +368,21 @@ def test_solve_velocity_is_unit_free(step, scaled):
     assert np.max(np.abs(sol.C - base.C)) <= 1e-9
 
 
-def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
-    rng = np.random.default_rng(21)
-    inst = random_feasible_instance(rng)
+def _draw(rng, n_av, min_free):
+    """The next random_feasible_instance draw that solves at n_av commands
+    with at least min_free free motions in null(N)."""
+    while True:
+        inst = random_feasible_instance(rng)
+        try:
+            sol = solve_velocity(inst)
+        except SolverError:
+            continue
+        if sol.n_av == n_av and sla.factor(inst.N).null_space().shape[1] >= min_free:
+            return inst
+
+
+def _svds_of_a_solve(monkeypatch, inst):
+    """solve_velocity(inst) with every np.linalg.svd input recorded; lstsq is banned."""
     svd, seen = np.linalg.svd, []
 
     def counted_svd(a, *args, **kwargs):
@@ -371,12 +395,25 @@ def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     sol = solve_velocity(inst)
-    assert sol.n_av >= 1
+    monkeypatch.undo()
     assert sum(a.shape == inst.N.shape and np.array_equal(a, inst.N) for a in seen) == 1
     for stack in (np.vstack([inst.N, inst.G]), np.vstack([inst.N, sol.C])):
         assert not any(a.shape == stack.shape and np.array_equal(a, stack) for a in seen)
+    return seen
+
+
+def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
+    # Three free motions leave null([N; G]) nonempty, so null(sigma_a) is factored.
+    inst = _draw(np.random.default_rng(21), n_av=2, min_free=3)
     # Besides N: G NullN, null(sigma_a), the direction SVD and null(R_C).
-    assert len(seen) == 5
+    assert len(_svds_of_a_solve(monkeypatch, inst)) == 5
+
+
+def test_one_command_on_the_svd_route_takes_four_svds(monkeypatch):
+    # dim null(N) >= 2 and n_av = 1: A has rank one and its SVD is a norm,
+    # so N, G NullN, null(sigma_a) and null(R_C) are the only factorizations.
+    inst = _draw(np.random.default_rng(21), n_av=1, min_free=2)
+    assert len(_svds_of_a_solve(monkeypatch, inst)) == 4
 
 
 def _svd_route(inst):
@@ -456,8 +493,15 @@ def _one_motion_instances():
 def _outcome(route, inst):
     try:
         return route(inst)
-    except (InconsistentGoal, SingularTransform) as exc:
+    except (InconsistentGoal, SingularTransform, EmptyBasis) as exc:
         return type(exc)
+
+
+def _worst_difference(got, ref):
+    """Largest entry difference of (C, b_C, T, cost) between two solutions."""
+    got = (got.C, got.b_C, got.T, got.cost)
+    assert got[0].shape == ref[0].shape
+    return max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(got, ref))
 
 
 def test_one_free_motion_matches_the_svd_route():
@@ -473,14 +517,64 @@ def test_one_free_motion_matches_the_svd_route():
             assert got is ref
             outcomes[ref.__name__] = outcomes.get(ref.__name__, 0) + 1
             continue
-        got = (got.C, got.b_C, got.T, got.cost)
-        assert got[0].shape == ref[0].shape
-        worst = max(worst, *(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(got, ref)))
+        worst = max(worst, _worst_difference(got, ref))
         key = f"n_av = {ref[0].shape[0]}"
         outcomes[key] = outcomes.get(key, 0) + 1
     print(f"one free motion: {outcomes}, largest difference {worst:.2e}")
     assert worst <= 1e-12
     assert set(outcomes) == {"n_av = 0", "n_av = 1", "InconsistentGoal", "SingularTransform"}
+
+
+def _one_command_instance(rng, kind):
+    """A random instance with dim null(N) = d >= 2 whose goal adds rank one.
+
+    null(N) is span(w) plus span(Y), the goal rows annihilate Y, so w is the
+    goal's free motion and null([N; G]) = span(Y) has d - 1 >= 1 columns.
+    kind: "commanded", "inconsistent" (two or more goal rows and a b_G no
+    velocity meets) or "unactuated" (w has a zero actuated part, so no
+    candidate row sees it).  Goal rows are scaled by up to 1e6 either way.
+    """
+    n = int(rng.integers(3, 9))
+    n_u = int(rng.integers(1 if kind == "unactuated" else 0, n - 1))
+    d = int(rng.integers(2, n - n_u + 1))  # d <= n_a, so rank(N) + n_a >= n
+    w = rng.standard_normal(n)
+    if kind == "unactuated":
+        w[n_u:] = 0.0
+    Z = np.linalg.qr(np.column_stack([w, rng.standard_normal((n, d - 1))]))[0]
+    Y = Z[:, 1:]
+    N = rng.standard_normal((n - d + int(rng.integers(0, 2)), n)) @ (np.eye(n) - Z @ Z.T)
+    m = int(rng.integers(2 if kind == "inconsistent" else 1, 4))
+    G = rng.standard_normal((m, n)) @ (np.eye(n) - Y @ Y.T)
+    b_G = rng.standard_normal(m) if kind == "inconsistent" else G @ (Z[:, 0] * rng.uniform(-2.0, 2.0))
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, m)
+    return make_instance(n_u, N, scales[:, None] * G, scales * b_G, np.zeros(n))
+
+
+def test_one_command_closed_form_matches_the_svd_route():
+    # At n_av = 1 with dim null(N) >= 2, A = NullN^T B_c has rank one and
+    # the stage takes its SVD in closed form; the SVD route keeps
+    # optimal_directions.  EmptyBasis cannot occur here: null([N; G]) has
+    # dim null(N) - 1 <= n_a - 1 columns, so at least one candidate remains.
+    rng = np.random.default_rng(34)
+    kinds = ["commanded", "inconsistent", "unactuated"]
+    instances = [_one_command_instance(rng, kind) for kind in kinds for _ in range(100)]
+    instances += [_draw(rng, n_av=1, min_free=2) for _ in range(100)]
+    outcomes, worst = {}, 0.0
+    for inst in instances:
+        ref = _outcome(_svd_route, inst)
+        got = _outcome(solve_velocity, inst)
+        if isinstance(ref, type):
+            assert got is ref
+            key = ref.__name__
+        else:
+            assert ref[0].shape[0] == 1
+            assert sla.factor(inst.N).null_space().shape[1] >= 2
+            worst = max(worst, _worst_difference(got, ref))
+            key = "n_av = 1"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    print(f"one command, dim null(N) >= 2: {outcomes}, largest difference {worst:.2e}")
+    assert worst <= 1e-12
+    assert set(outcomes) == {"n_av = 1", "InconsistentGoal", "SingularTransform"}
 
 
 def test_one_free_motion_takes_two_svds(monkeypatch):
@@ -556,21 +650,26 @@ def test_goal_row_scaling_and_permutation_leave_the_command_rows():
     # permuted state the same goal, so C must not move.  At n_av = 2 the
     # rotation mixes the two right singular vectors, so the rows depend on
     # each vector's sign, which must come from the goal and not from LAPACK.
-    # (At n_av = 3 two singular values of 1 are common; the rows may then
-    # turn within their span, which is the SVD's tie rule, not a sign.)
+    # At n_av = 1 with dim null(N) >= 2 the row is the candidate part of the
+    # goal's free motion w, whose orientation LAPACK picks; the sign rule on
+    # b_C must undo it.  (At n_av = 3 two singular values of 1 are common;
+    # the rows may then turn within their span, which is the SVD's tie rule,
+    # not a sign.)
     rng = np.random.default_rng(12)
-    checked = 0
-    while checked < 300:
+    checked = {1: 0, 2: 0}
+    while min(checked.values()) < 300:
         inst = random_feasible_instance(rng)
         try:
             sol = solve_velocity(inst)
         except SolverError:
             continue
-        if sol.n_av != 2:
+        if checked.get(sol.n_av, 300) >= 300:
+            continue
+        if sol.n_av == 1 and sla.factor(inst.N).null_space().shape[1] < 2:
             continue
         k = inst.G.shape[0]
         scale, order = 10.0 ** rng.integers(-3, 4, k), rng.permutation(k)
         G, b_G = (scale[:, None] * inst.G)[order], (scale * inst.b_G)[order]
         other = solve_velocity(make_instance(inst.n_u, inst.N, G, b_G, inst.F))
         assert np.max(np.abs(other.C - sol.C)) <= 1e-12
-        checked += 1
+        checked[sol.n_av] += 1
