@@ -70,14 +70,14 @@ cannot cycle either, and every run takes the same pivots.  Neither phase
 needs artificial variables.  Phase 1 splits the free command as eta_af =
 x+ - x- (Bertsimas & Tsitsiklis 1997, 1.3) with two box rows per
 coordinate, so the slack basis at the box centre eta_af = 0 is feasible
-with nothing shifted, and its first pivot, the same degenerate one on every
-LP, is written down in closed form.  Its final tableau takes one step of
-iterative refinement against that start: at the centre every guard row
-with h_i = min(h) is tight, and the degenerate pivots there can divide by
-small entries.  Phase 2 appends one effort row per actuated coordinate to
-phase 1's final tableau, signed so that p_j or q_j is basic and feasible,
-and gives the columns off the margin-optimal face an infinite reduced cost,
-so it starts without a pivot.  An LP that fails (unbounded, or no optimum
+with nothing shifted, and its first pivot is the same forced, degenerate
+one on every LP.  _simplex refines the final tableau of either phase once
+against the one it was given: at the centre every guard row with h_i =
+min(h) is tight, and the degenerate pivots there can divide by small
+entries.  Phase 2 appends one effort row per actuated coordinate to phase
+1's final tableau, signed so that p_j or q_j is basic and feasible, and
+gives the columns off the margin-optimal face an infinite reduced cost, so
+it starts without a pivot.  An LP that fails (unbounded, or no optimum
 within MAX_PIVOTS pivots) raises SingularSystem in phase 1 and keeps the
 phase-1 vertex in phase 2.  A phase whose vertex is not finite, an overflow
 in its pivots, raises NumericOverflow.
@@ -242,18 +242,25 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, pivots: int = 0) -> np.ndarray:
     strictly improves the objective, so no basis repeats, and Bland's rule
     cannot cycle after it.  Among rows tied in the ratio test the
     lowest-index basic variable leaves, and equal reduced costs go to the
-    lowest index, so every run takes the same pivots.  tab and basis are left
-    at the final vertex.  Raises SingularSystem when the objective is
-    unbounded or MAX_PIVOTS pivots do not reach an optimum.
+    lowest index, so every run takes the same pivots.  The final tableau,
+    reduced costs included, takes one step of iterative refinement against
+    the tableau given, and tab and basis are left at the final vertex.
+    Raises SingularSystem when the objective is unbounded or MAX_PIVOTS
+    pivots do not reach an optimum.
     """
+    start, start_basis = tab.copy(), basis.copy()
     cost, rhs = tab[-1, :-1], tab[:-1, -1]
     ratios = np.empty(rhs.size)
     bland = False
     while True:
         col = (cost < -OPT_TOL).argmax() if bland else cost.argmin()
         if not cost[col] < -OPT_TOL:
+            # start is canonical for start_basis, so tab[:-1, start_basis] is
+            # the inverse of the final basis in start's columns.
+            tab[:-1] += tab[:-1, start_basis] @ (start[:-1] - start[:-1, basis] @ tab[:-1])
+            tab[-1] = start[-1] - start[-1, basis] @ tab[:-1]
             z = np.zeros(cost.size)
-            z[basis] = rhs
+            z[basis] = np.maximum(rhs, 0.0, out=rhs)
             return z
         if pivots >= MAX_PIVOTS:
             raise _no_optimum()
@@ -285,47 +292,29 @@ def _max_margin(G, h, f_max):
     +-(x+_j - x-_j) <= f_max, and s = min(h) + t with t >= 0.  That gives
     max t subject to G (x+ - x-) + t <= h - min(h) and the box rows, whose
     right-hand sides are h - min(h) and f_max, so the slack basis is feasible
-    at the box centre eta_af = 0 and nothing is shifted.  Its first pivot is
-    forced and degenerate: t is the only improving variable, and it enters in
-    the row r = argmin h, whose right-hand side is 0.  The tableau after that
-    pivot is written down directly: the other guard rows lose row r, the box
-    rows and the right-hand sides stay, and the cost row becomes row r with a
-    zero under t.  Columns are [x+, x-, t, slacks]; x-_j's column stays the
-    exact negative of x+_j's through every pivot.  At the centre every row
-    with h_i = min(h) is tight, and degenerate pivots there may divide by
-    small entries, so the final tableau, right-hand sides and reduced costs
-    alike, takes one step of iterative refinement against the start.
-    Returns (eta_af, s, tab, basis) with the final tableau and basis.
+    at the box centre eta_af = 0 and nothing is shifted.  Columns are [x+,
+    x-, t, slacks]; x-_j's column stays the exact negative of x+_j's through
+    every pivot.  The first pivot is forced and degenerate: t is the only
+    improving variable, and it enters in the row argmin h, whose right-hand
+    side is 0; _simplex takes the rest.  Returns (eta_af, s, tab, basis) with
+    the final tableau and basis.
     """
-    if MAX_PIVOTS < 1:  # the closed-form first pivot is one of them
+    if MAX_PIVOTS < 1:  # the forced first pivot counts against the cap too
         raise _no_optimum()
     n_rows, n_af = G.shape
     k = 2 * n_af
     m = n_rows + k
     r = int(h.argmin())
     tab = np.zeros((m + 1, k + m + 2))
-    # + 0.0 turns -0.0 into 0.0 here, as the clip does, and below, as the pivot does.
-    tab[:n_rows, -1], tab[n_rows:m, -1] = h - h[r] + 0.0, f_max
-    np.subtract(G, G[r], out=tab[:n_rows, :n_af])
-    np.subtract(-G, -G[r], out=tab[:n_rows, n_af:k])
+    tab[:n_rows, :n_af], tab[:n_rows, n_af:k], tab[:n_rows, k] = G, -G, 1.0
     _put_identity(tab, n_rows, 0, k)
     _put_identity(tab, n_rows, n_af, n_af, -1.0)
     _put_identity(tab, n_rows + n_af, 0, n_af, -1.0)
     _put_identity(tab, 0, k + 1, m)
-    tab[:n_rows, k + 1 + r] = -1.0
-    # Row r and the cost row.
-    tab[r, :n_af] = tab[m, :n_af] = G[r] + 0.0
-    tab[r, n_af:k] = tab[m, n_af:k] = -G[r] + 0.0
-    tab[r, k + 1 + r] = tab[m, k + 1 + r] = tab[r, k] = 1.0
+    tab[:n_rows, -1], tab[n_rows:m, -1], tab[m, k] = h - h[r], f_max, -1.0
     basis = np.arange(k + 1, k + 1 + m)
-    basis[r] = k
-    start, start_basis = tab.copy(), basis.copy()
+    _pivot(tab, basis, r, k)
     z = _simplex(tab, basis, 1)
-    # start is canonical for start_basis, so tab[:-1, start_basis] is the
-    # inverse of the final basis in start's columns.
-    tab[:-1] += tab[:-1, start_basis] @ (start[:-1] - start[:-1, basis] @ tab[:-1])
-    tab[-1] = start[-1] - start[-1, basis] @ tab[:-1]
-    z[basis] = np.maximum(tab[:-1, -1], 0.0, out=tab[:-1, -1])
     eta_af, s = z[:n_af] - z[n_af:k], h[r] + z[k]
     if not (np.isfinite(eta_af).all() and math.isfinite(s)):
         raise NumericOverflow("force stage: overflow in the margin LP")

@@ -9,9 +9,9 @@ at the solver's fixed RANK_TOL, by its own rule on the unit rows, and it
 checks that T is the action frame diag(I, R_a) whose last rows are C,
 which the force stage and the force check take on trust.  Norms
 and maxima take the reductions numpy's wrappers run, without the wrappers:
-a row norm is sqrt((M * M).sum(axis=1)) and a vector norm sqrt(r . r), as
-in np.linalg.norm, so each check costs its factorizations plus a few
-products and reports the same bits.
+a row norm is sqrt((M * M).sum(axis=1)) and a vector norm sqrt(r . r) (r
+scaled where r . r overflows), as in np.linalg.norm, so each check costs
+its factorizations plus a few products and reports the same bits.
 _force_equalities rebuilds the force-balance equalities on their own, in
 the full layout [lambda; eta_u; eta_av], for the test oracles that resolve
 the free forces by pseudoinverse projection rather than the solver's
@@ -43,8 +43,16 @@ class _UnitRowSVD(NamedTuple):
 
 
 def _norm(r: np.ndarray) -> float:
-    """||r|| for a vector, by the reduction np.linalg.norm runs, without its wrapper."""
-    return math.sqrt(r.dot(r))
+    """||r|| for a vector, by the reduction np.linalg.norm runs, without its wrapper.
+
+    np.vdot is r.dot(r) without the overflow warning; where r . r overflows
+    but r is finite, r is scaled by 1 / max|r| first.
+    """
+    square = np.vdot(r, r)
+    if square == math.inf and np.isfinite(r).all():
+        top = float(np.abs(r).max())
+        return top * _norm(r / top)
+    return math.sqrt(square)
 
 
 def _unit_row_svd(M: np.ndarray, b: np.ndarray) -> _UnitRowSVD:

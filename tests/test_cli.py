@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,19 +129,28 @@ def test_goal_rows_in_small_units_solve_and_verify(tmp_path):
 
 
 def test_verify_json_without_guard_rows_is_strict_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     # README's raw example without its guard rows has no guard margin, so
     # min_guard_margin is null, not the non-JSON constant Infinity.
     params = {k: v for k, v in _supported_object_params().items() if k not in ("Lambda", "b_Lambda")}
     scenario = _write_scenario(tmp_path / "scenario.json", _raw_doc(params))
     out = tmp_path / "out.json"
     assert main(["--scenario", scenario, "--out", str(out), "--verify"]) == 0
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert doc["steps"][0]["verification"]["force"]["min_guard_margin"] is None
     assert doc["all_verified"] is True
+
+    # The default plan at f_max 1e300: steps 1-11 command about 1e300 N, so
+    # the squared Newton residual overflows, but its norm stays finite.
+    # all_verified is not asserted: those steps fail the residual bound.
+    scenario = _write_scenario(tmp_path / "tilting.json", _tilting_doc())
+    args = ["--scenario", scenario, "--out", str(out), "--f-max", "1e300", "--verify"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    json.loads(out.read_text(), parse_constant=reject)
 
 
 def test_raw_instance_with_n_factored_as_j_phi_and_omega(tmp_path, capsys):

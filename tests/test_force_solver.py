@@ -651,10 +651,13 @@ def test_simplex_ratio_test_tie_rule(gap, want_basis, want_rhs):
 
 
 def test_simplex_iteration_cap_raises_singular_system(monkeypatch):
-    monkeypatch.setattr(force_solver, "MAX_PIVOTS", 0)
+    # The margin LP here takes two pivots, so a cap of 1 fails only because
+    # its forced first pivot counts against MAX_PIVOTS.
     inst, guard = _degenerate_margin_instance()
-    with pytest.raises(SingularSystem, match="force LP failed"):
-        solve_force(inst, guard, np.eye(2), n_av=0)
+    for cap in (0, 1):
+        monkeypatch.setattr(force_solver, "MAX_PIVOTS", cap)
+        with pytest.raises(SingularSystem, match="force LP failed"):
+            solve_force(inst, guard, np.eye(2), n_av=0)
 
 
 def test_simplex_iteration_cap_exits_3_through_cli(monkeypatch, tmp_path, capsys):
@@ -769,6 +772,13 @@ def _boxed_lps(draw):
 @example((
     np.array([[-0.25, -657, 0], [40, 0, -0.25], _Z3, [0, 0, -929], _Z3, [0, 3.90625e-3, 0]]),
     np.array([0, 0, 0, 0, 0, -0.25]), np.zeros(1), np.zeros((1, 3)), 0.5,
+))
+# A margin-optimal face with three directions, so phase 2 runs the tableau
+# LP: unrefined, its final tableau read an effort of 7.32e-9 against the
+# exact 0; refined against its start, 7.4e-12.
+@example((
+    np.array([[-0.25, 0, 3], [0, 0, 0.25], _Z3]),
+    np.zeros(3), np.zeros(2), np.array([[0, 201.0, 0], [808, 0.25, 2.001]]), 5.0,
 ))
 @settings(max_examples=300, deadline=None)
 @given(_boxed_lps())
@@ -1052,88 +1062,17 @@ def test_margin_lp_keeps_the_optimum_at_a_large_f_max():
         assert check_force_solution(inst, guard, vel.T, force, f_max=f_max).passed, f_max
 
 
-def _phase1_lps():
-    """(G, h, f_max) of every default-plan margin LP and 200 seeded boxed LPs."""
-    lps = []
-    max_margin = force_solver._max_margin
-
-    def recorded(G, h, f_max):
-        lps.append((G, h, f_max))
-        return max_margin(G, h, f_max)
-
-    force_solver._max_margin = recorded
-    try:
-        for case in _default_plan_cases():
-            solve_force(*case)
-    finally:
-        force_solver._max_margin = max_margin
-    assert len(lps) == 15
-    rng = np.random.default_rng(18)
-
-    def entries(shape):
-        # The boxed-LP test's mix (zero, multiples of 1/4 and 1e-3 .. 1e3 in
-        # magnitude), with zeros of both signs.
-        kind = rng.integers(0, 4, shape)
-        zero = np.copysign(0.0, rng.uniform(-1.0, 1.0, shape))
-        quarter = rng.integers(-8, 9, shape) / 4.0
-        size = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), shape))
-        return np.select([kind == 0, kind == 1, kind == 2], [zero, quarter, size], -size)
-
-    for _ in range(200):
-        n_rows, n_af = int(rng.integers(1, 9)), int(rng.integers(1, 4))
-        lps.append((entries((n_rows, n_af)), entries(n_rows), float(rng.choice([0.5, 5.0, 50.0]))))
-    return lps
-
-
-def test_max_margin_first_pivot_in_closed_form(monkeypatch):
-    # _max_margin writes down the tableau after the first pivot; it must be
-    # bitwise the slack tableau of the split LP over [x+; x-; t] after
-    # _pivot(argmin h, t) and the clip of the right-hand sides, and that
-    # pivot counts against MAX_PIVOTS.
-    starts = []
-
-    def first_simplex(tab, basis, pivots):
-        starts.append((tab.copy(), basis.copy(), pivots))
-        raise SingularSystem("stop after the first pivot")
-
-    lps = _phase1_lps()
-    monkeypatch.setattr(force_solver, "_simplex", first_simplex)
-    for G, h, f_max in lps:
-        with pytest.raises(SingularSystem, match="first pivot"):
-            force_solver._max_margin(G, h, f_max)
-        tab, basis, pivots = starts.pop()
-        n_rows, n_af = G.shape
-        eye = np.eye(n_af)
-        A = np.zeros((n_rows + 2 * n_af, 2 * n_af + 1))
-        A[:n_rows, :n_af], A[:n_rows, n_af : 2 * n_af], A[:n_rows, -1] = G, -G, 1.0
-        # + 0.0 clears -eye's -0.0 entries; the box rows hold +0.0 there.
-        A[n_rows:, : 2 * n_af] = np.block([[eye, -eye], [-eye, eye]]) + 0.0
-        b = np.concatenate([h - h.min(), np.full(2 * n_af, f_max)])
-        c = np.append(np.zeros(2 * n_af), -1.0)
-        want, want_basis = slack_tableau(A, b, c)
-        force_solver._pivot(want, want_basis, int(h.argmin()), 2 * n_af)
-        np.maximum(want[:-1, -1], 0.0, out=want[:-1, -1])
-        assert tab.tobytes() == want.tobytes()
-        assert np.array_equal(basis, want_basis)
-        assert pivots == 1
-
-
 def test_default_plan_takes_at_most_52_pivots(monkeypatch):
-    # Counted over the 15 default steps and both phases, with each margin
-    # LP's closed-form first pivot as one.  Every default margin-optimal face
-    # is a point or an edge, so phase 2 takes no pivot.
-    pivot, max_margin, count = force_solver._pivot, force_solver._max_margin, [0]
+    # Counted over the 15 default steps and both phases, each margin LP's
+    # forced first pivot included.  Every default margin-optimal face is a
+    # point or an edge, so phase 2 takes no pivot.
+    pivot, count = force_solver._pivot, [0]
 
     def counted_pivot(*args):
         count[0] += 1
         return pivot(*args)
 
-    def counted_max_margin(*args):
-        count[0] += 1
-        return max_margin(*args)
-
     monkeypatch.setattr(force_solver, "_pivot", counted_pivot)
-    monkeypatch.setattr(force_solver, "_max_margin", counted_max_margin)
     for case in _default_plan_cases():
         solve_force(*case)
     assert count[0] <= 52

@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import importlib
 import json
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +32,19 @@ def _solved_tilting_step(step: int = 5, **scenario_kwargs):
     inst, guard = build_instance(st, sc)
     step = synthesize(inst, guard)
     return inst, guard, step.velocity, step.force
+
+
+def test_norm_stays_finite_where_its_square_overflows():
+    # sqrt(r . r) bit for bit where r . r is finite; past that, finite and
+    # without numpy's overflow warning; a non-finite r as before.
+    rng = np.random.default_rng(3)
+    for r in (rng.standard_normal(7), np.zeros(3), np.array([3e153, -4e153])):
+        assert verifier._norm(r) == math.sqrt(r.dot(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verifier._norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+    assert verifier._norm(np.array([np.inf, 1.0])) == math.inf
+    assert math.isnan(verifier._norm(np.array([np.nan, 1.0])))
 
 
 def test_velocity_check_passes_on_solved_instances():
