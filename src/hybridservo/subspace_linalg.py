@@ -5,13 +5,16 @@ values above RANK_TOL times a reference size, by default the largest
 singular value.  A :class:`Factorization`, made by :func:`factor`, serves
 the rank, the null space and the minimum-norm map of a matrix from one
 SVD.  Null-space bases are orthonormal, and zero-row or zero-column
-matrices are legal inputs (rank 0, full null space).  The verifier takes
+matrices are legal inputs (rank 0, full null space).  The complement of a
+single row needs no SVD: :func:`row_complement` builds it from one
+Householder reflector.  The verifier takes
 only constants from here.  It scales each row of its stacks to unit norm,
 takes its own SVD on np.linalg and ranks at the same RANK_TOL.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -93,3 +96,28 @@ def factor(M, *, scale: float | None = None) -> Factorization:
         return Factorization(M, np.eye(r), np.zeros(0), np.eye(c), 0)
     u, s, vh = np.linalg.svd(M)
     return Factorization(M, u, s, vh, _rank(s, scale))
+
+
+def row_complement(k: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the complement of the nonzero row k.
+
+    They are rows 2..n of the Householder reflector H = I - tau v v^T with
+    H k = beta e_1, beta = -sign(k_0) ||k||, tau = (beta - k_0) / beta and
+    v = [1; k_{1:} / (k_0 - beta)] (Golub & Van Loan, Matrix Computations,
+    5.1; LAPACK's dlarfg, k_0 = -0.0 counting as negative).  That is the
+    reflector LAPACK reduces a 1 x n matrix with, so the rows match the
+    trailing rows of np.linalg.svd(k[None])[2] to round-off, without an SVD.
+    k_0 - beta = sign(k_0) (|k_0| + ||k||) does not cancel, and math.hypot
+    neither overflows nor underflows.  When k_{1:} = 0, H = I (dlarfg's
+    tau = 0) and the rows are e_2..e_n.
+    """
+    k0, *rest = k.tolist()
+    if any(rest):
+        beta = -math.copysign(math.hypot(k0, *rest), k0)
+        v = k / (k0 - beta)
+        v[0] = 1.0
+        H = np.multiply.outer(v[1:], v * ((k0 - beta) / beta))  # -tau v_i v_j
+    else:
+        H = np.zeros((k.size - 1, k.size))
+    H.ravel()[1 :: k.size + 1] += 1.0
+    return H

@@ -14,16 +14,22 @@ them fights the constraints as little as possible:
 The minimum has a closed form (see optimal_directions and, at n_av = 1,
 solve_velocity): at most one SVD and n_av - 1 plane rotations, no search.
 
-Each matrix is factored once per solve, by the null-space method (Nocedal
-& Wright, Numerical Optimization, 2nd ed., 16.2).  One SVD of N gives
-rank(N) and the orthonormal NullN; one SVD of the small G NullN gives
+Each matrix is factored at most once per solve, by the null-space method
+(Nocedal & Wright, Numerical Optimization, 2nd ed., 16.2).  One SVD of N
+gives rank(N) and the orthonormal NullN; one SVD of the small G NullN gives
 n_av = rank(G NullN), null([N; G]) = NullN null(G NullN) for the candidate
 basis and the minimum-norm v_star = NullN (G NullN)^+ b_G that fixes the
 magnitudes b_C = C v_star.  The others are the candidate basis, the
-direction SVD at n_av >= 2 and null(R_C).  With one free motion z in
-null(N), as on every tilting step, G NullN is the column G z and B_c the
-actuated identity: only N and R_C are factored.  Every cutoff is the
-verifier's relative tolerance sla.RANK_TOL.  No rank cutoff compares N's
+direction SVD at n_av >= 2 and null(R_C).  A single column or row needs no
+SVD (Golub & Van Loan, Matrix Computations, 5.1): its singular value is its
+norm, its singular vector its direction, and the complement of the one
+command row R_C at n_av = 1 is a Householder reflector
+(sla.row_complement).  With one free motion z in null(N), as on every
+tilting step, G NullN is the column G z and B_c the actuated identity: only
+N is factored.  With one goal row, G NullN is a row g and null(g) is
+spanned by the columns of I - vh_0 vh_0^T, vh_0 = g / ||g||: N and the
+candidate basis are factored.  Every cutoff is the verifier's relative
+tolerance sla.RANK_TOL.  No rank cutoff compares N's
 units with G's, or one goal row's with another's: each row of G is scaled
 to unit norm with its b_G entry, and G NullN is ranked against ||G||_F (a
 goal repeating a constraint adds no rank), the other SVDs' cosines against 1.
@@ -54,7 +60,11 @@ class VelocitySolution:
 
     C stacks the command rows (n_av x n), b_C their magnitudes.  T =
     diag(I_{n_u}, R_a), where the actuated-frame rotation R_a has the
-    velocity-controlled axes as its last n_av rows.
+    velocity-controlled axes as its last n_av rows and the force axes as its
+    first n_a - n_av.  At n_av = 1 the force axes are the Householder
+    complement of the command row (sla.row_complement), a function of that
+    row alone; at n_av >= 2 they are the null-space basis that LAPACK's SVD
+    of the command rows returns.
     """
 
     C: np.ndarray
@@ -71,8 +81,10 @@ def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int) -> np.ndarray:
     """Orthonormal columns spanning the admissible command rows.
 
     A command row c must have zero unactuated prefix and annihilate every
-    column of null_ng, an orthonormal basis of null([N; G]).  The basis is
-    built in the actuated coordinates, so the prefix is exactly zero.
+    column of null_ng, whose columns span null([N; G]) with singular values
+    1 and 0: an orthonormal basis, or NullN times an orthogonal projector.
+    The basis is built in the actuated coordinates, so the prefix is
+    exactly zero.
     Raises EmptyBasis when fewer candidate directions exist than velocity
     commands are needed; that takes round-off, because in exact arithmetic
     there are at least r_NG + n_a - n >= n_av of them once r_N + n_a >= n.
@@ -180,7 +192,10 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
 
     At n_av = 1, null(N) = null([N; G]) + span(NullN vh_0), vh_0 the top right
     singular vector of G NullN.  B_c is orthogonal to null([N; G]), so A =
-    vh_0 a^T, a = A^T vh_0: sigma_1 = ||a|| and k = a / ||a|| (Golub & Van Loan, 2.4).
+    vh_0 a^T, a = A^T vh_0: sigma_1 = ||a||, k = a / ||a|| and the cost is
+    -sigma_1 (Golub & Van Loan, 2.4).
+    C, b_C, T and cost then depend on the candidate space, not on the basis
+    B_c of it that an SVD returns.
 
     Each row of C is signed so that its command value b_C_i is >= 0; a
     row with b_C_i == 0 gets a positive first nonzero entry.  Raises
@@ -207,19 +222,19 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         raise NumericOverflow(
             "velocity stage: overflow in the goal scale; the input is out of range"
         )
-    if NullN.shape[1] == 1:
-        # One free motion z: the SVD of the column g = G z is ||g|| and g / ||g||;
-        # x = (g / ||g||) . b_G / ||g|| in that order, so nothing overflows.
-        z = NullN[:, 0]
-        g = G @ z
-        g_norm = math.sqrt(g @ g)
-        n_av = int(g_norm > sla.RANK_TOL * g_scale)
-        x = (g / g_norm) @ b_G / g_norm if n_av else 0.0
-        r = g * x - b_G
+    GN = G @ NullN
+    if min(GN.shape) == 1:
+        # One free motion (GN a column) or one goal row (GN a row): the SVD is
+        # s = ||GN|| and the direction GN / s, so y = (GN / s)^T b_G / s,
+        # in that order so that nothing overflows.
+        s = math.sqrt((GN * GN).sum())
+        n_av = int(s > sla.RANK_TOL * g_scale)
+        y = (GN / s).T @ b_G / s if n_av else np.zeros(GN.shape[1])
+        r = GN @ y - b_G
         consistent = math.sqrt(r @ r) <= sla.RESIDUAL_TOL * (1.0 + math.sqrt(b_G @ b_G))
-        v_star = z * x
+        v_star = NullN @ y
     else:
-        f_GN = sla.factor(G @ NullN, scale=g_scale)
+        f_GN = sla.factor(GN, scale=g_scale)
         n_av = f_GN.rank
         try:
             v_star, consistent = NullN @ f_GN.min_norm(b_G), True
@@ -232,16 +247,23 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         return VelocitySolution(C=np.zeros((0, n)), b_C=np.zeros(0), T=np.eye(n), cost=0.0)
 
     if NullN.shape[1] == 1:  # B_c is the actuated identity (not formed) and vh_0 = [1]
-        B_c, A, a = None, NullN[n_u:].T, NullN[n_u:, 0]
+        B_c, a = None, NullN[n_u:, 0]
     else:
-        B_c = candidate_basis(NullN @ f_GN.null_space(), n_u, n_av)
+        if GN.shape[0] == 1:  # null(GN) is spanned by the columns of I - vh_0 vh_0^T
+            vh_0 = GN[0] / s
+            null_NG = NullN - np.multiply.outer(NullN @ vh_0, vh_0)
+        else:
+            vh_0, null_NG = f_GN.vh[0], NullN @ f_GN.null_space()
+        B_c = candidate_basis(null_NG, n_u, n_av)
         A = NullN.T @ B_c
-        a = f_GN.vh[0] @ A if n_av == 1 else None
+        a = vh_0 @ A if n_av == 1 else None
     if n_av > 1:
         k, sigma = optimal_directions(A, n_av)
-    else:  # A = vh_0 a^T has rank one (see above)
+        cost = direction_cost(k, A)
+    else:  # A = vh_0 a^T has rank one (see above), and the cost is -sigma_1
         sigma = [math.sqrt(a @ a)]
         k = a[:, None] / (sigma[0] or 1.0)  # a zero a stays zero and fails the check below
+        cost = -sigma[0]
     C = np.zeros((1, n)) if B_c is None else (B_c @ k).T
     if B_c is None:
         C[0, n_u:] = k[:, 0]
@@ -255,6 +277,9 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     R_C = C[:, n_u:]
     T = np.zeros((n, n))
     T.ravel()[: n_u * (n + 1) : n + 1] = 1.0
-    T[n_u : n - n_av, n_u:] = sla.factor(R_C).null_space().T
+    if n_av == 1:
+        T[n_u : n - 1, n_u:] = sla.row_complement(R_C[0])
+    else:
+        T[n_u : n - n_av, n_u:] = sla.factor(R_C).null_space().T
     T[n - n_av :, n_u:] = R_C
-    return VelocitySolution(C=C, b_C=b_C, T=T, cost=direction_cost(k, A))
+    return VelocitySolution(C=C, b_C=b_C, T=T, cost=cost)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from hybridservo.model import GuardConditions, SystemInstance, make_instance
-from hybridservo.subspace_linalg import factor
+from hybridservo.subspace_linalg import RANK_TOL, factor
 from hybridservo.velocity_solver import candidate_basis
 from hybridservo.verifier import _force_equalities
 
@@ -132,3 +132,37 @@ def random_guarded_assembly(
         b_Lambda = np.concatenate([b_Lambda, [b, -0.5 - b]])
     guard = GuardConditions(Lambda, b_Lambda, guard.Gamma, guard.b_Gamma)
     return instance, guard, T, n_av
+
+
+def _random_orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+def adversarial_svd(rng: np.random.Generator, svd=np.linalg.svd):
+    """A stand-in for np.linalg.svd that returns another valid SVD.
+
+    An SVD is unique only up to the sign of each singular pair and the basis
+    of each null space, and another LAPACK build may choose differently.
+    This one flips the sign of each pair (u column and vh row together) at
+    random and turns the vh rows and the u columns past the rank (singular
+    values at or below RANK_TOL times the largest) by independent random
+    orthogonal matrices, so u diag(s) vh is the same matrix to round-off and
+    every kept pair and null space spans the same subspace.  Patch it in
+    with monkeypatch.setattr(np.linalg, "svd", adversarial_svd(rng)).
+    """
+
+    def other_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        if not compute_uv:
+            return svd(a, full_matrices=full_matrices, compute_uv=False, hermitian=hermitian)
+        u, s, vh = svd(a, full_matrices=full_matrices, hermitian=hermitian)
+        flip = rng.choice([-1.0, 1.0], s.size)
+        u, vh = u.copy(), vh.copy()
+        u[:, : s.size] *= flip
+        vh[: s.size] *= flip[:, None]
+        rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
+        vh[rank:] = _random_orthogonal(rng, vh.shape[0] - rank) @ vh[rank:]
+        u[:, rank:] = u[:, rank:] @ _random_orthogonal(rng, u.shape[1] - rank)
+        return u, s, vh
+
+    return other_svd

@@ -337,10 +337,11 @@ def test_build_instance_does_no_cross_products_or_initial_state(monkeypatch):
     assert calls == {}
 
 
-def test_a_default_step_takes_three_svds(monkeypatch):
-    # Two in the velocity stage (N and null(R_C): null(N) is one free motion,
-    # so G NullN and the directions are a column and a row in closed form)
-    # and one in the force stage (M_free).
+def test_a_default_step_takes_two_svds(monkeypatch):
+    # One in the velocity stage (N: null(N) is one free motion, so G NullN
+    # and the directions are a column and a row in closed form, and the
+    # complement of the command row is a Householder reflector) and one in
+    # the force stage (M_free).
     sc = TiltingScenario()
     st = rollout_states(sc)[3]
     svd, calls = np.linalg.svd, Counter()
@@ -356,7 +357,7 @@ def test_a_default_step_takes_three_svds(monkeypatch):
     vel = solve_velocity(instance)
     stage = "force"
     solve_force(instance, guard, vel.T, vel.n_av)
-    assert calls == {"velocity": 2, "force": 1}
+    assert calls == {"velocity": 1, "force": 1}
 
 
 @pytest.mark.parametrize("step", [1, 4, 15])

@@ -1044,6 +1044,25 @@ def test_least_effort_face_test_trades_a_small_margin_on_an_edge(f_max):
     _assert_exact_effort(G, np.zeros(5), np.array([-0.25]), np.array([[0, 0, -0.25]]), f_max)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute simplex tolerances")
+def test_least_effort_on_an_edge_trades_a_tiny_margin_for_effort():
+    # Drawn by the one-dimensional-face test.  The margin 4.997e-12 is the
+    # exact one, but the edge's command 0 keeps only margin 0, for effort 0
+    # against the exact 0.125.  The cause was not diagnosed.
+    G = np.array([[463.0, 0, 1e-3], [0, 1e-3, -54.0], _Z3, _Z3, [0, 0, 0.25], [-0.25, 0, 0]])
+    h = np.array([0, 0, 0.25, 0.25, 0, 0])
+    _assert_exact_effort(G, h, np.zeros(1), np.array([[0, 0.25, 0]]), 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute simplex tolerances")
+def test_margin_lp_overshoots_a_zero_row():
+    # Drawn by the one-dimensional-face test.  The zero row with h = 0 caps
+    # the margin at 0, but the margin LP reports 5.0e-9 with the command
+    # (-5, -5e-6, -5).  The cause was not diagnosed.
+    G = np.array([[0, 1e-3, 0], [1e-3, -1e3, 0], _Z3])
+    _assert_exact_effort(G, np.zeros(3), np.zeros(3), np.zeros((3, 3)), 5.0)
+
+
 # HiGHS's optimum of default step 12's margin LP, the same at f_max 50 and
 # 1e3. The LP's value is concave and nondecreasing in f_max, so it is the
 # optimum at every larger bound too.

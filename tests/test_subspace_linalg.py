@@ -143,3 +143,29 @@ def test_solve_square_matrix_rhs_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem):
         solve_square(A, np.eye(2))
+
+
+def test_row_complement_is_the_svd_complement_of_the_row():
+    # Rows orthonormal and orthogonal to k, equal to the trailing rows of
+    # LAPACK's SVD of k to round-off, for n = 2..12; k = +-e_1, k_0 = +-0.0
+    # (LAPACK counts -0.0 as negative) and rows scaled by 1e+-150 included.
+    rng = np.random.default_rng(36)
+    worst = 0.0
+    for n in range(2, 13):
+        ks = [rng.standard_normal(n) for _ in range(40)]
+        for sign in (1.0, -1.0):
+            ks.append(sign * np.eye(n)[0])
+            k = rng.standard_normal(n)
+            k[0] = sign * 0.0
+            ks.append(k)
+        ks += [10.0 ** e * rng.standard_normal(n) for e in (150, -150) for _ in range(5)]
+        for k in ks:
+            H = sla.row_complement(k)
+            assert H.shape == (n - 1, n)
+            assert np.abs(H @ H.T - np.eye(n - 1)).max() <= 1e-15
+            assert np.abs(H @ (k / np.linalg.norm(k))).max() <= 1e-15
+            worst = max(worst, np.abs(H - np.linalg.svd(k[None])[2][1:]).max())
+        for k in (np.eye(n)[0], -np.eye(n)[0]):  # LAPACK's H = I, with no -0.0
+            H = sla.row_complement(k)
+            assert np.array_equal(H, np.eye(n)[1:]) and not np.signbit(H).any()
+    assert worst <= 1e-15

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import direction_problem, random_feasible_instance
+from helpers import adversarial_svd, direction_problem, random_feasible_instance
 from hybridservo import subspace_linalg as sla
 from hybridservo import synthesize, velocity_solver
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
@@ -409,11 +410,17 @@ def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
     assert len(_svds_of_a_solve(monkeypatch, inst)) == 5
 
 
-def test_one_command_on_the_svd_route_takes_four_svds(monkeypatch):
+def test_one_command_takes_two_svds_on_one_goal_row_and_three_on_two(monkeypatch):
     # dim null(N) >= 2 and n_av = 1: A has rank one and its SVD is a norm,
-    # so N, G NullN, null(sigma_a) and null(R_C) are the only factorizations.
+    # and the complement of the command row is a Householder reflector.  One
+    # goal row makes G NullN a row, in closed form too, so N and null(sigma_a)
+    # are the only factorizations; two goal rows add G NullN.
     inst = _draw(np.random.default_rng(21), n_av=1, min_free=2)
-    assert len(_svds_of_a_solve(monkeypatch, inst)) == 4
+    assert inst.G.shape[0] == 1
+    assert len(_svds_of_a_solve(monkeypatch, inst)) == 2
+    inst = _one_command_instance(np.random.default_rng(21), "commanded", m=2)
+    assert solve_velocity(inst).n_av == 1
+    assert len(_svds_of_a_solve(monkeypatch, inst)) == 3
 
 
 def _svd_route(inst):
@@ -478,13 +485,20 @@ def _one_motion_instance(rng, kind):
     return make_instance(n_u, N, scales[:, None] * G, scales * b_G, np.zeros(n))
 
 
-def _one_motion_instances():
+@functools.cache
+def _plan_steps():
+    """(instance, guard) of every step of the default, lateral-load and
+    90-step plans."""
     plans = [TiltingScenario(), TiltingScenario(gravity_object=[0.0, 0.6, -2.45])]
     plans += [
         TiltingScenario(mu_hand=mu, mu_table=mu, num_steps=90, tilt_rate=math.pi / 180.0)
         for mu in (0.3, 0.5, 0.8, 1.2, 1.5)
     ]
-    tilting = [build_instance(state, sc)[0] for sc in plans for state in rollout_states(sc)]
+    return [build_instance(state, sc) for sc in plans for state in rollout_states(sc)]
+
+
+def _one_motion_instances():
+    tilting = [inst for inst, _ in _plan_steps()]
     rng = np.random.default_rng(32)
     kinds = ["commanded", "implied", "inconsistent", "unactuated"]
     return tilting + [_one_motion_instance(rng, kind) for kind in kinds for _ in range(50)]
@@ -525,14 +539,15 @@ def test_one_free_motion_matches_the_svd_route():
     assert set(outcomes) == {"n_av = 0", "n_av = 1", "InconsistentGoal", "SingularTransform"}
 
 
-def _one_command_instance(rng, kind):
+def _one_command_instance(rng, kind, m=None):
     """A random instance with dim null(N) = d >= 2 whose goal adds rank one.
 
     null(N) is span(w) plus span(Y), the goal rows annihilate Y, so w is the
     goal's free motion and null([N; G]) = span(Y) has d - 1 >= 1 columns.
     kind: "commanded", "inconsistent" (two or more goal rows and a b_G no
     velocity meets) or "unactuated" (w has a zero actuated part, so no
-    candidate row sees it).  Goal rows are scaled by up to 1e6 either way.
+    candidate row sees it).  m goal rows, drawn from 1-3 unless given; they
+    are scaled by up to 1e6 either way.
     """
     n = int(rng.integers(3, 9))
     n_u = int(rng.integers(1 if kind == "unactuated" else 0, n - 1))
@@ -543,7 +558,8 @@ def _one_command_instance(rng, kind):
     Z = np.linalg.qr(np.column_stack([w, rng.standard_normal((n, d - 1))]))[0]
     Y = Z[:, 1:]
     N = rng.standard_normal((n - d + int(rng.integers(0, 2)), n)) @ (np.eye(n) - Z @ Z.T)
-    m = int(rng.integers(2 if kind == "inconsistent" else 1, 4))
+    if m is None:
+        m = int(rng.integers(2 if kind == "inconsistent" else 1, 4))
     G = rng.standard_normal((m, n)) @ (np.eye(n) - Y @ Y.T)
     b_G = rng.standard_normal(m) if kind == "inconsistent" else G @ (Z[:, 0] * rng.uniform(-2.0, 2.0))
     scales = 10.0 ** rng.uniform(-6.0, 6.0, m)
@@ -577,9 +593,114 @@ def test_one_command_closed_form_matches_the_svd_route():
     assert set(outcomes) == {"n_av = 1", "InconsistentGoal", "SingularTransform"}
 
 
-def test_one_free_motion_takes_two_svds(monkeypatch):
-    # README's raw example: null(N) is one free motion, so only N and R_C
-    # are factored; G NullN and the directions are a column and a row.
+def _one_goal_row_instance(rng, kind):
+    """A random instance with dim null(N) >= 2 and one goal row g.
+
+    kind: "commanded" (n_av = 1), "implied" (g lies in N's row space with
+    b_G = 0, n_av = 0), "inconsistent" (g as for implied, b_G != 0) or
+    "unactuated" (g's free motion has a zero actuated part).  The row is
+    scaled by up to 1e6 either way.
+    """
+    if kind in ("commanded", "unactuated"):
+        return _one_command_instance(rng, kind, m=1)
+    inst = _one_command_instance(rng, "commanded", m=1)
+    G = rng.standard_normal((1, inst.N.shape[0])) @ inst.N
+    b_G = rng.standard_normal(1) if kind == "inconsistent" else np.zeros(1)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    return make_instance(inst.n_u, inst.N, scale * G, scale * b_G, inst.F)
+
+
+def test_one_goal_row_closed_form_matches_the_svd_route():
+    # With one goal row and dim null(N) >= 2, G NullN is a row: its SVD is
+    # its norm and direction vh_0, null([N; G]) is spanned by NullN (I -
+    # vh_0 vh_0^T), and the complement of the command row is a Householder
+    # reflector.  The SVD route factors G NullN and R_C instead.
+    rng = np.random.default_rng(36)
+    kinds = ["commanded", "implied", "inconsistent", "unactuated"]
+    outcomes, worst = {}, 0.0
+    for inst in (_one_goal_row_instance(rng, kind) for kind in kinds for _ in range(60)):
+        assert inst.G.shape[0] == 1
+        assert sla.factor(inst.N).null_space().shape[1] >= 2
+        ref = _outcome(_svd_route, inst)
+        got = _outcome(solve_velocity, inst)
+        if isinstance(ref, type):
+            assert got is ref
+            key = ref.__name__
+        else:
+            worst = max(worst, _worst_difference(got, ref))
+            key = f"n_av = {ref[0].shape[0]}"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    print(f"one goal row, dim null(N) >= 2: {outcomes}, largest difference {worst:.2e}")
+    assert worst <= 1e-12
+    assert set(outcomes) == {"n_av = 0", "n_av = 1", "InconsistentGoal", "SingularTransform"}
+
+
+def _step_fields(inst, guard):
+    """(n_av, C, b_C, T, cost) and (lp_margin, eta_af, lam), or the error
+    class and its margin, of synthesize(inst, guard)."""
+    vel = solve_velocity(inst)
+    try:
+        force = synthesize(inst, guard).force
+    except SolverError as exc:
+        return (vel.n_av, vel.C, vel.b_C, vel.T, vel.cost), (type(exc), getattr(exc, "margin", None))
+    return (vel.n_av, vel.C, vel.b_C, vel.T, vel.cost), (force.objective_margin, force.eta_af, force.lam)
+
+
+def _fields_difference(got, ref):
+    """Largest entry difference of two _step_fields results; inf when an
+    outcome or n_av differs."""
+    (vel, force), (vel_ref, force_ref) = got, ref
+    if vel[0] != vel_ref[0] or isinstance(force[0], type) != isinstance(force_ref[0], type):
+        return math.inf
+    if isinstance(force[0], type):
+        if force[0] is not force_ref[0]:
+            return math.inf
+        force, force_ref = force[1:], force_ref[1:]
+    pairs = [(a, b) for a, b in zip(vel[1:] + force, vel_ref[1:] + force_ref) if b is not None]
+    return max(float(np.max(np.abs(np.subtract(a, b)), initial=0.0)) for a, b in pairs)
+
+
+def test_plan_outputs_do_not_depend_on_the_svd_basis(monkeypatch):
+    # Every step of the default, lateral-load and 90-step plans with
+    # np.linalg.svd returning another valid SVD (sign flips of singular
+    # pairs, rotations of the null-space bases): one free motion and n_av =
+    # 1, so each output is a function of the problem, bit for bit.
+    steps = _plan_steps()
+    ref = [_step_fields(inst, guard) for inst, guard in steps]
+    monkeypatch.setattr(np.linalg, "svd", adversarial_svd(np.random.default_rng(17)))
+    got = [_step_fields(inst, guard) for inst, guard in steps]
+    monkeypatch.undo()
+    assert max(_fields_difference(g, r) for g, r in zip(got, ref)) == 0.0
+
+
+def test_one_goal_row_outputs_do_not_depend_on_the_svd_basis(monkeypatch):
+    # One-goal-row draws with n_av = 1 and three random guard rows.  With
+    # dim null(N) >= 2 the force stage raises SingularSystem (a free motion
+    # is neither commanded nor balanced), and NullN turns with the SVD, so
+    # the rows agree to round-off.  (n_av >= 2 still follows LAPACK's basis.)
+    rng = np.random.default_rng(36)
+    draws, dims = [], set()
+    while len(draws) < 100:
+        inst = random_feasible_instance(rng)
+        if inst.G.shape[0] != 1 or solve_velocity(inst).n_av != 1:
+            continue
+        dims.add(min(sla.factor(inst.N).null_space().shape[1], 2))
+        Lambda = rng.standard_normal((3, inst.n_phi + inst.n))
+        b_Lambda = Lambda @ rng.standard_normal(Lambda.shape[1]) + rng.uniform(0.1, 1.0, 3)
+        guard = GuardConditions(Lambda, b_Lambda, np.zeros((0, Lambda.shape[1])), np.zeros(0))
+        draws.append((inst, guard))
+    assert dims == {1, 2}
+    ref = [_step_fields(inst, guard) for inst, guard in draws]
+    monkeypatch.setattr(np.linalg, "svd", adversarial_svd(np.random.default_rng(17)))
+    got = [_step_fields(inst, guard) for inst, guard in draws]
+    monkeypatch.undo()
+    assert max(_fields_difference(g, r) for g, r in zip(got, ref)) <= 1e-12
+
+
+def test_one_free_motion_takes_one_svd(monkeypatch):
+    # README's raw example: null(N) is one free motion, so only N is
+    # factored; G NullN and the directions are a column and a row, and the
+    # complement of the command row is a Householder reflector.
     inst = make_instance(1, [[1.0, -1.0]], [[1.0, 0.0]], [0.1], [-2.45, 0.0])
     svd, seen = np.linalg.svd, []
 
@@ -590,8 +711,8 @@ def test_one_free_motion_takes_two_svds(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     sol = solve_velocity(inst)
     assert sol.n_av == 1
-    assert len(seen) == 2
-    assert np.array_equal(seen[0], inst.N) and np.array_equal(seen[1], sol.C[:, 1:])
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], inst.N)
 
 
 def test_goal_rows_are_ranked_in_their_own_units():
