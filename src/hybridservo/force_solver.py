@@ -19,8 +19,10 @@ gives it for every command at once: f_free = F [1; eta_af] with F =
 [f0, W] = V S^-1 U^T B over the singular values kept by the package's
 rank rule (Golub & Van Loan, Matrix Computations, 5.5), so the map
 applied has condition at most 1 / RANK_TOL whatever the units of N.
-Consistent redundant equality rows (for example a duplicated Gamma row)
-are harmless; each column's residual check raises SingularSystem when
+With full row rank, as on every tilting step, the rows are consistent for
+every command and no residual is formed.  When the rank rule drops rows,
+consistent redundant equality rows (for example a duplicated Gamma row)
+are harmless, and each column's residual check raises SingularSystem when
 the rows are inconsistent or pin the command itself.  The guard margins
 b_Lambda - Lambda [lambda; f] = h - G eta_af are affine as well.  Every
 margin the LP forms is bounded by f_max sum|G| + sum|h|; when that leaves
@@ -192,8 +194,9 @@ def _free_force_map(M_free: np.ndarray, B: np.ndarray) -> np.ndarray:
     """F = [f0 | W] with f_free = F @ [1; eta_af] = f0 + W eta_af, from one SVD of M_free.
 
     F = V S^-1 U^T B over the kept singular values is the minimum-norm
-    solution.  Raises SingularSystem when a column leaves a residual: the
-    rows are inconsistent or pin the command.
+    solution.  Raises SingularSystem when M_free drops rank and a column
+    leaves a residual (the rows are inconsistent or pin the command), or
+    when F is not finite.
     """
     try:
         return sla.factor(M_free).min_norm(B)

@@ -4,11 +4,13 @@ Every rank decision of the two solver stages applies one rule, singular
 values above RANK_TOL times a reference size, by default the largest
 singular value.  A :class:`Factorization`, made by :func:`factor`, serves
 the rank, the null space and the minimum-norm map of a matrix from one
-SVD.  Null-space bases are orthonormal, and zero-row or zero-column
-matrices are legal inputs (rank 0, full null space).  The complement of a
-single row needs no SVD: :func:`row_complement` builds it from one
-Householder reflector.  The verifier takes
-only constants from here.  It scales each row of its stacks to unit norm,
+SVD.  The rank also decides consistency: with full row rank every
+right-hand side has a solution, so only a rank-deficient solve tests its
+residual, against RESIDUAL_TOL.  Null-space bases are orthonormal, and
+zero-row or zero-column matrices are legal inputs (rank 0, full null
+space).  The complement of a single row needs no SVD: :func:`row_complement`
+builds it from one Householder reflector.  The verifier takes only
+constants from here.  It scales each row of its stacks to unit norm,
 takes its own SVD on np.linalg and ranks at the same RANK_TOL.
 """
 
@@ -24,7 +26,7 @@ from .errors import InconsistentSystem
 # Relative rank tolerance of every rank decision, the solver's and the verifier's.
 RANK_TOL = 1e-8
 
-# Residual acceptance for linear solves, relative to 1 + ||b||.
+# Residual acceptance for rank-deficient linear solves, relative to 1 + ||b||.
 RESIDUAL_TOL = 1e-8
 
 
@@ -65,14 +67,21 @@ class Factorization(NamedTuple):
         """Minimum-norm solution X of M X = B over the kept singular values.
 
         B is a vector (m,) or a matrix (m, k) of k right-hand sides; X has
-        the matching shape.  Raises InconsistentSystem when a column's
-        residual exceeds RESIDUAL_TOL * (1 + ||b_j||), or is not finite.
+        the matching shape.  With full row rank (rank = m) the system is
+        consistent for every B, so no residual is formed: only a non-finite
+        X raises InconsistentSystem.  With rows dropped, InconsistentSystem
+        is raised when a column's residual exceeds RESIDUAL_TOL * (1 +
+        ||b_j||), or is not finite.
         """
         B = np.asarray(B, dtype=float)
         if B.ndim not in (1, 2) or B.shape[0] != self.matrix.shape[0]:
             raise ValueError(f"M has {self.matrix.shape[0]} rows but B has shape {B.shape}")
         k = self.rank
         X = (self.vh[:k].T / self.s[:k]) @ (self.u[:, :k].T @ B)
+        if k == B.shape[0]:
+            if not np.isfinite(X).all():
+                raise InconsistentSystem("system has no finite solution: the solve overflows")
+            return X
         R = self.matrix @ X - B
         residual = np.sqrt((R * R).sum(axis=0))
         limit = RESIDUAL_TOL * (1.0 + np.sqrt((B * B).sum(axis=0)))

@@ -33,6 +33,10 @@ tolerance sla.RANK_TOL.  No rank cutoff compares N's
 units with G's, or one goal row's with another's: each row of G is scaled
 to unit norm with its b_G entry, and G NullN is ranked against ||G||_F (a
 goal repeating a constraint adds no rank), the other SVDs' cosines against 1.
+The rank of G NullN also decides whether the goal is consistent: when n_av
+equals the goal-row count, G NullN has full row rank and every b_G has a
+solution, so no residual is formed; otherwise the residual of v_star decides
+InconsistentGoal.
 """
 
 from __future__ import annotations
@@ -230,8 +234,13 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         s = math.sqrt((GN * GN).sum())
         n_av = int(s > sla.RANK_TOL * g_scale)
         y = (GN / s).T @ b_G / s if n_av else np.zeros(GN.shape[1])
-        r = GN @ y - b_G
-        consistent = math.sqrt(r @ r) <= sla.RESIDUAL_TOL * (1.0 + math.sqrt(b_G @ b_G))
+        # One kept goal row has full row rank, so it is consistent for every
+        # b_G; |y| = |b_G| / s is finite, as b_G @ b_G is (checked above) and
+        # s > RANK_TOL.
+        consistent = n_av == GN.shape[0]
+        if not consistent:
+            r = GN @ y - b_G
+            consistent = math.sqrt(r @ r) <= sla.RESIDUAL_TOL * (1.0 + math.sqrt(b_G @ b_G))
         v_star = NullN @ y
     else:
         f_GN = sla.factor(GN, scale=g_scale)

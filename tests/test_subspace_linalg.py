@@ -110,6 +110,36 @@ def test_factor_min_norm_rejects_a_residual_that_overflows():
         sla.factor([[1.0, 0.0], [1.0, 0.0]]).min_norm([1e308, -1e308])
 
 
+def test_factor_min_norm_solves_full_row_rank_systems_near_the_rank_cutoff():
+    # M = U diag(s) V^T (4 x 6) with s_1 = 1 and condition numbers up to 9e7,
+    # which the rank rule keeps: full row rank, so every B is consistent and
+    # min_norm returns pinv(M) B, within 4 eps ||M^+|| ||b_j|| per column (the
+    # two differ in the order of the products; 1.85 measured).  A residual
+    # test against RESIDUAL_TOL (1 + ||b_j||) rejects some of these on
+    # round-off alone: 10 of the 300 draws at 9e7 here.
+    rng = np.random.default_rng(37)
+    eps = np.finfo(float).eps
+    for cond, draws in ((1e2, 50), (1e4, 50), (1e6, 50), (3e7, 100), (6e7, 100), (9e7, 300)):
+        for _ in range(draws):
+            U = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            s = np.array([1.0, cond ** -rng.uniform(0.0, 1.0), 1.0 / cond, 1.0 / cond])
+            M = (U * s) @ V[:, :4].T
+            B = rng.standard_normal((4, 3))
+            f = sla.factor(M)
+            assert f.rank == 4
+            X = f.min_norm(B)
+            err = np.abs(X - np.linalg.pinv(M) @ B).max(axis=0)
+            assert (err <= 4.0 * eps * cond * np.linalg.norm(B, axis=0)).all(), (cond, err)
+            x = f.min_norm(B[:, 0])
+            assert np.abs(x - X[:, 0]).max() <= 4.0 * eps * cond * np.linalg.norm(B[:, 0])
+
+
+def test_factor_min_norm_rejects_a_full_row_rank_solve_that_overflows():
+    with np.errstate(over="ignore"), pytest.raises(InconsistentSystem):
+        sla.factor([[1e-10, 0.0], [0.0, 1.0]]).min_norm([1e308, 1.0])
+
+
 # The LU square solve of the KKT test reference (tests/kkt_reference.py).
 
 
