@@ -57,11 +57,6 @@ class GuardConditions:
     Gamma: np.ndarray
     b_Gamma: np.ndarray
 
-    @classmethod
-    def empty(cls, n_phi: int, n: int) -> "GuardConditions":
-        w = n_phi + n
-        return cls(np.zeros((0, w)), np.zeros(0), np.zeros((0, w)), np.zeros(0))
-
     @property
     def n_ineq(self) -> int:
         return self.Lambda.shape[0]

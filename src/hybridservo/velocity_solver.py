@@ -19,24 +19,25 @@ Each matrix is factored at most once per solve, by the null-space method
 gives rank(N) and the orthonormal NullN; one SVD of the small G NullN gives
 n_av = rank(G NullN), null([N; G]) = NullN null(G NullN) for the candidate
 basis and the minimum-norm v_star = NullN (G NullN)^+ b_G that fixes the
-magnitudes b_C = C v_star.  The others are the candidate basis, the
-direction SVD at n_av >= 2 and null(R_C).  A single column or row needs no
-SVD (Golub & Van Loan, Matrix Computations, 5.1): its singular value is its
-norm, its singular vector its direction, and the complement of the one
-command row R_C at n_av = 1 is a Householder reflector
-(sla.row_complement).  With one free motion z in null(N), as on every
-tilting step, G NullN is the column G z and B_c the actuated identity: only
-N is factored.  With one goal row, G NullN is a row g and null(g) is
-spanned by the columns of I - vh_0 vh_0^T, vh_0 = g / ||g||: N and the
-candidate basis are factored.  Every cutoff is the verifier's relative
-tolerance sla.RANK_TOL.  No rank cutoff compares N's
+magnitudes b_C = C v_star.  The others are the candidate basis and the
+direction SVD at n_av >= 2.  The force axes, the complement of the command
+rows R_C, are the trailing columns of the Householder QR factor of R_C^T,
+at every n_av.  A single column or row needs no SVD (Golub & Van Loan,
+Matrix Computations, 5.1): its singular value is its norm, its singular
+vector its direction, and the QR factor of the one command row at n_av = 1
+is a single reflector (sla.row_complement).  With one free motion z in
+null(N), as on every tilting step, G NullN is the column G z and B_c the
+actuated identity: only N is factored.  With one goal row, G NullN is a row
+g and null(g) is spanned by the columns of I - vh_0 vh_0^T,
+vh_0 = g / ||g||: N and the candidate basis are factored.  Every cutoff is
+the verifier's relative tolerance sla.RANK_TOL.  No rank cutoff compares N's
 units with G's, or one goal row's with another's: each row of G is scaled
 to unit norm with its b_G entry, and G NullN is ranked against ||G||_F (a
-goal repeating a constraint adds no rank), the other SVDs' cosines against 1.
-The rank of G NullN also decides whether the goal is consistent: when n_av
-equals the goal-row count, G NullN has full row rank and every b_G has a
-solution, so no residual is formed; otherwise the residual of v_star decides
-InconsistentGoal.
+goal repeating a constraint adds no rank), the other SVDs' cosines against
+1.  The rank of G NullN also decides whether the goal is consistent: when
+n_av equals the goal-row count, G NullN has full row rank and every b_G has
+a solution, so no residual is formed; otherwise the residual of v_star
+decides InconsistentGoal.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ class VelocitySolution:
     C stacks the command rows (n_av x n), b_C their magnitudes.  T =
     diag(I_{n_u}, R_a), where the actuated-frame rotation R_a has the
     velocity-controlled axes as its last n_av rows and the force axes as its
-    first n_a - n_av.  At n_av = 1 the force axes are the Householder
-    complement of the command row (sla.row_complement), a function of that
-    row alone; at n_av >= 2 they are the null-space basis that LAPACK's SVD
-    of the command rows returns.
+    first n_a - n_av.  The force axes are the trailing columns of Q in the
+    Householder QR factorization R_C^T = Q R (at n_av = 1 the single
+    reflector sla.row_complement), a function of the command rows alone.
+    cost is -sqrt(n_av S), S the sum of the top n_av squared singular values
+    of A = NullN^T B_c: the lowest cost any n_av unit rows reach.
     """
 
     C: np.ndarray
@@ -111,21 +113,10 @@ def candidate_basis(null_ng: np.ndarray, n_u: int, n_av: int) -> np.ndarray:
     return B_c
 
 
-def direction_cost(k: np.ndarray, A: np.ndarray) -> float:
-    """Cost of the command rows C = (B_c k)^T, from k and A = NullN^T B_c.
-
-    B_c has orthonormal columns, so C C^T = k^T k and NullN^T C^T = A k:
-    neither C nor its projection needs forming.
-    """
-    gram = k.T @ k
-    cross = float(np.abs(gram).sum() - np.abs(np.diag(gram)).sum())
-    proj = A @ k
-    return cross - float(np.sqrt((proj * proj).sum(axis=0)).sum())
-
-
-def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray]:
+def optimal_directions(A: np.ndarray, B_c: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimizer k (n_c x n_av, orthonormal columns) of the direction cost,
-    and the singular values sigma of A; A k has the top n_av of them.
+    and the singular values sigma of A = NullN^T B_c; A k has the top n_av
+    of them.  B_c, the candidate basis, serves only to sign the columns.
 
     With A = NullN^T B_c and both bases orthonormal, c_i = B_c k_i is unit
     exactly when k_i is, and the cost reads
@@ -161,15 +152,15 @@ def optimal_directions(A: np.ndarray, n_av: int) -> tuple[np.ndarray, np.ndarray
 
     The rotations mix the columns, so each column's sign must be fixed
     first, and not by LAPACK: v_i is signed so that the largest-magnitude
-    entry of u_i = A v_i / sigma_i is positive, the first on ties.  u_i is
-    the direction c_i = B_c v_i seen through NullN^T, a basis that depends on
-    N alone, so another orthonormal basis B_c Q of the same candidate space,
-    as a rescaled or reordered goal gives, yields the same rows wherever the
-    top n_av singular values are distinct.
+    entry of the command row c_i = B_c v_i is positive, the first on ties.
+    c_i is in the problem's coordinates, so another orthonormal basis B_c Q
+    of the same candidate space, as another SVD or a rescaled or reordered
+    goal gives, yields the same rows wherever the top n_av singular values
+    are distinct, and permuted actuated coordinates permute the rows.
     """
-    u, sigma, vh = np.linalg.svd(A, full_matrices=False)
-    u = u[:, :n_av]
-    lead = u[np.abs(u).argmax(axis=0), np.arange(n_av)]
+    _, sigma, vh = np.linalg.svd(A, full_matrices=False)
+    c = B_c @ vh[:n_av].T
+    lead = c[np.abs(c).argmax(axis=0), np.arange(n_av)]
     K = vh[:n_av].T * np.where(lead < 0.0, -1.0, 1.0)
     d = sigma[:n_av] ** 2
     mean = float(d.sum()) / n_av
@@ -197,9 +188,10 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     At n_av = 1, null(N) = null([N; G]) + span(NullN vh_0), vh_0 the top right
     singular vector of G NullN.  B_c is orthogonal to null([N; G]), so A =
     vh_0 a^T, a = A^T vh_0: sigma_1 = ||a||, k = a / ||a|| and the cost is
-    -sigma_1 (Golub & Van Loan, 2.4).
-    C, b_C, T and cost then depend on the candidate space, not on the basis
-    B_c of it that an SVD returns.
+    -sigma_1 (Golub & Van Loan, 2.4).  At every n_av the cost is
+    -sqrt(n_av S) (see optimal_directions), and C, b_C, T and cost depend
+    on the candidate space, not on the basis B_c of it that an SVD returns,
+    wherever the top n_av singular values of A are distinct.
 
     Each row of C is signed so that its command value b_C_i is >= 0; a
     row with b_C_i == 0 gets a positive first nonzero entry.  Raises
@@ -267,12 +259,11 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         A = NullN.T @ B_c
         a = vh_0 @ A if n_av == 1 else None
     if n_av > 1:
-        k, sigma = optimal_directions(A, n_av)
-        cost = direction_cost(k, A)
-    else:  # A = vh_0 a^T has rank one (see above), and the cost is -sigma_1
+        k, sigma = optimal_directions(A, B_c, n_av)
+    else:  # A = vh_0 a^T has rank one (see above)
         sigma = [math.sqrt(a @ a)]
         k = a[:, None] / (sigma[0] or 1.0)  # a zero a stays zero and fails the check below
-        cost = -sigma[0]
+    cost = -math.sqrt(n_av) * math.hypot(*sigma[:n_av])  # -sqrt(n_av S)
     C = np.zeros((1, n)) if B_c is None else (B_c @ k).T
     if B_c is None:
         C[0, n_u:] = k[:, 0]
@@ -289,6 +280,6 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     if n_av == 1:
         T[n_u : n - 1, n_u:] = sla.row_complement(R_C[0])
     else:
-        T[n_u : n - n_av, n_u:] = sla.factor(R_C).null_space().T
+        T[n_u : n - n_av, n_u:] = np.linalg.qr(R_C.T, mode="complete")[0][:, n_av:].T
     T[n - n_av :, n_u:] = R_C
     return VelocitySolution(C=C, b_C=b_C, T=T, cost=cost)

@@ -51,6 +51,12 @@ def random_feasible_instance(
     return make_instance(n_u, N, G, b_G, F)
 
 
+def empty_guard(n_phi: int, n: int) -> GuardConditions:
+    """Guard conditions with no Lambda or Gamma rows over [lambda; f]."""
+    w = n_phi + n
+    return GuardConditions(np.zeros((0, w)), np.zeros(0), np.zeros((0, w)), np.zeros(0))
+
+
 def direction_problem(instance: SystemInstance):
     """(B_c, NullN, n_av): the velocity stage's direction problem, from ranks."""
     f_N = factor(instance.N)

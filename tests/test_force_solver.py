@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from force_lp_oracle import exact_lexicographic, full_kkt_least_effort, full_kkt_margin, slack_tableau
-from helpers import random_force_assembly, random_guarded_assembly
+from helpers import empty_guard, random_force_assembly, random_guarded_assembly
 from hybridservo import block_tilting as tilting
 from hybridservo import cli, force_solver, synthesize
 from hybridservo import subspace_linalg as sla
@@ -224,7 +224,7 @@ def test_wall_press_infeasible_guards():
 def test_no_guard_rows_margin_is_box_slack():
     N = np.array([[1.0]])
     inst = make_instance(0, N, np.zeros((0, 1)), [], [0.0])
-    guard = GuardConditions.empty(1, 1)
+    guard = empty_guard(1, 1)
     sol = solve_force(inst, guard, np.eye(1), n_av=0)
     assert sol.objective_margin == pytest.approx(50.0, abs=1e-6)
     assert np.allclose(sol.eta_af, 0.0, atol=1e-6)
@@ -258,7 +258,7 @@ def test_rank_deficient_equalities_raise():
     N = np.array([[1.0, -1.0]])
     G = np.array([[2.0, -2.0]])
     inst = make_instance(1, N, G, [0.0], [-2.45, 0.0])
-    guard = GuardConditions.empty(1, 2)
+    guard = empty_guard(1, 2)
     with pytest.raises(SingularSystem):
         solve_force(inst, guard, np.eye(2), n_av=0)
 
@@ -353,7 +353,7 @@ def test_force_balance_in_small_units_solves(tmp_path, capsys):
     # solves.  The KKT system's condition (4e14 here) would read N's units
     # through its 2I block, so it decides nothing.
     inst = make_instance(0, [[1e-7]], np.zeros((0, 1)), [], [0.0])
-    force = solve_force(inst, GuardConditions.empty(1, 1), np.eye(1), n_av=0)
+    force = solve_force(inst, empty_guard(1, 1), np.eye(1), n_av=0)
     assert force.objective_margin == 50.0 and force.eta_af.tolist() == [0.0]
     # Through the CLI the goal adds no velocity command, so the force stage
     # solves the step on its own.
@@ -427,7 +427,7 @@ def test_no_force_direction_solves_without_lp(monkeypatch):
     assert sol.objective_margin == pytest.approx(1.95, abs=1e-9)
     assert sol.effort_pass == "skipped"
     # Without guard rows the margin is the box bound.
-    free = solve_force(inst, GuardConditions.empty(1, 2), np.eye(2), n_av=1)
+    free = solve_force(inst, empty_guard(1, 2), np.eye(2), n_av=1)
     assert free.objective_margin == 50.0
     # A guard the forced equilibrium violates: lambda = 2.45 < 3.
     strict = GuardConditions(guard.Lambda, np.array([-3.0]), guard.Gamma, guard.b_Gamma)

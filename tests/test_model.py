@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridservo.model import GuardConditions, SystemInstance, make_instance, validate
+from helpers import empty_guard
+from hybridservo.model import SystemInstance, make_instance, validate
 
 
 def _small_instance():
@@ -34,19 +35,19 @@ def test_instance_stores_n_u_and_derives_n_and_n_a_from_f():
 @pytest.mark.parametrize("n_u", [-1, 4])
 def test_validate_keeps_n_u_within_the_velocity_count(n_u):
     inst = dataclasses.replace(_small_instance(), n_u=n_u)
-    problems = validate(inst, GuardConditions.empty(1, 3))
+    problems = validate(inst, empty_guard(1, 3))
     assert problems == [f"n_u must lie in [0, 3], got {n_u}"]
 
 
 def test_validate_clean_instance():
     inst = _small_instance()
-    guard = GuardConditions.empty(inst.n_phi, inst.n)
+    guard = empty_guard(inst.n_phi, inst.n)
     assert validate(inst, guard) == []
 
 
 def test_validate_catches_shape_and_finiteness():
     inst = make_instance(1, np.ones((1, 2)), np.ones((2, 3)), [1.0], [0.0, 0.0, np.nan])
-    guard = GuardConditions.empty(1, 3)
+    guard = empty_guard(1, 3)
     problems = validate(inst, guard)
     assert any("N" in p for p in problems)
     assert any("b_G" in p for p in problems)
@@ -61,14 +62,14 @@ def test_validate_checks_guard_width_with_or_without_rows(shape):
     w = inst.n_phi + inst.n
     for name in ("Lambda", "Gamma"):
         guard = dataclasses.replace(
-            GuardConditions.empty(inst.n_phi, inst.n),
+            empty_guard(inst.n_phi, inst.n),
             **{name: np.zeros(shape), f"b_{name}": np.ones(shape[0])},
         )
         assert validate(inst, guard) == [f"{name} must have {w} columns"]
 
 
 def test_guard_conditions_empty_counts():
-    guard = GuardConditions.empty(2, 3)
+    guard = empty_guard(2, 3)
     assert guard.n_ineq == 0
     assert guard.n_eq == 0
     assert guard.Lambda.shape == (0, 5)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import adversarial_svd, direction_problem, random_feasible_instance
+from helpers import adversarial_svd, direction_problem, empty_guard, random_feasible_instance
 from hybridservo import subspace_linalg as sla
 from hybridservo import synthesize, velocity_solver
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
@@ -128,28 +128,20 @@ def test_direction_cost_penalizes_parallel_rows():
     assert direction_cost(k_para, B_c, null_n) > direction_cost(k_orth, B_c, null_n)
 
 
-def test_direction_cost_from_k_and_a_matches_the_defining_form():
-    # C C^T = k^T k and NullN^T C^T = A k when B_c has orthonormal columns.
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(50):
-        B_c, null_n, n_av = direction_problem(random_feasible_instance(rng))
-        k = rng.standard_normal((B_c.shape[1], n_av))
-        ref = direction_cost(k, B_c, null_n)
-        got = velocity_solver.direction_cost(k, null_n.T @ B_c)
-        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    assert worst <= 1e-14
-
-
 def test_solve_velocity_cost_is_the_cost_of_its_rows():
+    # The stage reports -sqrt(n_av S) from the singular values; this ties it
+    # to the cost of the rows it returns, in the defining form.
     rng = np.random.default_rng(13)
     scenario = TiltingScenario()
     tilting = [build_instance(st, scenario)[0] for st in rollout_states(scenario)]
-    for inst in tilting + [random_feasible_instance(rng) for _ in range(50)]:
+    counts = {1: 0, 2: 0, 3: 0}
+    for inst in tilting + [random_feasible_instance(rng) for _ in range(400)]:
         sol = solve_velocity(inst)
         null_n = sla.factor(inst.N).null_space()
         ref = direction_cost(sol.C.T, np.eye(inst.n), null_n)
         assert abs(sol.cost - ref) <= 1e-12 * max(1.0, abs(ref))
+        counts[sol.n_av] += 1
+    assert counts[2] >= 100 and counts[3] >= 20, counts
 
 
 def test_pgd_is_deterministic_and_unit_norm():
@@ -403,11 +395,12 @@ def _svds_of_a_solve(monkeypatch, inst):
     return seen
 
 
-def test_solve_velocity_takes_five_svds_and_none_of_a_stack(monkeypatch):
+def test_solve_velocity_takes_four_svds_and_none_of_a_stack(monkeypatch):
     # Three free motions leave null([N; G]) nonempty, so null(sigma_a) is factored.
     inst = _draw(np.random.default_rng(21), n_av=2, min_free=3)
-    # Besides N: G NullN, null(sigma_a), the direction SVD and null(R_C).
-    assert len(_svds_of_a_solve(monkeypatch, inst)) == 5
+    # Besides N: G NullN, null(sigma_a) and the direction SVD.  The force
+    # axes, the complement of R_C, come from a QR factorization.
+    assert len(_svds_of_a_solve(monkeypatch, inst)) == 4
 
 
 def test_one_command_takes_two_svds_on_one_goal_row_and_three_on_two(monkeypatch):
@@ -441,7 +434,7 @@ def _svd_route(inst):
         return np.zeros((0, n)), np.zeros(0), np.eye(n), 0.0
     B_c = candidate_basis(null_n @ f_gn.null_space(), n_u, n_av)
     A = null_n.T @ B_c
-    k, sigma = velocity_solver.optimal_directions(A, n_av)
+    k, sigma = velocity_solver.optimal_directions(A, B_c, n_av)
     if not sigma[n_av - 1] > sla.RANK_TOL:
         raise SingularTransform("SVD route")
     C = (B_c @ k).T
@@ -452,7 +445,7 @@ def _svd_route(inst):
             C[i], b_C[i] = -C[i], -b_C[i]
     T = np.eye(n)
     T[n_u:, n_u:] = np.vstack([sla.factor(C[:, n_u:]).null_space().T, C[:, n_u:]])
-    return C, b_C, T, velocity_solver.direction_cost(k, A)
+    return C, b_C, T, direction_cost(k, B_c, null_n)
 
 
 def _one_motion_instance(rng, kind):
@@ -677,7 +670,7 @@ def test_one_goal_row_outputs_do_not_depend_on_the_svd_basis(monkeypatch):
     # One-goal-row draws with n_av = 1 and three random guard rows.  With
     # dim null(N) >= 2 the force stage raises SingularSystem (a free motion
     # is neither commanded nor balanced), and NullN turns with the SVD, so
-    # the rows agree to round-off.  (n_av >= 2 still follows LAPACK's basis.)
+    # the rows agree to round-off.
     rng = np.random.default_rng(36)
     draws, dims = [], set()
     while len(draws) < 100:
@@ -695,6 +688,59 @@ def test_one_goal_row_outputs_do_not_depend_on_the_svd_basis(monkeypatch):
     got = [_step_fields(inst, guard) for inst, guard in draws]
     monkeypatch.undo()
     assert max(_fields_difference(g, r) for g, r in zip(got, ref)) <= 1e-12
+
+
+def _separated(inst, n_av):
+    """Whether the top n_av + 1 singular values of A = NullN^T B_c are more
+    than 1e-6 apart, so the top n_av right singular vectors are unique up
+    to sign and the command rows are a function of the problem."""
+    B_c, null_n, _ = direction_problem(inst)
+    sigma = np.linalg.svd(null_n.T @ B_c, compute_uv=False)[: n_av + 1]
+    return bool(np.all(-np.diff(sigma) > 1e-6))
+
+
+def _relative_difference(got, ref):
+    """Largest entry difference of each pair of arrays, relative to the
+    largest entry of the reference."""
+    worst = 0.0
+    for a, b in zip(got, ref):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        scale = max(float(np.max(np.abs(b), initial=0.0)), np.finfo(float).tiny)
+        worst = max(worst, float(np.max(np.abs(a - b), initial=0.0)) / scale)
+    return worst
+
+
+def test_several_command_outputs_do_not_depend_on_the_svd_basis(monkeypatch):
+    # n_av >= 2 with np.linalg.svd returning another valid SVD: NullN, B_c
+    # and the direction SVD's vectors turn or flip, but each direction is
+    # signed by its command row and the force axes follow R_C alone.  Draws
+    # whose top n_av + 1 singular values of A nearly tie are skipped: there
+    # the rows may turn within their span, which is the SVD's tie rule.
+    draws, skipped = [], 0
+    for seed in (3, 4, 5):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            inst = random_feasible_instance(rng)
+            try:
+                sol = solve_velocity(inst)
+            except SolverError:
+                continue
+            if sol.n_av < 2:
+                continue
+            if not _separated(inst, sol.n_av):
+                skipped += 1
+                continue
+            draws.append((inst, sol))
+    assert (len(draws), skipped) == (465, 39)
+    monkeypatch.setattr(np.linalg, "svd", adversarial_svd(np.random.default_rng(17)))
+    got = [solve_velocity(inst) for inst, _ in draws]
+    monkeypatch.undo()
+    worst = max(
+        _relative_difference((g.C, g.b_C, g.T, g.cost), (r.C, r.b_C, r.T, r.cost))
+        for g, (_, r) in zip(got, draws)
+    )
+    assert worst <= 1e-10
 
 
 def test_one_free_motion_takes_one_svd(monkeypatch):
@@ -755,7 +801,7 @@ def test_one_free_motion_near_the_float_maximum_solves_or_overflows(G, b_G, b_C)
     # b_C None: NumericOverflow, as ||G||_F, or ||b_G|| on the unit rows,
     # overflows.  Otherwise the step solves with every number finite.
     inst = make_instance(1, [[1.0, -1.0]], G, b_G, [-2.45, 0.0])
-    guard = GuardConditions.empty(1, 2)
+    guard = empty_guard(1, 2)
     if b_C is None:
         with pytest.raises(NumericOverflow, match="velocity stage: overflow"):
             synthesize(inst, guard)
@@ -794,3 +840,28 @@ def test_goal_row_scaling_and_permutation_leave_the_command_rows():
         other = solve_velocity(make_instance(inst.n_u, inst.N, G, b_G, inst.F))
         assert np.max(np.abs(other.C - sol.C)) <= 1e-12
         checked[sol.n_av] += 1
+
+
+def test_permuted_actuated_coordinates_permute_the_command_rows():
+    # Reordering the actuated coordinates (the columns of N and G and the
+    # entries of F past n_u) states the same problem, so C's columns follow
+    # the order and b_C and the cost stay.  T is left out: the Householder
+    # force axes follow the coordinate order by design.
+    rng = np.random.default_rng(6)
+    checked = {1: 0, 2: 0, 3: 0}
+    for _ in range(300):
+        inst = random_feasible_instance(rng)
+        try:
+            sol = solve_velocity(inst)
+        except SolverError:
+            continue
+        if not _separated(inst, sol.n_av):
+            continue
+        order = np.concatenate([np.arange(inst.n_u), inst.n_u + rng.permutation(inst.n_a)])
+        other = solve_velocity(
+            make_instance(inst.n_u, inst.N[:, order], inst.G[:, order], inst.b_G, inst.F[order])
+        )
+        got, ref = (other.C, other.b_C, other.cost), (sol.C[:, order], sol.b_C, sol.cost)
+        assert _relative_difference(got, ref) <= 1e-10
+        checked[sol.n_av] += 1
+    assert min(checked.values()) >= 30, checked

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from force_grid_oracle import brute_force_force_oracle
-from helpers import random_feasible_instance
+from helpers import empty_guard, random_feasible_instance
 from hybridservo import cli, synthesize, verifier
 from hybridservo import subspace_linalg as sla
 from hybridservo.block_tilting import TiltingScenario, build_instance, rollout_states
@@ -454,6 +454,6 @@ def test_grid_oracle_sees_frictionless_infeasibility():
 def test_grid_oracle_rejects_wide_command_spaces():
     N = np.eye(4)
     inst = make_instance(0, N, np.zeros((0, 4)), [], np.zeros(4))
-    guard = GuardConditions.empty(4, 4)
+    guard = empty_guard(4, 4)
     with pytest.raises(ValueError):
         brute_force_force_oracle(inst, guard, np.eye(4), n_av=0)
