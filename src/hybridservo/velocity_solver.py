@@ -194,7 +194,9 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
     wherever the top n_av singular values of A are distinct.
 
     Each row of C is signed so that its command value b_C_i is >= 0; a
-    row with b_C_i == 0 gets a positive first nonzero entry.  Raises
+    row with b_C_i == 0 is signed by its largest-magnitude entry (the first
+    on ties), as in optimal_directions, so permuting the actuated
+    coordinates permutes its entries.  Raises
     SingularTransform when the rows do not pin the goal down:
     rank [N; C] = r_N + rank(A k) must equal rank [N; G] = r_N + n_av.
     Raises NumericOverflow when ||G||_F, or ||b_G|| on the unit goal rows,
@@ -271,7 +273,7 @@ def solve_velocity(instance: SystemInstance) -> VelocitySolution:
         raise SingularTransform("command rows are not independent modulo the constraints")
     b_C = C @ v_star
     for i in range(n_av):
-        lead = b_C[i] if b_C[i] != 0.0 else C[i, np.flatnonzero(C[i])[0]]
+        lead = b_C[i] if b_C[i] != 0.0 else C[i, np.abs(C[i]).argmax()]
         if lead < 0.0:
             C[i], b_C[i] = -C[i], -b_C[i]
     R_C = C[:, n_u:]

@@ -12,10 +12,6 @@ and maxima take the reductions numpy's wrappers run, without the wrappers:
 a row norm is sqrt((M * M).sum(axis=1)) and a vector norm sqrt(r . r) (r
 scaled where r . r overflows), as in np.linalg.norm, so each check costs
 its factorizations plus a few products and reports the same bits.
-_force_equalities rebuilds the force-balance equalities on their own, in
-the full layout [lambda; eta_u; eta_av], for the test oracles that resolve
-the free forces by pseudoinverse projection rather than the solver's
-single-SVD map.
 """
 
 from __future__ import annotations
@@ -182,32 +178,6 @@ def check_velocity_solution(instance: SystemInstance, solution: VelocitySolution
         command_variation=variation,
         notes=notes,
     )
-
-
-def _force_equalities(instance: SystemInstance, guard: GuardConditions, T: np.ndarray, n_av: int):
-    """Independent reconstruction of the force-stage equality system.
-
-    Returns (M_free, M_eta_f, rhs) over the unknowns [lambda; eta_u;
-    eta_av] and eta_af, mirroring the physics without importing the solver
-    assembly.  It takes any invertible T and pins eta_u = 0 with rows of
-    its own, where the solver assumes T^-1 = T^T and drops eta_u, so the
-    oracles built on it also check that elimination.
-    """
-    n, n_u, n_phi = instance.n, instance.n_u, instance.n_phi
-    n_af = instance.n_a - n_av
-    T = np.asarray(T, dtype=float)
-    T_inv = np.linalg.inv(T)
-    stacked = np.vstack(
-        [
-            np.hstack([np.zeros((n_u, n_phi)), T_inv[:n_u]]),
-            np.hstack([T @ instance.N.T, np.eye(n)]),
-            np.hstack([guard.Gamma[:, :n_phi], guard.Gamma[:, n_phi:] @ T_inv]),
-        ]
-    )
-    rhs = np.concatenate([np.zeros(n_u), -T @ instance.F, guard.b_Gamma])
-    free = list(range(n_phi + n_u)) + list(range(n_phi + n_u + n_af, n_phi + n))
-    af = list(range(n_phi + n_u, n_phi + n_u + n_af))
-    return stacked[:, free], stacked[:, af], rhs
 
 
 def _matches(reported: np.ndarray, recomputed: np.ndarray) -> bool:

@@ -2,7 +2,7 @@
 
 brute_force_force_oracle evaluates the worst guard margin at every point of
 a grid over |eta_af| <= f_max and keeps the best.  The free forces come from
-the pseudoinverse of the verifier's full-layout equalities, which shares no
+the pseudoinverse of kkt_reference's full-layout equalities, which shares no
 code with the solver's single-SVD map, and no LP is solved, so acceptance
 criterion 6 checks the LP margin against it.
 """
@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from hybridservo.model import GuardConditions, SystemInstance
-from hybridservo.verifier import _force_equalities
+
+from kkt_reference import force_equalities
 
 
 def brute_force_force_oracle(
@@ -31,7 +32,7 @@ def brute_force_force_oracle(
     Returns (best_margin, best_eta_af).
     """
     n_af = instance.n_a - n_av
-    M_free, M_eta_f, rhs = _force_equalities(instance, guard, T, n_av)
+    M_free, M_eta_f, rhs = force_equalities(instance, guard, T, n_av)
     if n_af > 3:
         raise ValueError("grid oracle supports at most three force command axes")
     pinv = np.linalg.pinv(M_free)

@@ -37,8 +37,7 @@ from scipy.optimize import linprog
 
 from hybridservo.errors import InfeasibleLP
 from hybridservo.model import GuardConditions, SystemInstance
-from hybridservo.verifier import _force_equalities
-from kkt_reference import build_kkt
+from kkt_reference import build_kkt, force_equalities
 
 
 def _kkt_rows(instance, guard, T, n_av, f_max):
@@ -47,10 +46,10 @@ def _kkt_rows(instance, guard, T, n_av, f_max):
     Returns (A_eq, b_eq, A_g, b_g, A_act, bounds): the KKT equalities, the
     rows whose worst slack is the margin (the guard rows, or the box rows
     |eta_af| <= f_max without guard rows), and the map to the actuated force
-    in the original coordinates, over the verifier's full layout f_free =
+    in the original coordinates, over force_equalities' full layout f_free =
     [lambda; eta_u; eta_av].
     """
-    equalities = _force_equalities(instance, guard, T, n_av)
+    equalities = force_equalities(instance, guard, T, n_av)
     K, rhs_const, rhs_map = build_kkt(*equalities)
     r, m = equalities[0].shape
     n_phi, n_u, n = instance.n_phi, instance.n_u, instance.n

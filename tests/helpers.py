@@ -14,7 +14,8 @@ import numpy as np
 from hybridservo.model import GuardConditions, SystemInstance, make_instance
 from hybridservo.subspace_linalg import RANK_TOL, factor
 from hybridservo.velocity_solver import candidate_basis
-from hybridservo.verifier import _force_equalities
+
+from kkt_reference import force_equalities
 
 MAX_ASSEMBLY_CONDITION = 1e3
 
@@ -74,7 +75,7 @@ def random_force_assembly(
     Free-force count n_phi + n_u + n_av stays at or below max_free.  Full
     row rank of the stacked equalities requires n_phi + n_av >= n + n_eq,
     which the dimension draw enforces; ill-conditioned draws, judged on the
-    verifier's full-layout equalities, are rejected.
+    full-layout equalities of kkt_reference.force_equalities, are rejected.
     The number n_eq of Gamma rows is drawn from {0, 1} unless given.
     """
     fixed_eq = n_eq
@@ -101,7 +102,7 @@ def random_force_assembly(
         q, _ = np.linalg.qr(rng.standard_normal((n_a, n_a)))
         T = np.eye(n)
         T[n_u:, n_u:] = q
-        M_free = _force_equalities(instance, guard, T, n_av)[0]
+        M_free = force_equalities(instance, guard, T, n_av)[0]
         rank_ok = factor(M_free).rank == M_free.shape[0]
         if rank_ok and np.linalg.cond(M_free) < MAX_ASSEMBLY_CONDITION:
             return instance, guard, T, n_av
@@ -123,7 +124,7 @@ def random_guarded_assembly(
     -0.25.
     """
     instance, guard, T, n_av = random_force_assembly(rng, n_eq=n_eq)
-    M_free, M_eta_f, rhs = _force_equalities(instance, guard, T, n_av)
+    M_free, M_eta_f, rhs = force_equalities(instance, guard, T, n_av)
     n_phi, n_u = instance.n_phi, instance.n_u
     eta_af = rng.uniform(-10.0, 10.0, M_eta_f.shape[1])
     f_free = np.linalg.pinv(M_free) @ (rhs - M_eta_f @ eta_af)

@@ -6,9 +6,10 @@ M_eta_f eta_af.  This module builds that system and solves it with
 np.linalg.solve, a route that shares no factorization with the solver, so
 tests can check the SVD route against it.  Both take the rows (M_free,
 M_eta_f, rhs): the solver's over [lambda; eta_av], given as (M_free,
--B[:, 1:], B[:, 0]) from its (M_free, B), or the verifier's full layout
-over [lambda; eta_u; eta_av], which force_lp_oracle.py carries as
-equality rows.
+-B[:, 1:], B[:, 0]) from its (M_free, B), or those of force_equalities,
+which rebuilds the force balance on its own in the full layout
+[lambda; eta_u; eta_av] and which force_lp_oracle.py carries as equality
+rows and force_grid_oracle.py resolves by pseudoinverse.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from hybridservo.errors import SingularSystem
+from hybridservo.model import GuardConditions, SystemInstance
 from hybridservo.subspace_linalg import RESIDUAL_TOL
 
 # Condition-number ceiling of the LU reference solve.
@@ -73,3 +75,29 @@ def solve_kkt(M_free, M_eta_f, rhs, eta_af: np.ndarray) -> np.ndarray:
     K, rhs_const, rhs_map = build_kkt(M_free, M_eta_f, rhs)
     x = solve_square(K, rhs_const - rhs_map @ np.asarray(eta_af, dtype=float))
     return x[: M_free.shape[1]]
+
+
+def force_equalities(instance: SystemInstance, guard: GuardConditions, T: np.ndarray, n_av: int):
+    """Independent reconstruction of the force-stage equality system.
+
+    Returns (M_free, M_eta_f, rhs) over the unknowns [lambda; eta_u;
+    eta_av] and eta_af, mirroring the physics without importing the solver
+    assembly.  It takes any invertible T and pins eta_u = 0 with rows of
+    its own, where the solver assumes T^-1 = T^T and drops eta_u, so the
+    oracles built on it also check that elimination.
+    """
+    n, n_u, n_phi = instance.n, instance.n_u, instance.n_phi
+    n_af = instance.n_a - n_av
+    T = np.asarray(T, dtype=float)
+    T_inv = np.linalg.inv(T)
+    stacked = np.vstack(
+        [
+            np.hstack([np.zeros((n_u, n_phi)), T_inv[:n_u]]),
+            np.hstack([T @ instance.N.T, np.eye(n)]),
+            np.hstack([guard.Gamma[:, :n_phi], guard.Gamma[:, n_phi:] @ T_inv]),
+        ]
+    )
+    rhs = np.concatenate([np.zeros(n_u), -T @ instance.F, guard.b_Gamma])
+    free = list(range(n_phi + n_u)) + list(range(n_phi + n_u + n_af, n_phi + n))
+    af = list(range(n_phi + n_u, n_phi + n_u + n_af))
+    return stacked[:, free], stacked[:, af], rhs

@@ -23,14 +23,11 @@ from hybridservo.errors import InfeasibleLP
 from hybridservo.force_solver import _free_force_map, assemble_newton, solve_force
 from hybridservo.subspace_linalg import factor
 from hybridservo.velocity_solver import solve_velocity
-from hybridservo.verifier import (
-    check_force_solution,
-    check_velocity_solution,
-    _force_equalities,
-)
+from hybridservo.verifier import check_force_solution, check_velocity_solution
 
 from force_grid_oracle import brute_force_force_oracle
 from helpers import direction_problem, random_feasible_instance, random_force_assembly
+from kkt_reference import force_equalities
 from pgd_oracle import best_pgd_cost
 from tilting_reference import hand_arc_velocity
 
@@ -155,7 +152,7 @@ def test_criterion_5_kkt_matches_projection_oracle():
     hits = 0
     for _ in range(200):
         instance, guard, T, n_av = random_force_assembly(rng)
-        M_free, M_eta_f, rhs = _force_equalities(instance, guard, T, n_av)
+        M_free, M_eta_f, rhs = force_equalities(instance, guard, T, n_av)
         eta_af = rng.uniform(-5.0, 5.0, M_eta_f.shape[1])
         # The free forces [lambda; eta_av] solve_force uses: affine in the
         # command, one SVD.  The oracle solves over the full layout

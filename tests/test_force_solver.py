@@ -20,8 +20,8 @@ from hybridservo.errors import InfeasibleLP, NumericOverflow, SingularSystem, Si
 from hybridservo.force_solver import assemble_newton, solve_force
 from hybridservo.model import GuardConditions, make_instance
 from hybridservo.velocity_solver import solve_velocity
-from hybridservo.verifier import _force_equalities, check_force_solution
-from kkt_reference import build_kkt, solve_kkt
+from hybridservo.verifier import check_force_solution
+from kkt_reference import build_kkt, force_equalities, solve_kkt
 
 
 def _supported_object():
@@ -164,7 +164,7 @@ def test_unactuated_force_is_exactly_zero():
 def test_build_kkt_blocks():
     rng = np.random.default_rng(0)
     inst, guard, T, n_av = random_force_assembly(rng)
-    M_free, M_eta_f, rhs = _force_equalities(inst, guard, T, n_av)
+    M_free, M_eta_f, rhs = force_equalities(inst, guard, T, n_av)
     r, m = M_free.shape
     K, rhs_const, rhs_map = build_kkt(M_free, M_eta_f, rhs)
     assert K.shape == (m + r, m + r)
@@ -179,7 +179,7 @@ def test_build_kkt_blocks():
 def test_kkt_reference_matches_pinv_projection():
     rng = np.random.default_rng(1)
     inst, guard, T, n_av = random_force_assembly(rng)
-    M_free, M_eta_f, rhs = _force_equalities(inst, guard, T, n_av)
+    M_free, M_eta_f, rhs = force_equalities(inst, guard, T, n_av)
     eta_af = rng.uniform(-10.0, 10.0, M_eta_f.shape[1])
     via_kkt = solve_kkt(M_free, M_eta_f, rhs, eta_af)
     via_pinv = np.linalg.pinv(M_free) @ (rhs - M_eta_f @ eta_af)
@@ -1146,7 +1146,7 @@ def test_svd_route_matches_kkt_reference():
     # eta_u = 0 on their own.
     for inst, guard, T, n_av, eta_af in _svd_route_cases():
         F = force_solver._free_force_map(*assemble_newton(inst, guard, T, n_av))
-        reference = solve_kkt(*_force_equalities(inst, guard, T, n_av), eta_af)
+        reference = solve_kkt(*force_equalities(inst, guard, T, n_av), eta_af)
         lam, eta_av = np.split(F[:, 0] + F[:, 1:] @ eta_af, [inst.n_phi])
         full = np.concatenate([lam, np.zeros(inst.n_u), eta_av])
         scale = max(1.0, np.max(np.abs(reference)))

@@ -842,7 +842,7 @@ def test_goal_row_scaling_and_permutation_leave_the_command_rows():
         checked[sol.n_av] += 1
 
 
-def test_permuted_actuated_coordinates_permute_the_command_rows():
+def _check_permuted_command_rows(zero_goal):
     # Reordering the actuated coordinates (the columns of N and G and the
     # entries of F past n_u) states the same problem, so C's columns follow
     # the order and b_C and the cost stay.  T is left out: the Householder
@@ -851,6 +851,8 @@ def test_permuted_actuated_coordinates_permute_the_command_rows():
     checked = {1: 0, 2: 0, 3: 0}
     for _ in range(300):
         inst = random_feasible_instance(rng)
+        if zero_goal:
+            inst = make_instance(inst.n_u, inst.N, inst.G, np.zeros_like(inst.b_G), inst.F)
         try:
             sol = solve_velocity(inst)
         except SolverError:
@@ -865,3 +867,13 @@ def test_permuted_actuated_coordinates_permute_the_command_rows():
         assert _relative_difference(got, ref) <= 1e-10
         checked[sol.n_av] += 1
     assert min(checked.values()) >= 30, checked
+
+
+def test_permuted_actuated_coordinates_permute_the_command_rows():
+    _check_permuted_command_rows(zero_goal=False)
+
+
+def test_permuted_coordinates_permute_the_rows_of_zero_command_values():
+    # b_G = 0 gives b_C = 0: each row is signed by its largest-magnitude
+    # entry, which the coordinate order does not change.
+    _check_permuted_command_rows(zero_goal=True)
